@@ -18,7 +18,7 @@ from typing import Any
 
 from . import defaults
 from .model import Route, Scenario, StationSpec, TruckParams, TruckSpec
-from .planner import PlannerInput, _max_charge_feasible, _stop_patterns
+from .planner import PlannerInput, _pattern_need, _stop_patterns
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
 
@@ -159,10 +159,8 @@ def _route_completable(
         assumed_waits=(0.0,) * (len(stations) - 1),
         remaining_time=remaining_time,
     )
-    return any(
-        _max_charge_feasible(inp, pattern)
-        for pattern in _stop_patterns(len(stations))
-    )
+    need_of = _pattern_need(inp)
+    return any(need_of(pattern) is not None for pattern in _stop_patterns(len(stations)))
 
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
+    "MAX_ENUMERATED_STATIONS",
     "TruckParams",
     "StationSpec",
     "Route",
     "TruckSpec",
-    "TruckState",
     "ChargeDecision",
     "ChargingPlan",
     "Scenario",
@@ -35,6 +35,13 @@ __all__ = [
     "load_scenario",
     "dump_scenario",
 ]
+
+
+# The planner enumerates stop patterns exhaustively, so the plannable route
+# tail is capped; 2^16 patterns is still exact and fast, beyond that the
+# caller is holding the model wrong. Routes are validated against it here
+# because the offline baseline plans a whole route at once.
+MAX_ENUMERATED_STATIONS = 16
 
 
 class ScenarioFormatError(ValueError):
@@ -123,24 +130,6 @@ class TruckSpec:
         return self.depart_time + sum(self.route.segment_times) + self.extra_time_budget
 
 
-@dataclass(slots=True)
-class TruckState:
-    """Mutable en-route state of a truck, owned by the simulation engine.
-
-    ``next_ramp_index`` is 1-based; value N+1 means the truck is bound for
-    the destination. The remaining time budget is derived, never stored.
-    """
-
-    next_ramp_index: int
-    clock: float
-    battery: float
-    deadline: float
-
-    @property
-    def remaining_time(self) -> float:
-        return self.deadline - self.clock
-
-
 @dataclass(frozen=True, slots=True)
 class ChargeDecision:
     """Whether and for how long to charge at one station (minutes)."""
@@ -220,6 +209,11 @@ def _check_route(prefix: str, r: Route, station_ids: set[str], out: list[str]) -
     if n < 0:
         out.append(f"{prefix}: ramp_count must be nonnegative, got {n}")
         return
+    if n > MAX_ENUMERATED_STATIONS:
+        out.append(
+            f"{prefix}: {n} ramps exceeds the planner's limit of "
+            f"{MAX_ENUMERATED_STATIONS} stations per route"
+        )
     if len(r.segment_times) != n + 1:
         out.append(f"{prefix}: expected {n + 1} segment_times, got {len(r.segment_times)}")
     if len(r.detour_times) != n:
@@ -268,10 +262,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         seen_trucks.add(t.id)
         _check_params(prefix, t.params, out)
         _check_route(prefix, t.route, station_ids, out)
-        for name in ("e_initial", "depart_time", "extra_time_budget", "w_hat_default"):
-            if not _is_finite_number(getattr(t, name)):
-                out.append(f"{prefix}: {name} is not a finite number")
-                return out
+        non_finite = [
+            name
+            for name in ("e_initial", "depart_time", "extra_time_budget", "w_hat_default")
+            if not _is_finite_number(getattr(t, name))
+        ]
+        for name in non_finite:
+            out.append(f"{prefix}: {name} is not a finite number")
+        if non_finite:
+            continue
         if t.depart_time < 0:
             out.append(f"{prefix}: depart_time must be nonnegative, got {t.depart_time}")
         if t.extra_time_budget < 0:

@@ -16,15 +16,30 @@ truck's assumed wait.
 
 The problem is solved exactly: every stop pattern is enumerated (the route
 tail is small), and for each pattern the durations form a linear program
-with a single epigraph variable for the overtime hinge. Two prunings keep
-the enumeration cheap, and neither is heuristic:
+with a single epigraph variable for the overtime hinge. Three prunings
+skip most of those LPs, and none is heuristic:
 
 * a pattern whose charge-to-full trajectory already dips below a bound has
   no feasible durations at all (charging to full is pointwise the highest
   trajectory any durations can achieve);
 * a pattern whose fixed detour-and-wait labor cost alone exceeds the best
   cost found so far cannot win, because every other objective term is
-  nonnegative.
+  nonnegative;
+* a pattern cannot win when its fixed labor cost, plus the cheapest cost
+  of the energy it must buy and the overtime that buying it implies,
+  exceeds the best cost. On the pattern's
+  no-charge trajectory, the largest shortfall below any bound is energy
+  that every feasible choice of durations buys. Each kWh of it costs at
+  least the pattern's cheapest labor-plus-electricity per kWh and takes
+  at least the fastest station's minutes, and the overtime hinge is
+  nondecreasing in minutes, so no duration LP of the pattern beats the
+  bound.
+
+The last two are one test: the energy terms of the bound are nonnegative,
+so the bound prunes every pattern the fixed cost alone would. A pattern is
+skipped only when its bound exceeds the best cost plus the tie tolerance,
+while a solved pattern replaces the best only when it is cheaper by more
+than that tolerance, so pruning never changes which pattern wins.
 """
 
 from __future__ import annotations
@@ -32,12 +47,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .lp import LPResult, solve_lp
 from .model import (
+    MAX_ENUMERATED_STATIONS,
     ChargeDecision,
     ChargingPlan,
     StationSpec,
@@ -63,11 +79,6 @@ __all__ = [
     "planner_input_from_dict",
     "solution_to_dict",
 ]
-
-# Stop patterns are enumerated exhaustively, so the plannable route tail is
-# capped; 2^16 patterns is still exact and fast, beyond that the caller is
-# holding the model wrong.
-MAX_ENUMERATED_STATIONS = 16
 
 _COST_TIE_TOL = 1e-9
 
@@ -413,27 +424,111 @@ def solve_fixed_assignment(
     return tuple(durations), cost
 
 
-def _max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:
-    """Exact energy-feasibility test for a stop pattern.
+def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
+    """Energy constants of the route tail, and the per-pattern energy walk.
 
-    Charging to full at every planned stop produces, pointwise, the highest
-    battery trajectory any durations can achieve, so if that trajectory
-    violates a bound the pattern has no feasible durations at all. A small
-    margin keeps borderline patterns alive for the LP to judge.
+    The returned function maps a stop pattern (ascending station indices)
+    to the energy, in kWh, that any feasible durations must buy, or to None
+    when the pattern has no feasible durations. One walk does both jobs:
+
+    * Feasibility: charging to full at every planned stop produces,
+      pointwise, the highest battery trajectory any durations can achieve,
+      so if that trajectory violates a bound the pattern has no feasible
+      durations at all. A small margin keeps borderline patterns alive for
+      the LP to judge.
+    * Need: the largest shortfall below an applicable bound on the
+      no-charge trajectory is energy that any feasible durations must buy.
+      It is lowered by the same margin, so a pattern the LP accepts within
+      its feasibility tolerance still buys at least that much.
     """
-    p = inp.params
     eps = 1e-7
-    e = inp.battery
-    for l in range(inp.station_count):
-        planned = l in selected
-        if inp.require_detour_margin_everywhere or planned:
-            if e < p.e_safe + p.p_bar * inp.detour_times[l] - eps:
-                return False
-        if planned:
-            e = p.e_full - p.p_bar * (inp.detour_times[l] + inp.segment_times[l])
-        else:
-            e = e - p.p_bar * inp.segment_times[l]
-    return e >= p.e_safe - eps
+    strict = inp.require_detour_margin_everywhere
+    battery = inp.battery
+    e_safe, e_full, p_bar = inp.params.e_safe, inp.params.e_full, inp.params.p_bar
+    # per ramp: the bound there, the drain of driving past, the drain of
+    # stopping (detour both ways plus the segment), and the level after
+    # leaving a full charge
+    ramps = [
+        (e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), e_full - p_bar * (d + s))
+        for d, s in zip(inp.detour_times, inp.segment_times)
+    ]
+
+    def need_of(selected: Sequence[int]) -> float | None:
+        high = battery  # charge-to-full trajectory
+        low = battery  # no-charge trajectory
+        need = 0.0
+        for l, (floor, drive, stop, refilled) in enumerate(ramps):
+            planned = l in selected
+            if strict or planned:
+                if high < floor - eps:
+                    return None
+                if floor - low > need:
+                    need = floor - low
+            if planned:
+                high = refilled
+                low -= stop
+            else:
+                high -= drive
+                low -= drive
+        if high < e_safe - eps:
+            return None
+        if e_safe - low > need:
+            need = e_safe - low
+        return max(need - eps, 0.0)
+
+    return need_of
+
+
+def _pattern_bounds(
+    inp: PlannerInput,
+) -> Callable[[Sequence[int]], tuple[float, float] | None]:
+    """Cost constants of the route tail, and the per-pattern lower bound.
+
+    The returned function maps a stop pattern to ``(lower_bound,
+    constant_cost)``, or to None when the pattern has no feasible
+    durations. ``constant_cost`` is the pattern's fixed detour-and-wait
+    labor cost, summed in pattern order exactly as `_pattern_constant_cost`
+    sums it, because it is added to the LP optimum to give the pattern's
+    reported cost. ``lower_bound`` adds the cheapest
+    per-kWh cost of the pattern's energy need and the overtime hinge at the
+    fewest minutes that buy it; no duration LP of the pattern costs less.
+    """
+    need_of = _pattern_need(inp)
+    p = inp.params
+    m = inp.station_count
+    rates = inp.rates()
+    prices = inp.prices_per_minute()
+    waits = inp.waits()
+    kappa, rho = p.kappa, p.rho
+    cost_per_kwh = [(kappa + prices[l]) / rates[l] for l in range(m)]
+    labor = [2.0 * inp.detour_times[l] + waits[l] for l in range(m)]
+    spare_minutes = sum(inp.segment_times) - inp.remaining_time
+
+    def bound(selected: Sequence[int]) -> tuple[float, float] | None:
+        need = need_of(selected)
+        if need is None:
+            return None
+        fixed = 0.0
+        cheapest = math.inf
+        fastest = 0.0
+        for l in selected:
+            fixed += labor[l]
+            if cost_per_kwh[l] < cheapest:
+                cheapest = cost_per_kwh[l]
+            if rates[l] > fastest:
+                fastest = rates[l]
+        const = kappa * fixed
+        overtime = spare_minutes + fixed
+        lower = const
+        if selected and need > 0.0:
+            lower += cheapest * need
+            overtime += need / fastest
+        hinge = rho * overtime
+        if hinge > 0.0:
+            lower += hinge
+        return lower, const
+
+    return bound
 
 
 _PATTERN_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -461,23 +556,25 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     cost-optimal durations, so reported plans are unique and replayable.
     """
     m = inp.station_count
+    bound = _pattern_bounds(inp)
     best_cost = math.inf
+    best_const = 0.0
     best_selected: tuple[int, ...] | None = None
     lp_solves = 0
     considered = 0
     for selected in _stop_patterns(m):
         considered += 1
-        if _pattern_constant_cost(inp, selected) > best_cost + _COST_TIE_TOL:
-            continue
-        if not _max_charge_feasible(inp, frozenset(selected)):
+        bounds = bound(selected)
+        if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
             continue
         lp_solves += 1
         result = _assignment_lp(inp, selected)
         if result.status != "optimal":
             continue
-        cost = float(result.objective) + _pattern_constant_cost(inp, selected)
+        cost = float(result.objective) + bounds[1]
         if cost < best_cost - _COST_TIE_TOL:
             best_cost = cost
+            best_const = bounds[1]
             best_selected = selected
 
     if best_selected is None:
@@ -486,7 +583,7 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         )
 
     # canonical durations: minimal total charging time at optimal cost
-    cap = best_cost - _pattern_constant_cost(inp, best_selected) + _COST_TIE_TOL
+    cap = best_cost - best_const + _COST_TIE_TOL
     lp_solves += 1
     canonical = _assignment_lp(
         inp, best_selected, cost_cap=cap, minimize_total_time=True

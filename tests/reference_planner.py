@@ -1,0 +1,92 @@
+"""Reference planner: every stop pattern that can be feasible gets its LP.
+
+This is the enumerate-everything loop the package planner replaced with
+lower-bound pruning. It keeps only the charge-to-full feasibility test and
+the fixed-cost prune, so it solves many more duration LPs; tests require
+the package planner to return exactly the same plans.
+"""
+
+from __future__ import annotations
+
+import math
+
+from fleetcharge.model import ChargeDecision, ChargingPlan
+from fleetcharge.planner import (
+    _COST_TIE_TOL,
+    PlannerInput,
+    PlannerSolution,
+    _assignment_lp,
+    _pattern_constant_cost,
+    _stop_patterns,
+    evaluate_plan_cost,
+)
+
+
+def max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:
+    """Charging to full at every planned stop is pointwise the highest
+    trajectory any durations can achieve; a small margin keeps borderline
+    patterns alive for the LP to judge."""
+    p = inp.params
+    eps = 1e-7
+    e = inp.battery
+    for l in range(inp.station_count):
+        planned = l in selected
+        if inp.require_detour_margin_everywhere or planned:
+            if e < p.e_safe + p.p_bar * inp.detour_times[l] - eps:
+                return False
+        if planned:
+            e = p.e_full - p.p_bar * (inp.detour_times[l] + inp.segment_times[l])
+        else:
+            e = e - p.p_bar * inp.segment_times[l]
+    return e >= p.e_safe - eps
+
+
+def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
+    m = inp.station_count
+    best_cost = math.inf
+    best_selected: tuple[int, ...] | None = None
+    lp_solves = 0
+    considered = 0
+    for selected in _stop_patterns(m):
+        considered += 1
+        if _pattern_constant_cost(inp, selected) > best_cost + _COST_TIE_TOL:
+            continue
+        if not max_charge_feasible(inp, frozenset(selected)):
+            continue
+        lp_solves += 1
+        result = _assignment_lp(inp, selected)
+        if result.status != "optimal":
+            continue
+        cost = float(result.objective) + _pattern_constant_cost(inp, selected)
+        if cost < best_cost - _COST_TIE_TOL:
+            best_cost = cost
+            best_selected = selected
+
+    if best_selected is None:
+        return PlannerSolution(
+            status="infeasible", plan=None, patterns_considered=considered, lp_solves=lp_solves
+        )
+
+    cap = best_cost - _pattern_constant_cost(inp, best_selected) + _COST_TIE_TOL
+    lp_solves += 1
+    canonical = _assignment_lp(inp, best_selected, cost_cap=cap, minimize_total_time=True)
+    if canonical.status == "optimal":
+        chosen = canonical.x
+    else:
+        lp_solves += 1
+        chosen = _assignment_lp(inp, best_selected).x
+    durations = [0.0] * m
+    for i, l in enumerate(best_selected):
+        durations[l] = max(float(chosen[i]), 0.0)
+    decisions = tuple(
+        ChargeDecision(
+            charge=l in best_selected,
+            duration=durations[l] if l in best_selected else 0.0,
+        )
+        for l in range(m)
+    )
+    cost, overtime = evaluate_plan_cost(inp, decisions)
+    plan = ChargingPlan(decisions=decisions, anticipated_cost=cost, anticipated_overtime=overtime)
+    return PlannerSolution(
+        status="optimal", plan=plan, patterns_considered=considered, lp_solves=lp_solves
+    )

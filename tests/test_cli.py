@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 from fleetcharge.cli import main
-from fleetcharge.model import scenario_to_json
+from fleetcharge.model import MAX_ENUMERATED_STATIONS, scenario_to_json
 
 from conftest import make_params, make_scenario, make_station, make_truck
 
@@ -125,6 +125,19 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
     invalid.write_text(scenario_to_json(sc))
     assert main(["run", "--scenario", str(invalid), "--out", str(tmp_path / "r2")]) == 2
     assert "scenario invalid" in capsys.readouterr().err
+
+
+def test_route_beyond_planner_limit_exits_two(tmp_path, capsys):
+    n = MAX_ENUMERATED_STATIONS + 1
+    truck = make_truck(
+        station_ids=("s01",) * n,
+        segment_times=(30.0,) * (n + 1),
+        detour_times=(5.0,) * n,
+    )
+    path = tmp_path / "long.json"
+    path.write_text(scenario_to_json(make_scenario(trucks=(truck,), label="long")))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert f"{n} ramps exceeds" in capsys.readouterr().err
 
 
 def test_stranded_fleet_still_exits_zero(tmp_path):

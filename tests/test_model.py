@@ -95,6 +95,20 @@ def test_validation_flags_battery_too_low_for_first_detour():
     assert any("initial battery insufficient for first detour" in msg for msg in msgs)
 
 
+def test_validation_reports_every_truck_with_non_finite_fields():
+    sc = make_scenario(
+        trucks=(
+            make_truck("t001", e_initial=float("nan")),
+            make_truck("t002", depart_time=float("inf")),
+            make_truck("t003", e_initial=700.0),
+        )
+    )
+    msgs = validate_scenario(sc)
+    assert "truck t001: e_initial is not a finite number" in msgs
+    assert "truck t002: depart_time is not a finite number" in msgs
+    assert any("t003" in msg and "exceeds battery capacity" in msg for msg in msgs)
+
+
 def test_validation_is_pure():
     sc = make_scenario(trucks=(make_truck(e_initial=156.0),))
     assert validate_scenario(sc) == validate_scenario(sc)
