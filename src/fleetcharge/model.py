@@ -204,6 +204,15 @@ def _check_params(prefix: str, p: TruckParams, out: list[str]) -> None:
         out.append(f"{prefix}: rho must be nonnegative, got {p.rho}")
 
 
+def _check_station(prefix: str, s: StationSpec, out: list[str]) -> None:
+    if not isinstance(s.port_count, int) or isinstance(s.port_count, bool) or s.port_count < 1:
+        out.append(f"{prefix}: port_count must be an integer >= 1, got {s.port_count!r}")
+    if not _is_finite_number(s.port_power) or s.port_power <= 0:
+        out.append(f"{prefix}: port_power must be positive, got {s.port_power!r}")
+    if not _is_finite_number(s.electricity_price_energy) or s.electricity_price_energy < 0:
+        out.append(f"{prefix}: electricity_price_energy must be nonnegative, got {s.electricity_price_energy!r}")
+
+
 def _check_route(prefix: str, r: Route, station_ids: set[str], out: list[str]) -> None:
     n = r.ramp_count
     if n < 0:
@@ -246,12 +255,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if s.id in seen_stations:
             out.append(f"{prefix}: duplicate station id")
         seen_stations.add(s.id)
-        if not isinstance(s.port_count, int) or isinstance(s.port_count, bool) or s.port_count < 1:
-            out.append(f"{prefix}: port_count must be an integer >= 1, got {s.port_count!r}")
-        if not _is_finite_number(s.port_power) or s.port_power <= 0:
-            out.append(f"{prefix}: port_power must be positive, got {s.port_power!r}")
-        if not _is_finite_number(s.electricity_price_energy) or s.electricity_price_energy < 0:
-            out.append(f"{prefix}: electricity_price_energy must be nonnegative, got {s.electricity_price_energy!r}")
+        _check_station(prefix, s, out)
 
     station_ids = {s.id for s in scenario.stations}
     seen_trucks: set[str] = set()

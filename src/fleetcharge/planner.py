@@ -49,8 +49,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .lp import LPResult, solve_lp
 from .model import (
     MAX_ENUMERATED_STATIONS,
@@ -58,6 +56,8 @@ from .model import (
     ChargingPlan,
     StationSpec,
     TruckParams,
+    _check_params,
+    _check_station,
     charging_rate,
     electricity_price_per_minute,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "MAX_ENUMERATED_STATIONS",
     "PlannerInput",
     "PlannerSolution",
-    "OracleResult",
     "RouteTooLongError",
     "compute_energy_trajectory",
     "check_feasibility",
@@ -75,7 +74,6 @@ __all__ = [
     "solve_fixed_assignment",
     "solve_charging_problem",
     "minimal_rescue_charge",
-    "brute_force_oracle",
     "planner_input_from_dict",
     "solution_to_dict",
 ]
@@ -290,115 +288,21 @@ def evaluate_plan_cost(
 # -- fixed stop pattern: the duration LP -------------------------------------
 
 
-def _drain_prefix(inp: PlannerInput, selected: frozenset[int]) -> list[float]:
-    """Cumulative driving consumption reaching each ramp (and destination)
-    for a given stop pattern: entry l covers all segments and planned
-    detours strictly before ramp l."""
-    p = inp.params
-    out = [0.0]
-    total = 0.0
-    for l in range(inp.station_count):
-        detour = 2.0 * inp.detour_times[l] if l in selected else 0.0
-        total += p.p_bar * (detour + inp.segment_times[l])
-        out.append(total)
-    return out
-
-
 def _assignment_lp(
     inp: PlannerInput,
-    selected: tuple[int, ...],
+    selected: Sequence[int],
     *,
     with_overtime: bool = True,
     cost_cap: float | None = None,
     minimize_total_time: bool = False,
 ) -> LPResult:
-    """Solve the duration LP for one stop pattern.
-
-    Variables are the charging durations of the selected stations (in
-    pattern order) plus, when ``with_overtime``, an epigraph variable for
-    the hinge max(rho * overtime, 0). ``cost_cap`` adds a row bounding the
-    variable part of the objective; ``minimize_total_time`` swaps the
-    objective for the sum of durations (used to canonicalize among
-    cost-equal optima and for rescue charging).
-    """
-    p = inp.params
-    m = inp.station_count
-    sel_set = frozenset(selected)
-    rates = inp.rates()
-    prices = inp.prices_per_minute()
-    waits = inp.waits()
-    drain = _drain_prefix(inp, sel_set)
-    n_t = len(selected)
-    n_vars = n_t + (1 if with_overtime else 0)
-    col_of = {l: i for i, l in enumerate(selected)}
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def energy_coeffs(upto: int) -> np.ndarray:
-        """Coefficients of the charge contribution reaching ramp ``upto``."""
-        row = np.zeros(n_vars)
-        for l in selected:
-            if l < upto:
-                row[col_of[l]] = rates[l]
-        return row
-
-    # reserve-plus-detour bound at ramps
-    for l in range(m):
-        if not (inp.require_detour_margin_everywhere or l in sel_set):
-            continue
-        row = -energy_coeffs(l)
-        bound = p.e_safe + p.p_bar * inp.detour_times[l]
-        rows.append(row)
-        rhs.append(inp.battery - drain[l] - bound)
-    # reserve bound at the destination
-    rows.append(-energy_coeffs(m))
-    rhs.append(inp.battery - drain[m] - p.e_safe)
-    # capacity bound at each planned stop
-    for l in selected:
-        row = energy_coeffs(l)
-        row[col_of[l]] += rates[l]
-        rows.append(row)
-        rhs.append(p.e_full - inp.battery + drain[l] + p.p_bar * inp.detour_times[l])
-
-    fixed_minutes = sum(inp.segment_times) + sum(
-        2.0 * inp.detour_times[l] + waits[l] for l in selected
-    )
-    if with_overtime:
-        # z >= rho * (fixed_minutes + sum of durations - budget)
-        row = np.zeros(n_vars)
-        for l in selected:
-            row[col_of[l]] = p.rho
-        row[-1] = -1.0
-        rows.append(row)
-        rhs.append(p.rho * (inp.remaining_time - fixed_minutes))
-
-    objective = np.zeros(n_vars)
-    if minimize_total_time:
-        objective[:n_t] = 1.0
-    else:
-        for l in selected:
-            objective[col_of[l]] = p.kappa + prices[l]
-        if with_overtime:
-            objective[-1] = 1.0
-
-    if cost_cap is not None:
-        row = np.zeros(n_vars)
-        for l in selected:
-            row[col_of[l]] = p.kappa + prices[l]
-        if with_overtime:
-            row[-1] = 1.0
-        rows.append(row)
-        rhs.append(cost_cap)
-
-    a_ub = np.vstack(rows) if rows else np.zeros((0, n_vars))
-    return solve_lp(objective, a_ub, np.array(rhs))
-
-
-def _pattern_constant_cost(inp: PlannerInput, selected: tuple[int, ...]) -> float:
-    waits = inp.waits()
-    return inp.params.kappa * sum(
-        2.0 * inp.detour_times[l] + waits[l] for l in selected
+    """The duration LP of one stop pattern, for callers that solve one;
+    see `_RouteTail.lp`."""
+    return _RouteTail(inp).lp(
+        selected,
+        with_overtime=with_overtime,
+        cost_cap=cost_cap,
+        minimize_total_time=minimize_total_time,
     )
 
 
@@ -415,7 +319,7 @@ def solve_fixed_assignment(
         return None
     durations = [0.0] * inp.station_count
     for i, l in enumerate(selected):
-        durations[l] = max(float(result.x[i]), 0.0)
+        durations[l] = result.x[i]
     decisions = tuple(
         ChargeDecision(charge=l in selected, duration=durations[l] if l in selected else 0.0)
         for l in range(inp.station_count)
@@ -479,35 +383,62 @@ def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
     return need_of
 
 
-def _pattern_bounds(
-    inp: PlannerInput,
-) -> Callable[[Sequence[int]], tuple[float, float] | None]:
-    """Cost constants of the route tail, and the per-pattern lower bound.
-
-    The returned function maps a stop pattern to ``(lower_bound,
-    constant_cost)``, or to None when the pattern has no feasible
-    durations. ``constant_cost`` is the pattern's fixed detour-and-wait
-    labor cost, summed in pattern order exactly as `_pattern_constant_cost`
-    sums it, because it is added to the LP optimum to give the pattern's
-    reported cost. ``lower_bound`` adds the cheapest
-    per-kWh cost of the pattern's energy need and the overtime hinge at the
-    fewest minutes that buy it; no duration LP of the pattern costs less.
+class _RouteTail:
+    """Constants of one route tail, built once per plan, and the two
+    per-pattern computations that share them: the cost lower bound and the
+    duration LP.
     """
-    need_of = _pattern_need(inp)
-    p = inp.params
-    m = inp.station_count
-    rates = inp.rates()
-    prices = inp.prices_per_minute()
-    waits = inp.waits()
-    kappa, rho = p.kappa, p.rho
-    cost_per_kwh = [(kappa + prices[l]) / rates[l] for l in range(m)]
-    labor = [2.0 * inp.detour_times[l] + waits[l] for l in range(m)]
-    spare_minutes = sum(inp.segment_times) - inp.remaining_time
 
-    def bound(selected: Sequence[int]) -> tuple[float, float] | None:
-        need = need_of(selected)
+    __slots__ = (
+        "inp",
+        "need_of",
+        "rates",
+        "minute_cost",
+        "cost_per_kwh",
+        "labor",
+        "floors",
+        "detour_drain",
+        "drive",
+        "stop",
+        "seg_total",
+    )
+
+    def __init__(self, inp: PlannerInput) -> None:
+        p = inp.params
+        rates = inp.rates()
+        waits = inp.waits()
+        self.inp = inp
+        self.need_of = _pattern_need(inp)
+        self.rates = rates
+        # labor plus electricity per charging minute, and per kWh bought
+        self.minute_cost = [p.kappa + price for price in inp.prices_per_minute()]
+        self.cost_per_kwh = [c / r for c, r in zip(self.minute_cost, rates)]
+        # fixed minutes of a stop: the detour both ways plus the wait
+        self.labor = [2.0 * d + w for d, w in zip(inp.detour_times, waits)]
+        self.floors = [p.e_safe + p.p_bar * d for d in inp.detour_times]
+        self.detour_drain = [p.p_bar * d for d in inp.detour_times]
+        # drain of driving past a ramp, and of stopping there
+        self.drive = [p.p_bar * s for s in inp.segment_times]
+        self.stop = [
+            p.p_bar * (2.0 * d + s) for d, s in zip(inp.detour_times, inp.segment_times)
+        ]
+        self.seg_total = sum(inp.segment_times)
+
+    def bound(self, selected: Sequence[int]) -> tuple[float, float] | None:
+        """``(lower_bound, constant_cost)`` of a stop pattern, or None when
+        the pattern has no feasible durations.
+
+        ``constant_cost`` is the pattern's fixed detour-and-wait labor cost,
+        summed in pattern order, because it is added to the LP optimum to
+        give the pattern's reported cost. ``lower_bound`` adds the cheapest
+        per-kWh cost of the pattern's energy need and the overtime hinge at
+        the fewest minutes that buy it; no duration LP of the pattern costs
+        less.
+        """
+        need = self.need_of(selected)
         if need is None:
             return None
+        rates, cost_per_kwh, labor = self.rates, self.cost_per_kwh, self.labor
         fixed = 0.0
         cheapest = math.inf
         fastest = 0.0
@@ -517,18 +448,82 @@ def _pattern_bounds(
                 cheapest = cost_per_kwh[l]
             if rates[l] > fastest:
                 fastest = rates[l]
-        const = kappa * fixed
-        overtime = spare_minutes + fixed
+        p = self.inp.params
+        const = p.kappa * fixed
+        overtime = self.seg_total - self.inp.remaining_time + fixed
         lower = const
         if selected and need > 0.0:
             lower += cheapest * need
             overtime += need / fastest
-        hinge = rho * overtime
+        hinge = p.rho * overtime
         if hinge > 0.0:
             lower += hinge
         return lower, const
 
-    return bound
+    def lp(
+        self,
+        selected: Sequence[int],
+        *,
+        with_overtime: bool = True,
+        cost_cap: float | None = None,
+        minimize_total_time: bool = False,
+    ) -> LPResult:
+        """Solve the duration LP for one stop pattern.
+
+        Variables are the charging durations of the selected stations (in
+        pattern order) plus, when ``with_overtime``, an epigraph variable
+        for the hinge max(rho * overtime, 0). ``cost_cap`` adds a row
+        bounding the variable part of the objective;
+        ``minimize_total_time`` swaps the objective for the sum of
+        durations (used to canonicalize among cost-equal optima and for
+        rescue charging).
+        """
+        inp = self.inp
+        p = inp.params
+        rates = self.rates
+        picked = set(selected)
+        # cumulative driving consumption reaching each ramp (and the
+        # destination): entry l covers all segments and planned detours
+        # strictly before ramp l
+        drain = [0.0]
+        total = 0.0
+        for l, (drive, stop) in enumerate(zip(self.drive, self.stop)):
+            total += stop if l in picked else drive
+            drain.append(total)
+        m = len(rates)
+        hinge_col = [0.0] if with_overtime else []
+
+        a_ub: list[list[float]] = []
+        b_ub: list[float] = []
+        # reserve-plus-detour bound at ramps
+        for l in range(m):
+            if inp.require_detour_margin_everywhere or l in picked:
+                a_ub.append([-rates[k] if k < l else 0.0 for k in selected] + hinge_col)
+                b_ub.append(inp.battery - drain[l] - self.floors[l])
+        # reserve bound at the destination
+        a_ub.append([-rates[k] for k in selected] + hinge_col)
+        b_ub.append(inp.battery - drain[m] - p.e_safe)
+        # capacity bound at each planned stop
+        headroom = p.e_full - inp.battery
+        for l in selected:
+            a_ub.append([rates[k] if k <= l else 0.0 for k in selected] + hinge_col)
+            b_ub.append(headroom + drain[l] + self.detour_drain[l])
+
+        if with_overtime:
+            # z >= rho * (fixed_minutes + sum of durations - budget)
+            fixed_minutes = self.seg_total + sum(self.labor[l] for l in selected)
+            a_ub.append([p.rho] * len(selected) + [-1.0])
+            b_ub.append(p.rho * (inp.remaining_time - fixed_minutes))
+
+        cost_row = [self.minute_cost[l] for l in selected] + ([1.0] if with_overtime else [])
+        if cost_cap is not None:
+            a_ub.append(cost_row)
+            b_ub.append(cost_cap)
+        if minimize_total_time:
+            objective = [1.0] * len(selected) + hinge_col
+        else:
+            objective = cost_row
+        return solve_lp(objective, a_ub, b_ub)
 
 
 _PATTERN_CACHE: dict[int, list[tuple[int, ...]]] = {}
@@ -556,7 +551,7 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     cost-optimal durations, so reported plans are unique and replayable.
     """
     m = inp.station_count
-    bound = _pattern_bounds(inp)
+    tail = _RouteTail(inp)
     best_cost = math.inf
     best_const = 0.0
     best_selected: tuple[int, ...] | None = None
@@ -564,14 +559,14 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     considered = 0
     for selected in _stop_patterns(m):
         considered += 1
-        bounds = bound(selected)
+        bounds = tail.bound(selected)
         if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
             continue
         lp_solves += 1
-        result = _assignment_lp(inp, selected)
+        result = tail.lp(selected)
         if result.status != "optimal":
             continue
-        cost = float(result.objective) + bounds[1]
+        cost = result.objective + bounds[1]
         if cost < best_cost - _COST_TIE_TOL:
             best_cost = cost
             best_const = bounds[1]
@@ -585,17 +580,15 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     # canonical durations: minimal total charging time at optimal cost
     cap = best_cost - best_const + _COST_TIE_TOL
     lp_solves += 1
-    canonical = _assignment_lp(
-        inp, best_selected, cost_cap=cap, minimize_total_time=True
-    )
+    canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
     if canonical.status == "optimal":
         chosen = canonical.x
     else:
         lp_solves += 1
-        chosen = _assignment_lp(inp, best_selected).x
+        chosen = tail.lp(best_selected).x
     durations = [0.0] * m
     for i, l in enumerate(best_selected):
-        durations[l] = max(float(chosen[i]), 0.0)
+        durations[l] = chosen[i]
     decisions = tuple(
         ChargeDecision(
             charge=l in best_selected,
@@ -628,182 +621,27 @@ def minimal_rescue_charge(inp: PlannerInput) -> float | None:
     )
     if result.status != "optimal":
         return None
-    return max(float(result.x[0]), 0.0)
-
-
-# -- reference oracle ---------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class OracleResult:
-    """Best grid plan found by exhaustive search: durations per remaining
-    station, the stop pattern, and the exact cost of that plan."""
-
-    cost: float
-    durations: tuple[float, ...]
-    selected: tuple[int, ...]
-
-
-def brute_force_oracle(
-    inp: PlannerInput, step: float = 0.1
-) -> OracleResult | None:
-    """Exhaustive grid search over stop patterns and charging durations.
-
-    An independent check on the LP-based planner for small inputs (at most
-    three remaining stations). Durations of all but the last planned stop
-    range over multiples of ``step`` up to a full-battery charge; the last
-    planned stop's duration is resolved directly to the smallest feasible
-    grid multiple, which is optimal for that coordinate because every
-    objective term is nondecreasing in it. The winner is re-verified
-    against the plan checker, including that one grid step less on the
-    resolved coordinate is infeasible (or not cheaper).
-
-    Returns None when no pattern has feasible durations.
-    """
-    m = inp.station_count
-    if m > 3:
-        raise ValueError(f"oracle supports at most 3 remaining stations, got {m}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    p = inp.params
-    rates = inp.rates()
-    prices = inp.prices_per_minute()
-    waits = inp.waits()
-    seg_total = sum(inp.segment_times)
-
-    best_cost = math.inf
-    best_durs: tuple[float, ...] | None = None
-    best_selected: tuple[int, ...] | None = None
-
-    for selected in _stop_patterns(m):
-        sel_set = frozenset(selected)
-        const_cost = _pattern_constant_cost(inp, selected)
-        fixed_minutes = seg_total + sum(
-            2.0 * inp.detour_times[l] + waits[l] for l in selected
-        )
-
-        if not selected:
-            decisions = tuple(ChargeDecision(False, 0.0) for _ in range(m))
-            if check_feasibility(inp, decisions, slack=0.0):
-                continue
-            overtime = fixed_minutes - inp.remaining_time
-            cost = const_cost + max(p.rho * overtime, 0.0)
-            if cost < best_cost - 1e-12:
-                best_cost, best_durs, best_selected = cost, (0.0,) * m, selected
-            continue
-
-        inner = selected[-1]
-        outer = selected[:-1]
-        grids = []
-        for l in outer:
-            n_steps = math.ceil((p.e_full / rates[l]) / step)
-            grids.append(np.arange(n_steps + 1) * step)
-        if outer:
-            mesh = np.meshgrid(*grids, indexing="ij")
-        else:
-            mesh = []
-        shape = mesh[0].shape if mesh else ()
-        outer_t = {l: mesh[i] for i, l in enumerate(outer)}
-
-        feasible = np.ones(shape, dtype=bool)
-        e = np.full(shape, inp.battery) if shape else np.float64(inp.battery)
-
-        # forward pass to the last planned stop
-        for l in range(inner):
-            planned = l in sel_set
-            if inp.require_detour_margin_everywhere or planned:
-                feasible &= e >= p.e_safe + p.p_bar * inp.detour_times[l]
-            if planned:
-                at_station = e - p.p_bar * inp.detour_times[l]
-                charge = rates[l] * outer_t[l]
-                feasible &= charge <= p.e_full - at_station
-                e = at_station + charge - p.p_bar * (
-                    inp.detour_times[l] + inp.segment_times[l]
-                )
-            else:
-                e = e - p.p_bar * inp.segment_times[l]
-        feasible &= e >= p.e_safe + p.p_bar * inp.detour_times[inner]
-        at_station = e - p.p_bar * inp.detour_times[inner]
-
-        # smallest charge at the last stop meeting every downstream bound:
-        # propagate the requirements backward to the level at the next ramp
-        req = p.e_safe  # requirement on the destination level
-        for l in range(m - 1, inner, -1):
-            req += p.p_bar * inp.segment_times[l]
-            if inp.require_detour_margin_everywhere:
-                req = max(req, p.e_safe + p.p_bar * inp.detour_times[l])
-        # leaving the last stop still burns the return leg and one segment
-        needed = req + p.p_bar * (
-            inp.detour_times[inner] + inp.segment_times[inner]
-        ) - at_station
-        t_min = np.maximum(needed / rates[inner], 0.0)
-        t_inner = np.maximum(np.ceil(t_min / step - 1e-9) * step, 0.0)
-        feasible &= rates[inner] * t_inner <= p.e_full - at_station + 1e-12
-
-        total_t_cost = (p.kappa + prices[inner]) * t_inner
-        total_minutes = t_inner.copy() if shape else t_inner
-        for l in outer:
-            total_t_cost = total_t_cost + (p.kappa + prices[l]) * outer_t[l]
-            total_minutes = total_minutes + outer_t[l]
-        overtime = fixed_minutes + total_minutes - inp.remaining_time
-        cost = const_cost + total_t_cost + np.maximum(p.rho * overtime, 0.0)
-
-        cost = np.where(feasible, cost, np.inf)
-        if shape:
-            flat_idx = int(np.argmin(cost))
-            pattern_best = float(cost.reshape(-1)[flat_idx])
-        else:
-            flat_idx = 0
-            pattern_best = float(cost)
-        if not math.isfinite(pattern_best) or pattern_best >= best_cost - 1e-12:
-            continue
-        durs = [0.0] * m
-        if shape:
-            multi = np.unravel_index(flat_idx, shape)
-            for i, l in enumerate(outer):
-                durs[l] = float(grids[i][multi[i]])
-            durs[inner] = float(t_inner[multi])
-        else:
-            durs[inner] = float(t_inner)
-        best_cost, best_durs, best_selected = pattern_best, tuple(durs), selected
-
-    if best_selected is None:
-        return None
-
-    decisions = tuple(
-        ChargeDecision(charge=l in best_selected, duration=best_durs[l])
-        for l in range(m)
-    )
-    violations = check_feasibility(inp, decisions, slack=1e-6)
-    if violations:
-        raise RuntimeError(f"oracle winner fails the plan checker: {violations}")
-    exact_cost, _ = evaluate_plan_cost(inp, decisions)
-    if best_selected:
-        inner = best_selected[-1]
-        if best_durs[inner] >= step - 1e-12:
-            down = list(best_durs)
-            down[inner] = down[inner] - step
-            down_dec = tuple(
-                ChargeDecision(charge=l in best_selected, duration=down[l])
-                for l in range(m)
-            )
-            if not check_feasibility(inp, down_dec, slack=0.0):
-                down_cost, _ = evaluate_plan_cost(inp, down_dec)
-                if down_cost < exact_cost - 1e-12:
-                    raise RuntimeError(
-                        "oracle winner is not grid-minimal on its last stop"
-                    )
-    return OracleResult(cost=exact_cost, durations=best_durs, selected=best_selected)
+    return result.x[0]
 
 
 # -- JSON shapes for the command-line planner ---------------------------------
 
 
 def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
-    """Build a planner input from parsed JSON (the CLI's `plan` payload)."""
+    """Build a planner input from parsed JSON (the CLI's `plan` payload).
+
+    Truck parameters and stations get the same checks as in a scenario;
+    any violation raises ValueError naming every problem found.
+    """
     try:
         params = TruckParams(**doc["params"])
         stations = tuple(StationSpec(**s) for s in doc["stations"])
+        problems: list[str] = []
+        _check_params("planner input", params, problems)
+        for s in stations:
+            _check_station(f"station {s.id}", s, problems)
+        if problems:
+            raise ValueError("; ".join(problems))
         return PlannerInput(
             params=params,
             stations=stations,

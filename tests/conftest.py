@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import strategies as st
 
 from fleetcharge import defaults
 from fleetcharge.model import Route, Scenario, StationSpec, TruckParams, TruckSpec
@@ -102,3 +103,42 @@ def make_planner_input(
 @pytest.fixture
 def params() -> TruckParams:
     return make_params()
+
+
+def _tenths(lo: float, hi: float):
+    return st.integers(round(lo * 10), round(hi * 10)).map(lambda k: k / 10)
+
+
+@st.composite
+def planner_inputs(draw) -> PlannerInput:
+    """Hypothesis inputs up to m=8 with non-uniform port power and prices,
+    rho in {0, 1, 10, 100}, kappa in {0, 0.4}, and both margin modes."""
+    m = draw(st.integers(0, 8))
+    stations = tuple(
+        make_station(
+            f"s{l + 1:02d}",
+            port_power=float(draw(st.integers(150, 400))),
+            price=draw(st.integers(20, 60)) / 100,
+        )
+        for l in range(m)
+    )
+    e_full = draw(st.sampled_from([624.0, 312.0]))
+    params = make_params(
+        e_full=e_full,
+        e_safe=e_full / 4,
+        rho=draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])),
+        kappa=draw(st.sampled_from([0.0, 0.4])),
+    )
+    segs = tuple(draw(_tenths(20.0, 90.0)) for _ in range(m))
+    return PlannerInput(
+        params=params,
+        stations=stations,
+        segment_times=segs,
+        detour_times=tuple(draw(_tenths(0.0, 14.0)) for _ in range(m)),
+        # mostly enough to reach the first station, so few inputs are hopeless
+        battery=draw(_tenths(params.e_safe + 10.0, params.e_full)),
+        quoted_wait=draw(_tenths(0.0, 40.0)),
+        assumed_waits=tuple(draw(_tenths(0.0, 40.0)) for _ in range(max(m - 1, 0))),
+        remaining_time=round(draw(st.floats(0.3, 1.3)) * (sum(segs) + 60.0), 1),
+        require_detour_margin_everywhere=draw(st.booleans()),
+    )

@@ -16,10 +16,16 @@ from fleetcharge.planner import (
     PlannerInput,
     PlannerSolution,
     _assignment_lp,
-    _pattern_constant_cost,
     _stop_patterns,
     evaluate_plan_cost,
 )
+
+
+def _pattern_constant_cost(inp: PlannerInput, selected: tuple[int, ...]) -> float:
+    waits = inp.waits()
+    return inp.params.kappa * sum(
+        2.0 * inp.detour_times[l] + waits[l] for l in selected
+    )
 
 
 def max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:

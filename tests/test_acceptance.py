@@ -15,13 +15,14 @@ from fleetcharge.model import ChargeDecision, StationSpec
 from fleetcharge.planner import (
     PlannerInput,
     anticipated_overtime,
-    brute_force_oracle,
     compute_energy_trajectory,
     solve_charging_problem,
 )
 from fleetcharge.reports import write_run_outputs
 from fleetcharge.simulation import run_offline_baseline, run_proposed
 from fleetcharge.station import PortLedger
+
+from grid_oracle import brute_force_oracle
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

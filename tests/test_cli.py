@@ -1,8 +1,10 @@
 """Command-line interface: happy paths, file layout, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -305,6 +307,41 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
     src.write_text("[1, 2")
     assert main(["plan", "--input", str(src)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("station", "port_power", 0, "port_power must be positive"),
+        ("params", "p_max", 0, "p_max must be positive"),
+        ("params", "e_full", "x", "params.e_full is not a finite number"),
+        ("params", "p_bar", float("nan"), "params.p_bar is not a finite number"),
+        ("params", "kappa", -5, "kappa must be nonnegative"),
+    ],
+)
+def test_plan_rejects_out_of_range_params_and_stations(
+    tmp_path, capsys, section, field, value, message
+):
+    doc = _plan_payload()
+    target = doc["stations"][0] if section == "station" else doc["params"]
+    target[field] = value
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    assert main(["plan", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fleetcharge.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_is_installed():

@@ -1,14 +1,23 @@
-"""Simplex solver checked against an independent reference implementation.
+"""Simplex solver checked against independent reference implementations.
 
 The package solves its duration programs with its own solver; scipy serves
-here purely as a reference answer, never as the production path.
+here purely as a reference answer, never as the production path. The numpy
+tableau the solver replaced must pivot identically on every duration LP
+the planner builds.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import linprog
 
+from fleetcharge import planner
 from fleetcharge.lp import solve_lp
+
+import reference_lp
+from conftest import planner_inputs
 
 
 def test_trivial_minimum_at_origin():
@@ -70,6 +79,7 @@ def test_random_programs_match_reference():
     for _ in range(300):
         c, a, b = _random_program(rng)
         mine = solve_lp(c, a, b)
+        assert mine.status == reference_lp.solve_lp(c, a, b).status, (c, a, b)
         ref = linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
         if ref.status == 0:
             assert mine.status == "optimal", (c, a, b)
@@ -84,3 +94,28 @@ def test_random_programs_match_reference():
         statuses[mine.status] += 1
     # the generator must actually exercise all three outcomes
     assert min(statuses.values()) > 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(planner_inputs())
+def test_duration_lps_match_the_numpy_reference(inp):
+    programs = []
+
+    def recording(c, a_ub, b_ub):
+        programs.append((c, a_ub, b_ub))
+        return solve_lp(c, a_ub, b_ub)
+
+    with mock.patch.object(planner, "solve_lp", recording):
+        tail = planner._RouteTail(inp)
+        for selected in planner._stop_patterns(inp.station_count):
+            tail.lp(selected)
+        # the canonical (cost_cap + minimize_total_time) and rescue variants
+        planner.solve_charging_problem(inp)
+        planner.minimal_rescue_charge(inp)
+    for c, a, b in programs:
+        mine = solve_lp(c, a, b)
+        ref = reference_lp.solve_lp(c, a, b)
+        assert mine.status == ref.status, (c, a, b)
+        if ref.status == "optimal":
+            assert [v.hex() for v in mine.x] == [float(v).hex() for v in ref.x], (c, a, b)
+            assert abs(mine.objective - ref.objective) <= 1e-12 * max(1.0, abs(ref.objective))

@@ -15,7 +15,6 @@ from fleetcharge.planner import (
     PlannerInput,
     RouteTooLongError,
     anticipated_overtime,
-    brute_force_oracle,
     check_feasibility,
     compute_energy_trajectory,
     evaluate_plan_cost,
@@ -27,6 +26,7 @@ from fleetcharge.planner import (
 )
 
 from conftest import make_params, make_planner_input, make_station
+from grid_oracle import brute_force_oracle
 
 
 def _skip(n):

@@ -2,58 +2,19 @@
 reference plan for plan, and the bound never exceeds a pattern's optimum."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fleetcharge import protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.planner import (
-    PlannerInput,
+    _RouteTail,
     _assignment_lp,
-    _pattern_bounds,
     _stop_patterns,
     solve_charging_problem,
 )
 from fleetcharge.reports import write_run_outputs
 
-from conftest import make_params, make_station
+from conftest import planner_inputs
 from reference_planner import reference_solve_charging_problem
-
-
-def _tenths(lo: float, hi: float):
-    return st.integers(round(lo * 10), round(hi * 10)).map(lambda k: k / 10)
-
-
-@st.composite
-def planner_inputs(draw) -> PlannerInput:
-    m = draw(st.integers(0, 8))
-    stations = tuple(
-        make_station(
-            f"s{l + 1:02d}",
-            port_power=float(draw(st.integers(150, 400))),
-            price=draw(st.integers(20, 60)) / 100,
-        )
-        for l in range(m)
-    )
-    e_full = draw(st.sampled_from([624.0, 312.0]))
-    params = make_params(
-        e_full=e_full,
-        e_safe=e_full / 4,
-        rho=draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])),
-        kappa=draw(st.sampled_from([0.0, 0.4])),
-    )
-    segs = tuple(draw(_tenths(20.0, 90.0)) for _ in range(m))
-    return PlannerInput(
-        params=params,
-        stations=stations,
-        segment_times=segs,
-        detour_times=tuple(draw(_tenths(0.0, 14.0)) for _ in range(m)),
-        # mostly enough to reach the first station, so few inputs are hopeless
-        battery=draw(_tenths(params.e_safe + 10.0, params.e_full)),
-        quoted_wait=draw(_tenths(0.0, 40.0)),
-        assumed_waits=tuple(draw(_tenths(0.0, 40.0)) for _ in range(max(m - 1, 0))),
-        remaining_time=round(draw(st.floats(0.3, 1.3)) * (sum(segs) + 60.0), 1),
-        require_detour_margin_everywhere=draw(st.booleans()),
-    )
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -70,7 +31,7 @@ def test_pruned_planner_matches_reference(inp):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planner_inputs())
 def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
-    bound = _pattern_bounds(inp)
+    bound = _RouteTail(inp).bound
     for selected in _stop_patterns(inp.station_count):
         result = _assignment_lp(inp, selected)
         if result.status != "optimal":
