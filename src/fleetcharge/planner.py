@@ -40,6 +40,10 @@ so the bound prunes every pattern the fixed cost alone would. A pattern is
 skipped only when its bound exceeds the best cost plus the tie tolerance,
 while a solved pattern replaces the best only when it is cheaper by more
 than that tolerance, so pruning never changes which pattern wins.
+
+The no-stop pattern's LP has a single variable, the overtime hinge, and is
+solved directly with the same floats the simplex would produce; only
+patterns with stops reach `solve_lp`.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ __all__ = [
     "check_feasibility",
     "anticipated_overtime",
     "evaluate_plan_cost",
-    "solve_fixed_assignment",
     "solve_charging_problem",
     "minimal_rescue_charge",
     "planner_input_from_dict",
@@ -306,28 +309,6 @@ def _assignment_lp(
     )
 
 
-def solve_fixed_assignment(
-    inp: PlannerInput, selected: tuple[int, ...]
-) -> tuple[tuple[float, ...], float] | None:
-    """Best durations for one stop pattern, or None if none are feasible.
-
-    Returns (durations, cost) where durations has one entry per remaining
-    station (zero on skipped ones) and cost is the exact objective value.
-    """
-    result = _assignment_lp(inp, selected)
-    if result.status != "optimal":
-        return None
-    durations = [0.0] * inp.station_count
-    for i, l in enumerate(selected):
-        durations[l] = result.x[i]
-    decisions = tuple(
-        ChargeDecision(charge=l in selected, duration=durations[l] if l in selected else 0.0)
-        for l in range(inp.station_count)
-    )
-    cost, _ = evaluate_plan_cost(inp, decisions)
-    return tuple(durations), cost
-
-
 def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
     """Energy constants of the route tail, and the per-pattern energy walk.
 
@@ -384,9 +365,10 @@ def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
 
 
 class _RouteTail:
-    """Constants of one route tail, built once per plan, and the two
+    """Constants of one route tail, built once per plan, and the
     per-pattern computations that share them: the cost lower bound and the
-    duration LP.
+    duration LP, built for `solve_lp` or, for the no-stop pattern, solved
+    directly.
     """
 
     __slots__ = (
@@ -525,6 +507,37 @@ class _RouteTail:
             objective = cost_row
         return solve_lp(objective, a_ub, b_ub)
 
+    def no_stop(self) -> LPResult:
+        """``solve_lp``'s result on ``self.lp(())``, without the simplex.
+
+        With no stops the only variable is the overtime hinge z. The ramp
+        rows (strict margin mode only) and the destination row have all-zero
+        coefficients, so Bland's phase 1 leaves every one of them with a
+        negative right-hand side on its artificial variable and the pattern
+        is infeasible when their shortfalls, summed in row order, exceed the
+        phase-1 tolerance. Otherwise z is the overtime row's shortfall, or 0.
+        Every right-hand side is the same float expression ``lp`` builds.
+        """
+        inp = self.inp
+        p = inp.params
+        strict = inp.require_detour_margin_everywhere
+        shortfall = 0.0
+        drain = 0.0
+        for drive, floor in zip(self.drive, self.floors):
+            if strict:
+                b = inp.battery - drain - floor
+                if b < 0:
+                    shortfall += -1.0 * b
+            drain += drive
+        b = inp.battery - drain - p.e_safe
+        if b < 0:
+            shortfall += -1.0 * b
+        if shortfall > 1e-7:
+            return LPResult(status="infeasible", x=None, objective=None)
+        b_overtime = float(p.rho * (inp.remaining_time - self.seg_total))
+        z = -1.0 * b_overtime if b_overtime < 0 else 0.0
+        return LPResult(status="optimal", x=(z,), objective=z)
+
 
 _PATTERN_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
@@ -546,9 +559,11 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
 
     Enumerates every stop pattern (fewest stops first), solves the duration
     LP for each surviving pattern, and keeps the cheapest; cost ties within
-    1e-9 keep the earlier pattern. The winner's durations are then
-    canonicalized by a second LP minimizing total charging time among
-    cost-optimal durations, so reported plans are unique and replayable.
+    1e-9 keep the earlier pattern. A winner with stops then has its
+    durations canonicalized by a second LP minimizing total charging time
+    among cost-optimal durations, so reported plans are unique and
+    replayable. ``lp_solves`` counts the `solve_lp` calls, so the no-stop
+    pattern, solved directly, adds none.
     """
     m = inp.station_count
     tail = _RouteTail(inp)
@@ -562,8 +577,11 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         bounds = tail.bound(selected)
         if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
             continue
-        lp_solves += 1
-        result = tail.lp(selected)
+        if selected:
+            lp_solves += 1
+            result = tail.lp(selected)
+        else:
+            result = tail.no_stop()
         if result.status != "optimal":
             continue
         cost = result.objective + bounds[1]
@@ -577,18 +595,19 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
             status="infeasible", plan=None, patterns_considered=considered, lp_solves=lp_solves
         )
 
-    # canonical durations: minimal total charging time at optimal cost
-    cap = best_cost - best_const + _COST_TIE_TOL
-    lp_solves += 1
-    canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
-    if canonical.status == "optimal":
-        chosen = canonical.x
-    else:
-        lp_solves += 1
-        chosen = tail.lp(best_selected).x
     durations = [0.0] * m
-    for i, l in enumerate(best_selected):
-        durations[l] = chosen[i]
+    if best_selected:
+        # canonical durations: minimal total charging time at optimal cost
+        cap = best_cost - best_const + _COST_TIE_TOL
+        lp_solves += 1
+        canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
+        if canonical.status == "optimal":
+            chosen = canonical.x
+        else:
+            lp_solves += 1
+            chosen = tail.lp(best_selected).x
+        for i, l in enumerate(best_selected):
+            durations[l] = chosen[i]
     decisions = tuple(
         ChargeDecision(
             charge=l in best_selected,
@@ -631,7 +650,8 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     """Build a planner input from parsed JSON (the CLI's `plan` payload).
 
     Truck parameters and stations get the same checks as in a scenario;
-    any violation raises ValueError naming every problem found.
+    any violation raises ValueError naming every problem found. A battery
+    above capacity is rejected like a scenario's ``e_initial``.
     """
     try:
         params = TruckParams(**doc["params"])
@@ -642,7 +662,7 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
             _check_station(f"station {s.id}", s, problems)
         if problems:
             raise ValueError("; ".join(problems))
-        return PlannerInput(
+        inp = PlannerInput(
             params=params,
             stations=stations,
             segment_times=tuple(doc["segment_times"]),
@@ -659,6 +679,11 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
         raise ValueError(f"planner input missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"planner input malformed: {exc}") from exc
+    if inp.battery > params.e_full:
+        raise ValueError(
+            f"planner input: battery {inp.battery} exceeds battery capacity {params.e_full}"
+        )
+    return inp
 
 
 def solution_to_dict(solution: PlannerSolution) -> dict[str, Any]:

@@ -317,13 +317,14 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
         ("params", "e_full", "x", "params.e_full is not a finite number"),
         ("params", "p_bar", float("nan"), "params.p_bar is not a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
+        ("input", "battery", 5000, "battery 5000 exceeds battery capacity 624.0"),
     ],
 )
 def test_plan_rejects_out_of_range_params_and_stations(
     tmp_path, capsys, section, field, value, message
 ):
     doc = _plan_payload()
-    target = doc["stations"][0] if section == "station" else doc["params"]
+    target = {"input": doc, "station": doc["stations"][0]}.get(section, doc["params"])
     target[field] = value
     src = tmp_path / "input.json"
     src.write_text(json.dumps(doc))

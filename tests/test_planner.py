@@ -14,6 +14,7 @@ from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
     RouteTooLongError,
+    _assignment_lp,
     anticipated_overtime,
     check_feasibility,
     compute_energy_trajectory,
@@ -22,7 +23,6 @@ from fleetcharge.planner import (
     planner_input_from_dict,
     solution_to_dict,
     solve_charging_problem,
-    solve_fixed_assignment,
 )
 
 from conftest import make_params, make_planner_input, make_station
@@ -31,6 +31,28 @@ from grid_oracle import brute_force_oracle
 
 def _skip(n):
     return tuple(ChargeDecision(False, 0.0) for _ in range(n))
+
+
+def solve_fixed_assignment(
+    inp: PlannerInput, selected: tuple[int, ...]
+) -> tuple[tuple[float, ...], float] | None:
+    """Best durations for one stop pattern, or None if none are feasible.
+
+    Returns (durations, cost) where durations has one entry per remaining
+    station (zero on skipped ones) and cost is the exact objective value.
+    """
+    result = _assignment_lp(inp, selected)
+    if result.status != "optimal":
+        return None
+    durations = [0.0] * inp.station_count
+    for i, l in enumerate(selected):
+        durations[l] = result.x[i]
+    decisions = tuple(
+        ChargeDecision(charge=l in selected, duration=durations[l] if l in selected else 0.0)
+        for l in range(inp.station_count)
+    )
+    cost, _ = evaluate_plan_cost(inp, decisions)
+    return tuple(durations), cost
 
 
 # -- dynamics -----------------------------------------------------------------
