@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from . import defaults
-from .model import Route, Scenario, StationSpec, TruckParams, TruckSpec
+from .model import Route, Scenario, StationSpec, TruckParams, TruckSpec, ordered_sum
 from .planner import PlannerInput, _pattern_need, _stop_patterns
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
@@ -203,7 +203,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
             if e_lo > e_hi:
                 continue
             e_initial = min(max(_snap01(rng.uniform(e_lo, e_hi)), e_lo), e_hi)
-            remaining_time = sum(segs[1:]) + template.extra_time_budget
+            remaining_time = ordered_sum(segs[1:]) + template.extra_time_budget
             if not _route_completable(
                 params, route_stations, segs, detours, e_initial, remaining_time
             ):

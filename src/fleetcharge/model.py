@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = [
     "MAX_ENUMERATED_STATIONS",
@@ -42,6 +42,16 @@ __all__ = [
 # caller is holding the model wrong. Routes are validated against it here
 # because the offline baseline plans a whole route at once.
 MAX_ENUMERATED_STATIONS = 16
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum starting from the integer 0, as the builtin `sum`
+    adds floats before Python 3.12 (which compensates rounding). Outputs
+    then carry the same bits on every Python version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 class ScenarioFormatError(ValueError):
@@ -127,7 +137,7 @@ class TruckSpec:
 
     @property
     def deadline(self) -> float:
-        return self.depart_time + sum(self.route.segment_times) + self.extra_time_budget
+        return self.depart_time + ordered_sum(self.route.segment_times) + self.extra_time_budget
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,9 +41,12 @@ skipped only when its bound exceeds the best cost plus the tie tolerance,
 while a solved pattern replaces the best only when it is cheaper by more
 than that tolerance, so pruning never changes which pattern wins.
 
-The no-stop pattern's LP has a single variable, the overtime hinge, and is
-solved directly with the same floats the simplex would produce; only
-patterns with stops reach `solve_lp`.
+Patterns with at most one stop never reach the simplex. The no-stop
+pattern's LP has a single variable, the overtime hinge, and is solved
+directly with the same floats the simplex would produce. A one-stop
+pattern's LP is solved in closed form: charge for the largest shortfall
+over the station's rate, with the simplex's phase-1 feasibility test.
+Only patterns with two or more stops reach `solve_lp`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .model import (
     _check_station,
     charging_rate,
     electricity_price_per_minute,
+    ordered_sum,
 )
 
 __all__ = [
@@ -262,7 +266,7 @@ def anticipated_overtime(
     """Planned trip-tail time minus the remaining budget (negative = slack)."""
     decisions = _decisions_of(plan)
     waits = inp.waits()
-    spent = sum(inp.segment_times)
+    spent = ordered_sum(inp.segment_times)
     for l, dec in enumerate(decisions):
         if dec.charge:
             spent += 2.0 * inp.detour_times[l] + dec.duration + waits[l]
@@ -289,24 +293,6 @@ def evaluate_plan_cost(
 
 
 # -- fixed stop pattern: the duration LP -------------------------------------
-
-
-def _assignment_lp(
-    inp: PlannerInput,
-    selected: Sequence[int],
-    *,
-    with_overtime: bool = True,
-    cost_cap: float | None = None,
-    minimize_total_time: bool = False,
-) -> LPResult:
-    """The duration LP of one stop pattern, for callers that solve one;
-    see `_RouteTail.lp`."""
-    return _RouteTail(inp).lp(
-        selected,
-        with_overtime=with_overtime,
-        cost_cap=cost_cap,
-        minimize_total_time=minimize_total_time,
-    )
 
 
 def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
@@ -367,8 +353,8 @@ def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
 class _RouteTail:
     """Constants of one route tail, built once per plan, and the
     per-pattern computations that share them: the cost lower bound and the
-    duration LP, built for `solve_lp` or, for the no-stop pattern, solved
-    directly.
+    duration LP, solved directly for at most one stop and built for
+    `solve_lp` otherwise.
     """
 
     __slots__ = (
@@ -404,7 +390,7 @@ class _RouteTail:
         self.stop = [
             p.p_bar * (2.0 * d + s) for d, s in zip(inp.detour_times, inp.segment_times)
         ]
-        self.seg_total = sum(inp.segment_times)
+        self.seg_total = ordered_sum(inp.segment_times)
 
     def bound(self, selected: Sequence[int]) -> tuple[float, float] | None:
         """``(lower_bound, constant_cost)`` of a stop pattern, or None when
@@ -450,15 +436,17 @@ class _RouteTail:
         cost_cap: float | None = None,
         minimize_total_time: bool = False,
     ) -> LPResult:
-        """Solve the duration LP for one stop pattern.
+        """Solve the duration LP for one stop pattern with `solve_lp`.
 
         Variables are the charging durations of the selected stations (in
         pattern order) plus, when ``with_overtime``, an epigraph variable
         for the hinge max(rho * overtime, 0). ``cost_cap`` adds a row
         bounding the variable part of the objective;
         ``minimize_total_time`` swaps the objective for the sum of
-        durations (used to canonicalize among cost-equal optima and for
-        rescue charging).
+        durations (used to canonicalize among cost-equal optima). The
+        planner calls it for patterns with two or more stops; `no_stop`
+        and `one_stop` reproduce it for fewer, the rescue variant
+        (``with_overtime`` off, minimal time) included.
         """
         inp = self.inp
         p = inp.params
@@ -493,7 +481,7 @@ class _RouteTail:
 
         if with_overtime:
             # z >= rho * (fixed_minutes + sum of durations - budget)
-            fixed_minutes = self.seg_total + sum(self.labor[l] for l in selected)
+            fixed_minutes = self.seg_total + ordered_sum(self.labor[l] for l in selected)
             a_ub.append([p.rho] * len(selected) + [-1.0])
             b_ub.append(p.rho * (inp.remaining_time - fixed_minutes))
 
@@ -506,6 +494,15 @@ class _RouteTail:
         else:
             objective = cost_row
         return solve_lp(objective, a_ub, b_ub)
+
+    def solve(self, selected: Sequence[int]) -> LPResult:
+        """The duration LP of one stop pattern: solved directly for at most
+        one stop, by `solve_lp` for more."""
+        if not selected:
+            return self.no_stop()
+        if len(selected) == 1:
+            return self.one_stop(selected[0])
+        return self.lp(selected)
 
     def no_stop(self) -> LPResult:
         """``solve_lp``'s result on ``self.lp(())``, without the simplex.
@@ -538,6 +535,62 @@ class _RouteTail:
         z = -1.0 * b_overtime if b_overtime < 0 else 0.0
         return LPResult(status="optimal", x=(z,), objective=z)
 
+    def one_stop(self, k: int, *, with_overtime: bool = True) -> LPResult:
+        """``solve_lp``'s result on ``self.lp((k,))``, in closed form.
+
+        The duration t at station k lifts every later battery row (the
+        later ramps in strict margin mode, then the destination) by
+        ``rate * t``, lifts no earlier row, and the capacity row caps
+        ``rate * t`` at the headroom. The objective is nondecreasing in t,
+        so the optimum, and the least total time among optima, is the
+        smallest t that lifts every row: the largest shortfall over the
+        rate, or 0.
+
+        Feasibility is the simplex's phase 1, whose optimum is the residual
+        left at that t: the shortfalls of the rows t cannot lift (ramp k,
+        and the earlier ramps in strict mode), summed in row order, plus
+        each lifted row's excess over the headroom (or, for a battery above
+        capacity, the capacity row's own shortfall). The pattern is
+        infeasible when the residual exceeds the phase-1 tolerance. Within
+        the tolerance the simplex, too, meets the lifted rows and lets the
+        capacity row give. The result agrees with the simplex's to within
+        rounding, not bit for bit.
+        """
+        inp = self.inp
+        p = inp.params
+        strict = inp.require_detour_margin_everywhere
+        battery = inp.battery
+        residual = 0.0
+        lifted: list[float] = []
+        drain = 0.0
+        headroom = 0.0
+        for l, (drive, stop, floor) in enumerate(zip(self.drive, self.stop, self.floors)):
+            if strict or l == k:
+                b = battery - drain - floor
+                if l > k:
+                    lifted.append(-1.0 * b)
+                elif b < 0:
+                    residual += -1.0 * b
+            if l == k:
+                headroom = p.e_full - battery + drain + self.detour_drain[k]
+            drain += stop if l == k else drive
+        lifted.append(-1.0 * (battery - drain - p.e_safe))
+        largest = max(0.0, *lifted)
+        if headroom < 0:
+            residual += largest - headroom
+        else:
+            for short in lifted:
+                if short > headroom:
+                    residual += short - headroom
+        if residual > 1e-7:
+            return LPResult(status="infeasible", x=None, objective=None)
+        t = largest / self.rates[k]
+        if not with_overtime:
+            return LPResult(status="optimal", x=(t,), objective=t)
+        b_overtime = p.rho * (inp.remaining_time - (self.seg_total + self.labor[k]))
+        z = max(p.rho * t - b_overtime, 0.0)
+        return LPResult(status="optimal", x=(t, z), objective=self.minute_cost[k] * t + z)
+
 
 _PATTERN_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
@@ -559,17 +612,19 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
 
     Enumerates every stop pattern (fewest stops first), solves the duration
     LP for each surviving pattern, and keeps the cheapest; cost ties within
-    1e-9 keep the earlier pattern. A winner with stops then has its
-    durations canonicalized by a second LP minimizing total charging time
-    among cost-optimal durations, so reported plans are unique and
-    replayable. ``lp_solves`` counts the `solve_lp` calls, so the no-stop
-    pattern, solved directly, adds none.
+    1e-9 keep the earlier pattern. A winner with two or more stops then has
+    its durations canonicalized by a second LP minimizing total charging
+    time among cost-optimal durations, so reported plans are unique and
+    replayable; a one-stop winner's closed-form duration is already that
+    minimum. ``lp_solves`` counts the `solve_lp` calls, so patterns with at
+    most one stop, solved directly, add none.
     """
     m = inp.station_count
     tail = _RouteTail(inp)
     best_cost = math.inf
     best_const = 0.0
     best_selected: tuple[int, ...] | None = None
+    best_x: tuple[float, ...] = ()
     lp_solves = 0
     considered = 0
     for selected in _stop_patterns(m):
@@ -577,11 +632,9 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         bounds = tail.bound(selected)
         if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
             continue
-        if selected:
+        if len(selected) > 1:
             lp_solves += 1
-            result = tail.lp(selected)
-        else:
-            result = tail.no_stop()
+        result = tail.solve(selected)
         if result.status != "optimal":
             continue
         cost = result.objective + bounds[1]
@@ -589,6 +642,7 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
             best_cost = cost
             best_const = bounds[1]
             best_selected = selected
+            best_x = result.x
 
     if best_selected is None:
         return PlannerSolution(
@@ -596,7 +650,8 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         )
 
     durations = [0.0] * m
-    if best_selected:
+    chosen = best_x
+    if len(best_selected) > 1:
         # canonical durations: minimal total charging time at optimal cost
         cap = best_cost - best_const + _COST_TIE_TOL
         lp_solves += 1
@@ -606,8 +661,8 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         else:
             lp_solves += 1
             chosen = tail.lp(best_selected).x
-        for i, l in enumerate(best_selected):
-            durations[l] = chosen[i]
+    for i, l in enumerate(best_selected):
+        durations[l] = chosen[i]
     decisions = tuple(
         ChargeDecision(
             charge=l in best_selected,
@@ -635,9 +690,7 @@ def minimal_rescue_charge(inp: PlannerInput) -> float | None:
     """
     if inp.station_count == 0:
         return None
-    result = _assignment_lp(
-        inp, (0,), with_overtime=False, minimize_total_time=True
-    )
+    result = _RouteTail(inp).one_stop(0, with_overtime=False)
     if result.status != "optimal":
         return None
     return result.x[0]
@@ -651,7 +704,8 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
 
     Truck parameters and stations get the same checks as in a scenario;
     any violation raises ValueError naming every problem found. A battery
-    above capacity is rejected like a scenario's ``e_initial``.
+    above capacity is rejected like a scenario's ``e_initial``, and the
+    margin flag must be a JSON boolean.
     """
     try:
         params = TruckParams(**doc["params"])
@@ -660,6 +714,12 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
         _check_params("planner input", params, problems)
         for s in stations:
             _check_station(f"station {s.id}", s, problems)
+        strict = doc.get("require_detour_margin_everywhere", True)
+        if not isinstance(strict, bool):
+            problems.append(
+                f"planner input: require_detour_margin_everywhere must be true or "
+                f"false, got {strict!r}"
+            )
         if problems:
             raise ValueError("; ".join(problems))
         inp = PlannerInput(
@@ -671,9 +731,7 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
             quoted_wait=doc.get("quoted_wait", 0.0),
             assumed_waits=tuple(doc.get("assumed_waits", ())),
             remaining_time=doc["remaining_time"],
-            require_detour_margin_everywhere=doc.get(
-                "require_detour_margin_everywhere", True
-            ),
+            require_detour_margin_everywhere=strict,
         )
     except KeyError as exc:
         raise ValueError(f"planner input missing field {exc}") from exc

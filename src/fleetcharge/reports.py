@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from .model import ordered_sum
 from .simulation import ComparisonReport, RunResult
 
 __all__ = [
@@ -210,7 +211,7 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
 
     waiters = []
     for t in metrics["per_truck"]:
-        total_wait = sum(v["realized_wait"] for v in t["visits"])
+        total_wait = ordered_sum(v["realized_wait"] for v in t["visits"])
         if total_wait > 0:
             waiters.append((t["truck_id"], total_wait))
     waiters.sort(key=lambda row: (-row[1], row[0]))

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any
 
-from .model import Scenario, TruckSpec, charging_rate, validate_scenario
+from .model import Scenario, TruckSpec, charging_rate, ordered_sum, validate_scenario
 from .planner import PlannerInput, solve_charging_problem
 from .protocol import ExchangeTranscript, run_ramp_exchange
 from .station import PortLedger
@@ -91,15 +91,15 @@ class TripRecord:
 
     @property
     def total_wait(self) -> float:
-        return sum(v.realized_wait for v in self.visits)
+        return ordered_sum(v.realized_wait for v in self.visits)
 
     @property
     def total_charge_time(self) -> float:
-        return sum(v.charge_time for v in self.visits)
+        return ordered_sum(v.charge_time for v in self.visits)
 
     @property
     def total_energy(self) -> float:
-        return sum(v.energy for v in self.visits)
+        return ordered_sum(v.energy for v in self.visits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,7 +339,7 @@ def _build_metrics(
             )
         )
 
-    total_wait = sum(t.total_wait for t in trips)
+    total_wait = ordered_sum(t.total_wait for t in trips)
     return RunMetrics(
         label=scenario.label,
         strategy=strategy,
@@ -347,8 +347,8 @@ def _build_metrics(
         station_totals=tuple(station_rows),
         total_waiting_minutes=total_wait,
         total_waiting_hours=total_wait / 60.0,
-        total_charging_minutes=sum(t.total_charge_time for t in trips),
-        total_energy_delivered=sum(t.total_energy for t in trips),
+        total_charging_minutes=ordered_sum(t.total_charge_time for t in trips),
+        total_energy_delivered=ordered_sum(t.total_energy for t in trips),
         deadline_violation_count=sum(
             1 for t in trips if t.deadline_violation is not None and t.deadline_violation > 0
         ),
@@ -749,7 +749,7 @@ def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[
         conserved = (
             spec.e_initial
             + trip.total_energy
-            - p.p_bar * (sum(route.segment_times) + detour_minutes)
+            - p.p_bar * (ordered_sum(route.segment_times) + detour_minutes)
         )
         if abs(conserved - trip.residual_battery) > tol:
             out.append(

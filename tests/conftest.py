@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from fleetcharge import defaults
+from fleetcharge import defaults, planner
+from fleetcharge.lp import LPResult, solve_lp
 from fleetcharge.model import Route, Scenario, StationSpec, TruckParams, TruckSpec
-from fleetcharge.planner import PlannerInput
+from fleetcharge.planner import PlannerInput, _RouteTail
 
 
 def make_params(**overrides) -> TruckParams:
@@ -98,6 +100,25 @@ def make_planner_input(
         remaining_time=remaining_time,
         **kw,
     )
+
+
+def assignment_lp(inp: PlannerInput, selected, **options) -> LPResult:
+    """The duration LP of one stop pattern, solved by the simplex: the
+    reference for the planner's direct solvers. ``options`` are those of
+    `_RouteTail.lp`."""
+    return _RouteTail(inp).lp(selected, **options)
+
+
+def counting_solve_lp():
+    """``(calls, patch)``: while ``patch`` is active, the planner's
+    `solve_lp` calls are recorded in ``calls``."""
+    calls = []
+
+    def counting(c, a_ub, b_ub):
+        calls.append(len(c))
+        return solve_lp(c, a_ub, b_ub)
+
+    return calls, mock.patch.object(planner, "solve_lp", counting)
 
 
 @pytest.fixture

@@ -3,7 +3,10 @@
 This is the enumerate-everything loop the package planner replaced with
 lower-bound pruning. It keeps only the charge-to-full feasibility test and
 the fixed-cost prune, so it solves many more duration LPs; tests require
-the package planner to return exactly the same plans.
+the package planner to return exactly the same plans. Each pattern is
+solved through the planner's own per-pattern entry point, so the two
+differ only in pruning; the direct solvers are checked against the simplex
+elsewhere. ``lp_solves`` counts `solve_lp` calls, as the planner does.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fleetcharge.planner import (
     _COST_TIE_TOL,
     PlannerInput,
     PlannerSolution,
-    _assignment_lp,
+    _RouteTail,
     _stop_patterns,
     evaluate_plan_cost,
 )
@@ -23,9 +26,10 @@ from fleetcharge.planner import (
 
 def _pattern_constant_cost(inp: PlannerInput, selected: tuple[int, ...]) -> float:
     waits = inp.waits()
-    return inp.params.kappa * sum(
-        2.0 * inp.detour_times[l] + waits[l] for l in selected
-    )
+    fixed = 0.0
+    for l in selected:
+        fixed += 2.0 * inp.detour_times[l] + waits[l]
+    return inp.params.kappa * fixed
 
 
 def max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:
@@ -49,8 +53,10 @@ def max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:
 
 def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     m = inp.station_count
+    tail = _RouteTail(inp)
     best_cost = math.inf
     best_selected: tuple[int, ...] | None = None
+    best_x: tuple[float, ...] = ()
     lp_solves = 0
     considered = 0
     for selected in _stop_patterns(m):
@@ -59,28 +65,32 @@ def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
             continue
         if not max_charge_feasible(inp, frozenset(selected)):
             continue
-        lp_solves += 1
-        result = _assignment_lp(inp, selected)
+        if len(selected) > 1:
+            lp_solves += 1
+        result = tail.solve(selected)
         if result.status != "optimal":
             continue
         cost = float(result.objective) + _pattern_constant_cost(inp, selected)
         if cost < best_cost - _COST_TIE_TOL:
             best_cost = cost
             best_selected = selected
+            best_x = result.x
 
     if best_selected is None:
         return PlannerSolution(
             status="infeasible", plan=None, patterns_considered=considered, lp_solves=lp_solves
         )
 
-    cap = best_cost - _pattern_constant_cost(inp, best_selected) + _COST_TIE_TOL
-    lp_solves += 1
-    canonical = _assignment_lp(inp, best_selected, cost_cap=cap, minimize_total_time=True)
-    if canonical.status == "optimal":
-        chosen = canonical.x
-    else:
+    chosen = best_x
+    if len(best_selected) > 1:
+        cap = best_cost - _pattern_constant_cost(inp, best_selected) + _COST_TIE_TOL
         lp_solves += 1
-        chosen = _assignment_lp(inp, best_selected).x
+        canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
+        if canonical.status == "optimal":
+            chosen = canonical.x
+        else:
+            lp_solves += 1
+            chosen = tail.lp(best_selected).x
     durations = [0.0] * m
     for i, l in enumerate(best_selected):
         durations[l] = max(float(chosen[i]), 0.0)

@@ -318,6 +318,11 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
         ("params", "p_bar", float("nan"), "params.p_bar is not a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
         ("input", "battery", 5000, "battery 5000 exceeds battery capacity 624.0"),
+        *(
+            ("input", "require_detour_margin_everywhere", flag,
+             f"require_detour_margin_everywhere must be true or false, got {flag!r}")
+            for flag in ("false", "no", 0, 1, None)
+        ),
     ],
 )
 def test_plan_rejects_out_of_range_params_and_stations(

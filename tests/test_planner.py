@@ -14,7 +14,6 @@ from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
     RouteTooLongError,
-    _assignment_lp,
     anticipated_overtime,
     check_feasibility,
     compute_energy_trajectory,
@@ -25,7 +24,7 @@ from fleetcharge.planner import (
     solve_charging_problem,
 )
 
-from conftest import make_params, make_planner_input, make_station
+from conftest import assignment_lp, make_params, make_planner_input, make_station
 from grid_oracle import brute_force_oracle
 
 
@@ -41,7 +40,7 @@ def solve_fixed_assignment(
     Returns (durations, cost) where durations has one entry per remaining
     station (zero on skipped ones) and cost is the exact objective value.
     """
-    result = _assignment_lp(inp, selected)
+    result = assignment_lp(inp, selected)
     if result.status != "optimal":
         return None
     durations = [0.0] * inp.station_count

@@ -2,22 +2,24 @@
 returns exactly what `solve_lp` returns on that pattern's LP, and
 `lp_solves` still counts every `solve_lp` call the planner makes."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 
-from fleetcharge import planner
-from fleetcharge.lp import solve_lp
 from fleetcharge.model import charging_rate
-from fleetcharge.planner import _RouteTail, _assignment_lp, solve_charging_problem
+from fleetcharge.planner import _RouteTail, solve_charging_problem
 
-from conftest import make_params, make_planner_input, planner_inputs
+from conftest import (
+    assignment_lp,
+    counting_solve_lp,
+    make_params,
+    make_planner_input,
+    planner_inputs,
+)
 
 
 def _assert_same_result(inp):
     direct = _RouteTail(inp).no_stop()
-    simplex = _assignment_lp(inp, ())
+    simplex = assignment_lp(inp, ())
     assert direct.status == simplex.status
     if simplex.status == "optimal":
         assert direct.objective.hex() == simplex.objective.hex()
@@ -95,20 +97,10 @@ def test_one_short_row_stays_within_the_tolerance_in_relaxed_mode(rows, short):
     assert not any(d.charge for d in sol.plan.decisions)
 
 
-def _counting_solve_lp():
-    calls = []
-
-    def counting(c, a_ub, b_ub):
-        calls.append(len(c))
-        return solve_lp(c, a_ub, b_ub)
-
-    return calls, mock.patch.object(planner, "solve_lp", counting)
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planner_inputs())
 def test_lp_solves_counts_every_solve_lp_call(inp):
-    calls, patch = _counting_solve_lp()
+    calls, patch = counting_solve_lp()
     with patch:
         sol = solve_charging_problem(inp)
     assert sol.lp_solves == len(calls)
@@ -116,7 +108,7 @@ def test_lp_solves_counts_every_solve_lp_call(inp):
 
 def test_a_winning_no_stop_plan_solves_no_lp():
     inp = make_planner_input(segment_times=(30.0, 30.0), detour_times=(5.0, 5.0), battery=500.0)
-    calls, patch = _counting_solve_lp()
+    calls, patch = counting_solve_lp()
     with patch:
         sol = solve_charging_problem(inp)
     assert sol.status == "optimal"

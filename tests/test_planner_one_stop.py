@@ -1,0 +1,369 @@
+"""One-stop patterns are solved in closed form: the solver agrees with the
+simplex on the one-stop duration LP (status exactly, objective and duration
+to within rounding), and whole runs agree with a planner that sends every
+one-stop pattern through the simplex."""
+
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fleetcharge import simulation
+from fleetcharge.generator import ScenarioTemplate, generate_scenario
+from fleetcharge.lp import LPResult
+from fleetcharge.model import charging_rate, load_scenario
+from fleetcharge.planner import (
+    _COST_TIE_TOL,
+    _RouteTail,
+    minimal_rescue_charge,
+    solve_charging_problem,
+)
+from fleetcharge.reports import write_run_outputs
+
+from conftest import (
+    counting_solve_lp,
+    make_params,
+    make_planner_input,
+    make_station,
+    planner_inputs,
+)
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def _assert_matches_simplex(inp, k: int) -> LPResult:
+    """The closed form against the search LP (status and objective) and the
+    canonical LP (duration), and the rescue variant at k = 0."""
+    tail = _RouteTail(inp)
+    mine = tail.one_stop(k)
+    search = tail.lp((k,))
+    assert mine.status == search.status
+    if search.status == "optimal":
+        assert _close(mine.objective, search.objective)
+        canonical = tail.lp(
+            (k,), cost_cap=search.objective + _COST_TIE_TOL, minimize_total_time=True
+        )
+        assert canonical.status == "optimal"
+        assert _close(mine.x[0], canonical.x[0])
+    if k == 0:
+        rescue = tail.one_stop(0, with_overtime=False)
+        reference = tail.lp((0,), with_overtime=False, minimize_total_time=True)
+        assert rescue.status == reference.status
+        if reference.status == "optimal":
+            assert _close(rescue.x[0], reference.x[0])
+    return mine
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(planner_inputs())
+def test_one_stop_solver_matches_the_simplex(inp):
+    for k in range(inp.station_count):
+        _assert_matches_simplex(inp, k)
+
+
+def _row_levels(inp, k: int) -> list[float]:
+    """Battery level at which each battery row of pattern (k,) is exactly
+    met without charging, in row order: the ramps, then the destination."""
+    tail = _RouteTail(inp)
+    strict = inp.require_detour_margin_everywhere
+    levels = []
+    drain = 0.0
+    for l, (drive, stop, floor) in enumerate(zip(tail.drive, tail.stop, tail.floors)):
+        if strict or l == k:
+            levels.append(drain + floor)
+        drain += stop if l == k else drive
+    return levels + [drain + inp.params.e_safe]
+
+
+@st.composite
+def near_boundary_cases(draw):
+    """A one-stop pattern within 2e-7 of a feasibility or lifting boundary:
+    the battery at the pattern's no-charge bound (over every row, or over
+    the rows the stop cannot lift), or the destination's shortfall at the
+    stop's headroom. In the flat mode the ramps up to k share one place
+    (strict margin mode), so an earlier ramp with a longer detour can be
+    the binding row, and with equal detours every one of them is short
+    by the same amount and only their sum exceeds the tolerance."""
+    inp = draw(planner_inputs().filter(lambda i: i.station_count > 0))
+    k = draw(st.integers(0, inp.station_count - 1))
+    offset = draw(st.floats(-2e-7, 2e-7))
+    mode = draw(st.sampled_from(["no_charge", "unliftable", "flat", "headroom"]))
+    if mode == "flat":
+        equal = draw(st.booleans())
+        inp = replace(
+            inp,
+            segment_times=tuple(0.0 if l < k else s for l, s in enumerate(inp.segment_times)),
+            detour_times=tuple(
+                inp.detour_times[k] if equal and l < k else d
+                for l, d in enumerate(inp.detour_times)
+            ),
+            require_detour_margin_everywhere=True,
+        )
+        mode = "unliftable"
+    levels = _row_levels(inp, k)
+    if mode == "headroom":
+        tail = _RouteTail(inp)
+        p = inp.params
+        headroom_level = p.e_full + sum(tail.drive[:k]) + tail.detour_drain[k]
+        segs = list(inp.segment_times)
+        segs[-1] += (offset - (levels[-1] - headroom_level)) / p.p_bar
+        assume(segs[-1] >= 0.0)
+        return replace(inp, segment_times=tuple(segs)), k
+    unliftable = levels[: k + 1] if inp.require_detour_margin_everywhere else levels[:1]
+    bound = max(levels if mode == "no_charge" else unliftable)
+    battery = bound + offset
+    assume(battery <= inp.params.e_full + 2e-7)
+    return replace(inp, battery=battery), k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_boundary_cases())
+def test_one_stop_solver_matches_the_simplex_near_boundaries(case):
+    _assert_matches_simplex(*case)
+
+
+# -- hand cases ---------------------------------------------------------------
+
+
+def test_free_charging_still_takes_the_least_time():
+    # kappa = 0, price 0 and rho = 0: every feasible duration costs nothing
+    params = make_params(kappa=0.0, rho=0.0)
+    inp = make_planner_input(
+        stations=(make_station(price=0.0),),
+        segment_times=(60.0,),
+        detour_times=(5.0,),
+        battery=200.0,
+        params=params,
+    )
+    rate = charging_rate(inp.stations[0], params)
+    shortfall = params.e_safe + params.p_bar * 70.0 - 200.0
+    result = _assert_matches_simplex(inp, 0)
+    assert result.objective == 0.0
+    sol = solve_charging_problem(inp)
+    assert sol.plan.decisions[0].duration == result.x[0]
+    assert result.x[0] == pytest.approx(shortfall / rate, rel=1e-12)
+
+
+def _short_ramps_input(short: float, strict: bool):
+    # ramps 0-2 all sit ``short`` kWh under the reserve; the destination
+    # is 30 minutes further on
+    p = make_params()
+    return make_planner_input(
+        segment_times=(0.0, 0.0, 30.0),
+        detour_times=(0.0, 0.0, 0.0),
+        battery=p.e_safe - short,
+        params=p,
+        require_detour_margin_everywhere=strict,
+    )
+
+
+def test_inert_shortfalls_exceed_the_tolerance_only_when_summed():
+    # each 4e-8 shortfall is within the 1e-7 phase-1 tolerance; a stop at
+    # ramp 2 cannot lift ramps 0-2, and their sum (1.2e-7) is not
+    strict = _short_ramps_input(4e-8, strict=True)
+    assert _assert_matches_simplex(strict, 2).status == "infeasible"
+    assert _assert_matches_simplex(strict, 1).status == "optimal"
+    assert _assert_matches_simplex(strict, 0).status == "optimal"
+    relaxed = _short_ramps_input(4e-8, strict=False)
+    assert _assert_matches_simplex(relaxed, 2).status == "optimal"
+
+
+@pytest.mark.parametrize("excess, status", [(5e-8, "optimal"), (2e-7, "infeasible")])
+def test_capacity_bound_pattern_is_judged_by_the_tolerance(excess, status):
+    # the destination is ``excess`` kWh further away than a full charge at
+    # station 0 covers; within the tolerance the simplex meets the
+    # destination row and lets the capacity row give
+    p = make_params()
+    battery = 300.0
+    segment = (p.e_full - p.e_safe + excess) / p.p_bar
+    inp = make_planner_input(
+        segment_times=(segment,), detour_times=(0.0,), battery=battery, params=p
+    )
+    result = _assert_matches_simplex(inp, 0)
+    assert result.status == status
+    if status == "optimal":
+        rate = charging_rate(inp.stations[0], p)
+        shortfall = -1.0 * (battery - p.p_bar * segment - p.e_safe)
+        assert result.x[0] == shortfall / rate
+        assert result.x[0] * rate > p.e_full - battery
+
+
+@pytest.mark.parametrize("excess, status", [(5e-8, "optimal"), (2e-7, "infeasible")])
+def test_battery_above_capacity_is_short_on_the_capacity_row(excess, status):
+    # no bound needs a charge, but at station 0 (no detour) the capacity
+    # row itself is ``excess`` kWh short
+    p = make_params()
+    inp = make_planner_input(
+        segment_times=(30.0,), detour_times=(0.0,), battery=p.e_full + excess, params=p
+    )
+    result = _assert_matches_simplex(inp, 0)
+    assert result.status == status
+    if status == "optimal":
+        assert result.x[0] == 0.0
+
+
+def test_rescue_charge_is_the_closed_form_without_the_simplex():
+    inp = make_planner_input(
+        segment_times=(60.0, 40.0),
+        detour_times=(5.0, 3.0),
+        battery=200.0,
+        remaining_time=0.0,
+        require_detour_margin_everywhere=False,
+    )
+    calls, patch = counting_solve_lp()
+    with patch:
+        t = minimal_rescue_charge(inp)
+    assert calls == []
+    reference = _RouteTail(inp).lp((0,), with_overtime=False, minimize_total_time=True)
+    assert _close(t, reference.x[0])
+    # the station's own ramp is short beyond the tolerance: nothing helps
+    short = replace(inp, battery=inp.params.e_safe + inp.params.p_bar * 5.0 - 2e-7)
+    assert _RouteTail(short).lp((0,), with_overtime=False).status == "infeasible"
+    assert minimal_rescue_charge(short) is None
+
+
+def test_a_one_stop_winner_solves_no_lp():
+    inp = make_planner_input(
+        segment_times=(60.0, 60.0, 60.0),
+        detour_times=(5.0, 5.0, 5.0),
+        battery=330.0,
+    )
+    calls, patch = counting_solve_lp()
+    with patch:
+        sol = solve_charging_problem(inp)
+    assert sol.status == "optimal"
+    assert sum(d.charge for d in sol.plan.decisions) == 1
+    assert sol.lp_solves == 0
+    assert calls == []
+
+
+# -- whole runs against a simplex-only planner --------------------------------
+
+
+def _simplex_one_stop(self, k, *, with_overtime=True):
+    """One-stop patterns through the simplex, as the planner solved them
+    before the closed form: the rescue LP, or the search LP with the
+    canonical LP's durations."""
+    if not with_overtime:
+        return self.lp((k,), with_overtime=False, minimize_total_time=True)
+    search = self.lp((k,))
+    if search.status != "optimal":
+        return search
+    cap = search.objective + _COST_TIE_TOL
+    canonical = self.lp((k,), cost_cap=cap, minimize_total_time=True)
+    if canonical.status != "optimal":
+        return search
+    return LPResult(status="optimal", x=canonical.x, objective=search.objective)
+
+
+GATE_TEMPLATES = {
+    "dense": ScenarioTemplate(
+        label="dense",
+        truck_count=120,
+        station_count=6,
+        port_count_range=(1, 2),
+        stations_per_route_range=(1, 3),
+        depart_window=(300.0, 420.0),
+    ),
+    "long_haul": ScenarioTemplate(
+        label="long_haul",
+        truck_count=12,
+        station_count=8,
+        port_count_range=(1, 2),
+        stations_per_route_range=(5, 5),
+        segment_time_range=(20.0, 40.0),
+        depart_window=(420.0, 600.0),
+    ),
+    "non_uniform": ScenarioTemplate(
+        label="non_uniform",
+        truck_count=30,
+        station_count=5,
+        port_count_range=(1, 2),
+        port_power_range=(150.0, 400.0),
+        price_range=(0.2, 0.6),
+        stations_per_route_range=(2, 4),
+        e_initial_range=(220.0, 320.0),
+    ),
+}
+
+
+def _gate_scenario(name):
+    if name == "golden":
+        return load_scenario(str(GOLDENS / "scenario.json"))
+    return generate_scenario(GATE_TEMPLATES[name], 5)
+
+
+def _printed_numbers_agree(a: str, b: str, where) -> None:
+    """Text outputs print numbers rounded (CSVs to 2 decimals, the
+    transcript to 6), so a last-bit difference flips the last printed
+    digit of a value on a rounding midpoint (480.825 prints as 480.82 or
+    480.83). Tokens must be equal, or be numbers one unit of their last
+    printed place apart."""
+    tokens_a = re.split(r"([,:{}\[\]\n])", a)
+    tokens_b = re.split(r"([,:{}\[\]\n])", b)
+    assert len(tokens_a) == len(tokens_b), where
+    for x, y in zip(tokens_a, tokens_b):
+        if x == y:
+            continue
+        digits = len(x.partition(".")[2])
+        assert digits and len(y.partition(".")[2]) == digits, (where, x, y)
+        assert abs(float(x) - float(y)) <= 1.5 * 10.0**-digits, (where, x, y)
+
+
+def _numbers_agree(a, b, where):
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and list(a) == list(b), where
+        for key in a:
+            _numbers_agree(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _numbers_agree(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert type(b) is float, where
+        assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (where, a, b)
+    else:
+        assert a == b, (where, a, b)
+
+
+@pytest.mark.parametrize("name", ["golden", *GATE_TEMPLATES])
+def test_whole_runs_match_the_simplex_planner(name, tmp_path):
+    scenario = _gate_scenario(name)
+    calls = {}
+
+    def run_all(label):
+        counted, patch = counting_solve_lp()
+        with patch:
+            for strict in (True, False):
+                for runner in (simulation.run_offline_baseline, simulation.run_proposed):
+                    result = runner(scenario, require_detour_margin_everywhere=strict)
+                    assert simulation.audit_run(scenario, result) == []
+                    write_run_outputs(result, tmp_path / label / f"{runner.__name__}-{strict}")
+        calls[label] = len(counted)
+        return {
+            p.relative_to(tmp_path / label): p
+            for p in sorted((tmp_path / label).rglob("*"))
+            if p.is_file()
+        }
+
+    closed = run_all("closed")
+    with mock.patch.object(_RouteTail, "one_stop", _simplex_one_stop):
+        simplex = run_all("simplex")
+    assert list(closed) == list(simplex) and len(closed) == 20
+    for rel, path in closed.items():
+        if path.suffix == ".json":
+            _numbers_agree(
+                json.loads(path.read_text()), json.loads(simplex[rel].read_text()), str(rel)
+            )
+        else:
+            _printed_numbers_agree(path.read_text(), simplex[rel].read_text(), rel)
+    assert calls["closed"] < calls["simplex"]

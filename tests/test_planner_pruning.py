@@ -5,15 +5,10 @@ from hypothesis import given, settings
 
 from fleetcharge import protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.planner import (
-    _RouteTail,
-    _assignment_lp,
-    _stop_patterns,
-    solve_charging_problem,
-)
+from fleetcharge.planner import _RouteTail, _stop_patterns, solve_charging_problem
 from fleetcharge.reports import write_run_outputs
 
-from conftest import planner_inputs
+from conftest import assignment_lp, planner_inputs
 from reference_planner import reference_solve_charging_problem
 
 
@@ -33,7 +28,7 @@ def test_pruned_planner_matches_reference(inp):
 def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
     bound = _RouteTail(inp).bound
     for selected in _stop_patterns(inp.station_count):
-        result = _assignment_lp(inp, selected)
+        result = assignment_lp(inp, selected)
         if result.status != "optimal":
             continue
         bounds = bound(selected)
