@@ -174,6 +174,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         scenario = generate_scenario(template, args.seed)
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"generation failed: {exc}")
+    problems = validate_scenario(scenario)
+    if problems:
+        return _fail(EXIT_USAGE, "\n".join(f"bad template: {p}" for p in problems))
     dump_scenario(scenario, args.out)
     print(
         f"wrote {args.out}: {len(scenario.trucks)} trucks, "
@@ -194,9 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(scenario, overrides)
     problems = validate_scenario(scenario)
     if problems:
-        for p in problems:
-            print(f"scenario invalid: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, "\n".join(f"scenario invalid: {p}" for p in problems))
 
     strict = not args.relax_detour_margin
     strategies = {

@@ -14,10 +14,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, get_origin
 
 from . import defaults
-from .model import Route, Scenario, StationSpec, TruckParams, TruckSpec, ordered_sum
+from .model import (
+    Route,
+    Scenario,
+    StationSpec,
+    TruckParams,
+    TruckSpec,
+    _record_fields,
+    decode_record,
+    ordered_sum,
+)
 from .planner import PlannerInput, _pattern_need, _stop_patterns
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
@@ -73,19 +82,11 @@ class ScenarioTemplate:
             problems.append("truck_count must be at least 1")
         if self.station_count < 1:
             problems.append("station_count must be at least 1")
-        for name in (
-            "port_count_range",
-            "port_power_range",
-            "price_range",
-            "stations_per_route_range",
-            "segment_time_range",
-            "detour_time_range",
-            "depart_window",
-            "e_initial_range",
-        ):
-            lo, hi = getattr(self, name)
-            if not (lo <= hi):
-                problems.append(f"{name} has lo > hi")
+        for name, tp, _, _ in _record_fields(ScenarioTemplate):
+            if get_origin(tp) is tuple:  # an inclusive (lo, hi) range
+                lo, hi = getattr(self, name)
+                if not (lo <= hi):
+                    problems.append(f"{name} has lo > hi")
         if self.port_count_range[0] < 1:
             problems.append("port_count_range must start at 1 or more")
         if self.stations_per_route_range[0] < 1:
@@ -99,19 +100,12 @@ class ScenarioTemplate:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ScenarioTemplate":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
+        """A template from its JSON form: fields absent from ``doc`` keep
+        their defaults, unknown keys and mistyped values raise ValueError."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown template keys: {', '.join(unknown)}")
-        kwargs: dict[str, Any] = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[f.name] = value
-        return cls(**kwargs)
+        return decode_record(cls, doc, "template")
 
 
 def _truck_params(template: ScenarioTemplate) -> TruckParams:

@@ -12,13 +12,17 @@ No field anywhere mixes units. Scenario files persist exactly these units.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+import sys
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "MAX_ENUMERATED_STATIONS",
+    "MAX_PORT_COUNT",
     "TruckParams",
     "StationSpec",
     "Route",
@@ -30,6 +34,8 @@ __all__ = [
     "validate_scenario",
     "charging_rate",
     "electricity_price_per_minute",
+    "encode_record",
+    "decode_record",
     "scenario_to_json",
     "scenario_from_json",
     "load_scenario",
@@ -42,6 +48,11 @@ __all__ = [
 # caller is holding the model wrong. Routes are validated against it here
 # because the offline baseline plans a whole route at once.
 MAX_ENUMERATED_STATIONS = 16
+
+# A station's ledger holds one availability time per port and every wait
+# quote scans them all. Real sites have tens of ports; a count far beyond
+# that is a typo, and one near 1e9 would not fit in memory.
+MAX_PORT_COUNT = 10_000
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -194,7 +205,10 @@ def electricity_price_per_minute(station: StationSpec, truck: TruckParams) -> fl
 
 
 def _is_finite_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite float, or an int (not a bool) small enough to be one."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _check_params(prefix: str, p: TruckParams, out: list[str]) -> None:
@@ -217,6 +231,8 @@ def _check_params(prefix: str, p: TruckParams, out: list[str]) -> None:
 def _check_station(prefix: str, s: StationSpec, out: list[str]) -> None:
     if not isinstance(s.port_count, int) or isinstance(s.port_count, bool) or s.port_count < 1:
         out.append(f"{prefix}: port_count must be an integer >= 1, got {s.port_count!r}")
+    elif s.port_count > MAX_PORT_COUNT:
+        out.append(f"{prefix}: port_count {s.port_count} exceeds the limit of {MAX_PORT_COUNT}")
     if not _is_finite_number(s.port_power) or s.port_power <= 0:
         out.append(f"{prefix}: port_power must be positive, got {s.port_power!r}")
     if not _is_finite_number(s.electricity_price_energy) or s.electricity_price_energy < 0:
@@ -300,82 +316,119 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return out
 
 
-# -- Scenario file format ----------------------------------------------------
+# -- JSON codec ----------------------------------------------------------------
 #
-# A scenario is a single JSON document:
-#
-#   {"stations": [...], "trucks": [...], "rng_seed": <int>, "label": <str>}
-#
-# with field names exactly matching the dataclasses above. Serialization is
-# canonical (2-space indent, fixed key order, trailing newline), so
-# serialize -> parse -> serialize is byte-identical. Numeric JSON types are
-# preserved as parsed: an integer literal stays an int, so round-trips do
-# not rewrite "160" as "160.0".
+# Every record's JSON form is its field list: an object with one key per
+# dataclass field in declaration order, tuples as lists and nested records
+# as objects. The one exception is metrics.json, which RunMetrics.to_dict
+# lays out. Decoding checks types only; invariants are validation's job. A
+# float field takes any finite JSON number and keeps an integer literal an
+# int, so round-trips do not rewrite "160" as "160.0". Keys that are not
+# fields are ignored, and a field with a default may be absent.
 
 
-def _station_to_dict(s: StationSpec) -> dict[str, Any]:
-    return {
-        "id": s.id,
-        "port_count": s.port_count,
-        "port_power": s.port_power,
-        "electricity_price_energy": s.electricity_price_energy,
-    }
+class _Bad(Exception):
+    """A decode failure ``(where, text)``; ``where`` is the path of the
+    enclosing object, empty at the root."""
 
 
-def _truck_to_dict(t: TruckSpec) -> dict[str, Any]:
-    return {
-        "id": t.id,
-        "params": {
-            "p_bar": t.params.p_bar,
-            "e_full": t.params.e_full,
-            "e_safe": t.params.e_safe,
-            "p_max": t.params.p_max,
-            "kappa": t.params.kappa,
-            "rho": t.params.rho,
-        },
-        "route": {
-            "ramp_count": t.route.ramp_count,
-            "segment_times": list(t.route.segment_times),
-            "detour_times": list(t.route.detour_times),
-            "station_ids": list(t.route.station_ids),
-        },
-        "e_initial": t.e_initial,
-        "depart_time": t.depart_time,
-        "extra_time_budget": t.extra_time_budget,
-        "w_hat_default": t.w_hat_default,
-    }
+_SCALARS = {
+    str: (lambda x: isinstance(x, str), "a string"),
+    int: (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    bool: (lambda x: isinstance(x, bool), "true or false"),
+}
+
+
+@functools.cache
+def _record_fields(cls: type) -> tuple[tuple[str, Any, bool, bool], ...]:
+    """``(name, type, required, holds records)`` per field of a dataclass,
+    resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        tp = hints[f.name]
+        required = f.default is MISSING and f.default_factory is MISSING
+        plan.append((f.name, tp, required, any(map(is_dataclass, (tp, *typing.get_args(tp))))))
+    return tuple(plan)
+
+
+def encode_record(obj: Any) -> dict[str, Any]:
+    """A record's JSON form; json writes its tuples as lists."""
+    doc = {}
+    for name, _, _, nested in _record_fields(type(obj)):
+        value = getattr(obj, name)
+        if nested and type(value) is tuple:
+            value = [encode_record(x) for x in value]
+        elif nested and value is not None:
+            value = encode_record(value)
+        doc[name] = value
+    return doc
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any, str, str], Any]:
+    """The function ``(value, where, name)`` that checks a JSON value against
+    ``tp`` (a scalar, a record, ``tuple[X, ...]``, ``tuple[X, X]`` or
+    ``X | None``) and builds it; ``name`` is the value's key in the object
+    at path ``where``."""
+    if tp in _SCALARS:
+        check, expected = _SCALARS[tp]
+
+        def scalar(value: Any, where: str, name: str) -> Any:
+            if check(value):
+                return value
+            raise _Bad(where, f"{name} must be {expected}")
+
+        return scalar
+    if is_dataclass(tp):
+        plan = [(name, _decoder(ftp), req) for name, ftp, req, _ in _record_fields(tp)]
+
+        def record(doc: Any, where: str, name: str) -> Any:
+            path = f"{where}.{name}" if where else name
+            if not isinstance(doc, dict):
+                raise _Bad(path, "must be an object")
+            kwargs = {}
+            for key, dec, required in plan:
+                if key in doc:
+                    kwargs[key] = dec(doc[key], path, key)
+                elif required:
+                    raise _Bad(path, f"missing field '{key}'")
+            return tp(**kwargs)
+
+        return record
+    args = typing.get_args(tp)
+    item = _decoder(args[0])
+    if typing.get_origin(tp) is not tuple:  # X | None
+        return lambda value, where, name: None if value is None else item(value, where, name)
+    size = None if args[-1] is Ellipsis else len(args)
+
+    def items(value: Any, where: str, name: str) -> tuple[Any, ...]:
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise _Bad(where, f"{name} must be a list" + (f" of {size}" if size else ""))
+        return tuple([item(x, where, f"{name}[{i}]") for i, x in enumerate(value)])
+
+    return items
+
+
+def decode_record(
+    tp: Any, value: Any, root: str, name: str = "", error: type[ValueError] = ValueError
+) -> Any:
+    """Check a parsed JSON value against ``tp`` and build it. ``name`` is the
+    value's key in the enclosing document, which ``root`` names. Raises
+    ``error`` with a message ``<path>: ...`` that names the field."""
+    try:
+        return _decoder(tp)(value, "", name)
+    except _Bad as exc:
+        where, text = exc.args
+        raise error(f"{where or root}: {text}") from None
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario to its canonical JSON document."""
-    doc = {
-        "stations": [_station_to_dict(s) for s in scenario.stations],
-        "trucks": [_truck_to_dict(t) for t in scenario.trucks],
-        "rng_seed": scenario.rng_seed,
-        "label": scenario.label,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _require(doc: dict[str, Any], key: str, kind: type | tuple[type, ...], where: str) -> Any:
-    if key not in doc:
-        raise ScenarioFormatError(f"{where}: missing field '{key}'")
-    value = doc[key]
-    if kind is float:
-        if not _is_finite_number(value):
-            raise ScenarioFormatError(f"{where}: field '{key}' must be a finite number")
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ScenarioFormatError(f"{where}: field '{key}' has wrong type")
-    return value
-
-
-def _number_list(doc: dict[str, Any], key: str, where: str) -> tuple[float, ...]:
-    value = _require(doc, key, list, where)
-    for i, x in enumerate(value):
-        if not _is_finite_number(x):
-            raise ScenarioFormatError(f"{where}: {key}[{i}] must be a finite number")
-    return tuple(value)
+    """Serialize a scenario to its canonical JSON document (2-space indent,
+    field order, trailing newline), so serialize -> parse -> serialize is
+    byte-identical."""
+    return json.dumps(encode_record(scenario), indent=2, allow_nan=False) + "\n"
 
 
 def scenario_from_json(text: str) -> Scenario:
@@ -388,64 +441,7 @@ def scenario_from_json(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-
-    stations = []
-    for i, sd in enumerate(_require(doc, "stations", list, "scenario")):
-        where = f"stations[{i}]"
-        if not isinstance(sd, dict):
-            raise ScenarioFormatError(f"{where}: must be an object")
-        stations.append(
-            StationSpec(
-                id=_require(sd, "id", str, where),
-                port_count=_require(sd, "port_count", int, where),
-                port_power=_require(sd, "port_power", float, where),
-                electricity_price_energy=_require(sd, "electricity_price_energy", float, where),
-            )
-        )
-
-    trucks = []
-    for i, td in enumerate(_require(doc, "trucks", list, "scenario")):
-        where = f"trucks[{i}]"
-        if not isinstance(td, dict):
-            raise ScenarioFormatError(f"{where}: must be an object")
-        pd = _require(td, "params", dict, where)
-        rd = _require(td, "route", dict, where)
-        station_ids = _require(rd, "station_ids", list, f"{where}.route")
-        for j, sid in enumerate(station_ids):
-            if not isinstance(sid, str):
-                raise ScenarioFormatError(f"{where}.route: station_ids[{j}] must be a string")
-        trucks.append(
-            TruckSpec(
-                id=_require(td, "id", str, where),
-                params=TruckParams(
-                    p_bar=_require(pd, "p_bar", float, f"{where}.params"),
-                    e_full=_require(pd, "e_full", float, f"{where}.params"),
-                    e_safe=_require(pd, "e_safe", float, f"{where}.params"),
-                    p_max=_require(pd, "p_max", float, f"{where}.params"),
-                    kappa=_require(pd, "kappa", float, f"{where}.params"),
-                    rho=_require(pd, "rho", float, f"{where}.params"),
-                ),
-                route=Route(
-                    ramp_count=_require(rd, "ramp_count", int, f"{where}.route"),
-                    segment_times=_number_list(rd, "segment_times", f"{where}.route"),
-                    detour_times=_number_list(rd, "detour_times", f"{where}.route"),
-                    station_ids=tuple(station_ids),
-                ),
-                e_initial=_require(td, "e_initial", float, where),
-                depart_time=_require(td, "depart_time", float, where),
-                extra_time_budget=_require(td, "extra_time_budget", float, where),
-                w_hat_default=_require(td, "w_hat_default", float, where),
-            )
-        )
-
-    return Scenario(
-        stations=tuple(stations),
-        trucks=tuple(trucks),
-        rng_seed=_require(doc, "rng_seed", int, "scenario"),
-        label=_require(doc, "label", str, "scenario"),
-    )
+    return decode_record(Scenario, doc, "scenario", error=ScenarioFormatError)
 
 
 def load_scenario(path: str) -> Scenario:

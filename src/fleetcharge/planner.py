@@ -66,7 +66,9 @@ from .model import (
     _check_params,
     _check_station,
     charging_rate,
+    decode_record,
     electricity_price_per_minute,
+    encode_record,
     ordered_sum,
 )
 
@@ -710,8 +712,10 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     margin flag must be a JSON boolean.
     """
     try:
-        params = TruckParams(**doc["params"])
-        stations = tuple(StationSpec(**s) for s in doc["stations"])
+        params = decode_record(TruckParams, doc["params"], "planner input", "params")
+        stations = decode_record(
+            tuple[StationSpec, ...], doc["stations"], "planner input", "stations"
+        )
         problems: list[str] = []
         _check_params("planner input", params, problems)
         for s in stations:
@@ -747,12 +751,8 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
 
 
 def solution_to_dict(solution: PlannerSolution) -> dict[str, Any]:
+    """The status, then the plan's fields when there is one."""
     doc: dict[str, Any] = {"status": solution.status}
     if solution.plan is not None:
-        doc["decisions"] = [
-            {"charge": d.charge, "duration": d.duration}
-            for d in solution.plan.decisions
-        ]
-        doc["anticipated_cost"] = solution.plan.anticipated_cost
-        doc["anticipated_overtime"] = solution.plan.anticipated_overtime
+        doc.update(encode_record(solution.plan))
     return doc

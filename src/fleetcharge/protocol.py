@@ -25,8 +25,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Union
 
+from .model import _is_finite_number, _record_fields
 from .planner import (
     PlannerInput,
     PlannerSolution,
@@ -115,41 +117,34 @@ def _fmt_minutes(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+# The wire format: a message is its type tag followed by its fields in
+# declaration order; float fields are times written by _fmt_minutes.
+_MESSAGE_TYPES: dict[str, type] = {
+    "arrival": ArrivalAnnouncement,
+    "estimate": WaitingEstimate,
+    "commit": ChargingCommitment,
+    "ack": Ack,
+}
+# per class: the line's opening, then (field, '"field":', is a time) per field
+_WIRE = {
+    cls: (
+        f'{{"type":"{tag}"',
+        tuple((name, f',"{name}":', tp is float) for name, tp, _, _ in _record_fields(cls)),
+    )
+    for tag, cls in _MESSAGE_TYPES.items()
+}
+
+
 def encode_message(message: Message) -> str:
     """One canonical JSON line (no trailing newline)."""
-    if isinstance(message, ArrivalAnnouncement):
-        return (
-            f'{{"type":"arrival","truck":{json.dumps(message.truck)},'
-            f'"station":{json.dumps(message.station)},'
-            f'"t_arrival":{_fmt_minutes(message.t_arrival)}}}'
-        )
-    if isinstance(message, WaitingEstimate):
-        return (
-            f'{{"type":"estimate","station":{json.dumps(message.station)},'
-            f'"truck":{json.dumps(message.truck)},'
-            f'"wait":{_fmt_minutes(message.wait)}}}'
-        )
-    if isinstance(message, ChargingCommitment):
-        return (
-            f'{{"type":"commit","truck":{json.dumps(message.truck)},'
-            f'"station":{json.dumps(message.station)},'
-            f'"charge_time":{_fmt_minutes(message.charge_time)}}}'
-        )
-    if isinstance(message, Ack):
-        return (
-            f'{{"type":"ack","station":{json.dumps(message.station)},'
-            f'"truck":{json.dumps(message.truck)}}}'
-        )
-    raise TypeError(f"not a message: {message!r}")
-
-
-_FIELDS = {
-    "arrival": ("truck", "station", "t_arrival"),
-    "estimate": ("station", "truck", "wait"),
-    "commit": ("truck", "station", "charge_time"),
-    "ack": ("station", "truck"),
-}
-_NUMERIC = {"t_arrival", "wait", "charge_time"}
+    try:
+        line, wire_fields = _WIRE[type(message)]
+    except KeyError:
+        raise TypeError(f"not a message: {message!r}") from None
+    for name, key, is_time in wire_fields:
+        value = getattr(message, name)
+        line += key + (_fmt_minutes(value) if is_time else _quote(value))
+    return line + "}"
 
 
 def decode_message(line: str) -> Message:
@@ -168,37 +163,28 @@ def decode_message(line: str) -> Message:
     kind = doc.get("type")
     if kind is None:
         raise MessageDecodeError("missing field 'type'")
-    if kind not in _FIELDS:
+    cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise MessageDecodeError(f"unknown message type {kind!r}")
-    expected = _FIELDS[kind]
-    for name in expected:
+    wire_fields = _WIRE[cls][1]
+    values: dict[str, Any] = {}
+    for name, _, is_time in wire_fields:
         if name not in doc:
             raise MessageDecodeError(f"{kind}: missing field '{name}'")
-    for name in doc:
-        if name != "type" and name not in expected:
-            raise MessageDecodeError(f"{kind}: unexpected field '{name}'")
-    values: dict[str, Any] = {}
-    for name in expected:
         value = doc[name]
-        if name in _NUMERIC:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise MessageDecodeError(f"{kind}: field '{name}' must be a number")
-            if not math.isfinite(value) or value < 0:
-                raise MessageDecodeError(
-                    f"{kind}: field '{name}' must be finite and nonnegative"
-                )
-            values[name] = float(value)
-        else:
-            if not isinstance(value, str):
-                raise MessageDecodeError(f"{kind}: field '{name}' must be a string")
-            values[name] = value
-    cls = {
-        "arrival": ArrivalAnnouncement,
-        "estimate": WaitingEstimate,
-        "commit": ChargingCommitment,
-        "ack": Ack,
-    }[kind]
-    return cls(**values)
+        if is_time and _is_finite_number(value):
+            value = float(value)
+        elif not isinstance(value, float if is_time else str):
+            expected = "a number" if is_time else "a string"
+            raise MessageDecodeError(f"{kind}: field '{name}' must be {expected}")
+        values[name] = value
+    if len(doc) > 1 + len(values):  # every field is present, so some key is extra
+        extra = next(name for name in doc if name != "type" and name not in values)
+        raise MessageDecodeError(f"{kind}: unexpected field '{extra}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:  # a time that is not finite and nonnegative
+        raise MessageDecodeError(f"{kind}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)

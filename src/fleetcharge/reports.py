@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
-from .simulation import ComparisonReport, RunResult, StationTotals, metrics_from_dict
+from .simulation import ComparisonReport, RunResult, StationTotals, VisitRecord, metrics_from_dict
 from .station import PortLedger
 
 __all__ = [
@@ -36,14 +37,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def _write_station_totals(path: Path, totals: tuple[StationTotals, ...]) -> Path:
     _write_csv(
         path,
-        [
-            "station",
-            "visits",
-            "waiting_minutes",
-            "charging_minutes",
-            "mean_wait",
-            "energy_delivered_kwh",
-        ],
+        [f.name for f in fields(StationTotals)],
         [
             [
                 s.station,
@@ -51,7 +45,7 @@ def _write_station_totals(path: Path, totals: tuple[StationTotals, ...]) -> Path
                 _fmt(s.waiting_minutes),
                 _fmt(s.charging_minutes),
                 _fmt(s.mean_wait),
-                _fmt(s.energy_delivered),
+                _fmt(s.energy_delivered_kwh),
             ]
             for s in totals
         ],
@@ -90,21 +84,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
                 ]
             )
     trips_path = out / "trips.csv"
-    _write_csv(
-        trips_path,
-        [
-            "truck",
-            "station",
-            "ramp",
-            "t_arrival",
-            "quoted_wait",
-            "realized_wait",
-            "charge_time",
-            "battery_before",
-            "battery_after",
-        ],
-        trips_rows,
-    )
+    _write_csv(trips_path, ["truck"] + [f.name for f in fields(VisitRecord)], trips_rows)
     written.append(trips_path)
 
     written.append(_write_station_totals(out / "stations.csv", result.metrics.station_totals))

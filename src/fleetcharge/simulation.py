@@ -28,7 +28,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Any
 
-from .model import Scenario, TruckSpec, charging_rate, ordered_sum, validate_scenario
+from .model import (
+    Scenario,
+    TruckSpec,
+    charging_rate,
+    decode_record,
+    encode_record,
+    ordered_sum,
+    validate_scenario,
+)
 from .planner import PlannerInput, solve_charging_problem
 from .protocol import ExchangeTranscript, run_ramp_exchange
 from .station import PortLedger
@@ -109,7 +117,7 @@ class StationTotals:
     waiting_minutes: float
     charging_minutes: float
     mean_wait: float
-    energy_delivered: float
+    energy_delivered_kwh: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,75 +181,23 @@ class RunMetrics:
                 }
                 for t in self.trips
             ],
-            "per_station": [
-                {
-                    "station": s.station,
-                    "visits": s.visits,
-                    "waiting_minutes": s.waiting_minutes,
-                    "charging_minutes": s.charging_minutes,
-                    "mean_wait": s.mean_wait,
-                    "energy_delivered_kwh": s.energy_delivered,
-                }
-                for s in self.station_totals
-            ],
+            "per_station": [encode_record(s) for s in self.station_totals],
         }
 
 
 def metrics_from_dict(doc: dict[str, Any]) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
-    ``RunMetrics.to_dict``)."""
-    trips = []
-    for t in doc["per_truck"]:
-        visits = tuple(
-            VisitRecord(
-                station=v["station"],
-                ramp=int(v["ramp"]),
-                t_arrival=float(v["t_arrival"]),
-                quoted_wait=float(v["quoted_wait"]),
-                realized_wait=float(v["realized_wait"]),
-                charge_time=float(v["charge_time"]),
-                battery_before=float(v["battery_before"]),
-                battery_after=float(v["battery_after"]),
-            )
-            for v in t["visits"]
-        )
-        trips.append(
-            TripRecord(
-                truck_id=t["truck_id"],
-                visits=visits,
-                depart_time=float(t["depart_time"]),
-                deadline=float(t["deadline"]),
-                reserve_battery=float(t["reserve_battery"]),
-                arrival_time=None if t["arrival_time"] is None else float(t["arrival_time"]),
-                residual_battery=(
-                    None if t["residual_battery"] is None else float(t["residual_battery"])
-                ),
-                deadline_violation=(
-                    None if t["deadline_violation"] is None else float(t["deadline_violation"])
-                ),
-                stranded=bool(t["stranded"]),
-                stranded_at_ramp=(
-                    None if t["stranded_at_ramp"] is None else int(t["stranded_at_ramp"])
-                ),
-            )
-        )
-    stations = tuple(
-        StationTotals(
-            station=s["station"],
-            visits=int(s["visits"]),
-            waiting_minutes=float(s["waiting_minutes"]),
-            charging_minutes=float(s["charging_minutes"]),
-            mean_wait=float(s["mean_wait"]),
-            energy_delivered=float(s["energy_delivered_kwh"]),
-        )
-        for s in doc["per_station"]
-    )
+    ``RunMetrics.to_dict``). Trips and station rows are decoded by their
+    field lists; keys that are not fields (a trip's derived totals, a
+    visit's ``charged``) are skipped."""
     totals = doc["totals"]
     return RunMetrics(
         label=doc["label"],
         strategy=doc["strategy"],
-        trips=tuple(trips),
-        station_totals=stations,
+        trips=decode_record(tuple[TripRecord, ...], doc["per_truck"], "metrics", "per_truck"),
+        station_totals=decode_record(
+            tuple[StationTotals, ...], doc["per_station"], "metrics", "per_station"
+        ),
         total_waiting_minutes=float(totals["total_waiting_minutes"]),
         total_waiting_hours=float(totals["total_waiting_hours"]),
         total_charging_minutes=float(totals["total_charging_minutes"]),
@@ -313,7 +269,7 @@ def _build_metrics(
                 waiting_minutes=waiting,
                 charging_minutes=charging,
                 mean_wait=waiting / count if count else 0.0,
-                energy_delivered=energy,
+                energy_delivered_kwh=energy,
             )
         )
 

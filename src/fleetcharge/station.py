@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .model import MAX_PORT_COUNT, decode_record, encode_record
+
 __all__ = [
     "Assignment",
     "PortLedger",
@@ -80,8 +82,8 @@ class PortLedger:
     __slots__ = ("available_times", "assignments", "version")
 
     def __init__(self, port_count: int) -> None:
-        if port_count < 1:
-            raise ValueError(f"port_count must be >= 1, got {port_count}")
+        if not 1 <= port_count <= MAX_PORT_COUNT:
+            raise ValueError(f"port_count must be in 1..{MAX_PORT_COUNT}, got {port_count}")
         self.available_times: list[float] = [0.0] * port_count
         self.assignments: list[Assignment] = []
         self.version: int = 0
@@ -193,17 +195,7 @@ class PortLedger:
             "port_count": len(self.available_times),
             "available_times": list(self.available_times),
             "version": self.version,
-            "assignments": [
-                {
-                    "truck": a.truck,
-                    "port": a.port,
-                    "arrival": a.arrival,
-                    "wait": a.wait,
-                    "start": a.start,
-                    "duration": a.duration,
-                }
-                for a in self.assignments
-            ],
+            "assignments": [encode_record(a) for a in self.assignments],
         }
 
     @classmethod
@@ -211,15 +203,7 @@ class PortLedger:
         ledger = cls(doc["port_count"])
         ledger.available_times = [float(x) for x in doc["available_times"]]
         ledger.version = int(doc["version"])
-        ledger.assignments = [
-            Assignment(
-                truck=a["truck"],
-                port=int(a["port"]),
-                arrival=float(a["arrival"]),
-                wait=float(a["wait"]),
-                start=float(a["start"]),
-                duration=float(a["duration"]),
-            )
-            for a in doc["assignments"]
-        ]
+        ledger.assignments = list(
+            decode_record(tuple[Assignment, ...], doc["assignments"], "ledger", "assignments")
+        )
         return ledger

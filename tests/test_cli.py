@@ -258,6 +258,10 @@ def test_report_omits_trucks_that_never_waited(tmp_path, capsys):
 
 
 NOT_UTF8 = b'{"label": "\xff"}'
+HUGE_PORT_COUNT = scenario_to_json(make_scenario(stations=(make_station(port_count=10**30),))).encode()
+HUGE_LEDGER = json.dumps(
+    {"s01": {"port_count": 10**30, "available_times": [], "version": 0, "assignments": []}}
+).encode()
 REPORT = ["report", "{tmp}/run/proposed"]
 RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
 
@@ -270,6 +274,7 @@ RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
         pytest.param("run/proposed/metrics.json", b"{}", REPORT, 2, id="report-empty-object"),
         pytest.param("run/proposed/metrics.json", b"[]", REPORT, 2, id="report-array"),
         pytest.param("run/proposed/ledgers.json", b"[]", REPORT, 2, id="report-ledgers-array"),
+        pytest.param("run/proposed/ledgers.json", HUGE_LEDGER, REPORT, 2, id="report-ledger-port-count-huge"),
         pytest.param("run/proposed/metrics.json", NOT_UTF8, REPORT, 2, id="report-not-utf8"),
         pytest.param(
             "run/offline/metrics.json",
@@ -286,6 +291,8 @@ RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
         pytest.param("in.json", NOT_UTF8, ["plan", "--input", "{tmp}/in.json"], 2, id="plan-not-utf8"),
         pytest.param(None, None, RUN + ["--set", "port_count=nan"], 1, id="run-port-count-nan"),
         pytest.param(None, None, RUN + ["--set", "port_count=inf"], 1, id="run-port-count-inf"),
+        pytest.param(None, None, RUN + ["--set", "port_count=1e300"], 2, id="run-port-count-huge"),
+        pytest.param("scenario.json", HUGE_PORT_COUNT, RUN, 2, id="run-scenario-port-count-huge"),
     ],
 )
 def test_malformed_inputs_exit_with_a_code(tmp_path, scenario_file, capsys, target, content, argv, code):
@@ -296,6 +303,19 @@ def test_malformed_inputs_exit_with_a_code(tmp_path, scenario_file, capsys, targ
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err != ""
+
+
+# type errors are caught decoding the template, range errors by validating
+# the generated scenario before it is written
+@pytest.mark.parametrize(
+    "setting",
+    ['e_full="big"', "truck_count=2.5", "e_safe=1e400", "rho=null", "label=5", "kappa=-1", "p_bar=0"],
+)
+def test_generate_rejects_a_bad_template_with_exit_one(tmp_path, capsys, setting):
+    out = tmp_path / "s.json"
+    assert main(["generate", "--set", setting, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "bad template" in capsys.readouterr().err
 
 
 def _plan_payload() -> dict:
@@ -355,8 +375,8 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
     [
         ("station", "port_power", 0, "port_power must be positive"),
         ("params", "p_max", 0, "p_max must be positive"),
-        ("params", "e_full", "x", "params.e_full is not a finite number"),
-        ("params", "p_bar", float("nan"), "params.p_bar is not a finite number"),
+        ("params", "e_full", "x", "params: e_full must be a finite number"),
+        ("params", "p_bar", float("nan"), "params: p_bar must be a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
         ("input", "battery", 5000, "battery 5000 exceeds battery capacity 624.0"),
         *(

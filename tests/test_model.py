@@ -151,6 +151,15 @@ def test_parsing_preserves_integer_literals():
         (lambda d: d["trucks"][0].update(e_initial="full"), "e_initial"),
         (lambda d: d["trucks"][0]["route"].update(ramp_count=1.5), "ramp_count"),
         (lambda d: d["trucks"][0]["params"].update(p_bar=True), "p_bar"),
+        (lambda d: d["trucks"][0].update(e_initial=10**400), "e_initial"),
+        (
+            lambda d: d["trucks"][0]["route"]["station_ids"].__setitem__(0, 7),
+            r"trucks\[0\]\.route: station_ids\[0\] must be a string",
+        ),
+        (
+            lambda d: d["trucks"][0]["route"]["detour_times"].__setitem__(0, float("nan")),
+            r"trucks\[0\]\.route: detour_times\[0\] must be a finite number",
+        ),
     ],
 )
 def test_parser_rejects_malformed_documents(mutate, fragment):

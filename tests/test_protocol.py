@@ -84,6 +84,7 @@ def test_grid_times_survive_the_wire_exactly():
         ("[1]", "object"),
         ('{"truck":"t","station":"s","t_arrival":1}', "type"),
         ('{"type":"teleport","truck":"t","station":"s"}', "type"),
+        ('{"type":["arrival"],"truck":"t","station":"s","t_arrival":1}', "type"),
         ('{"type":"arrival","truck":"t","station":"s"}', "t_arrival"),
         (
             '{"type":"arrival","truck":"t","station":"s","t_arrival":1,"x":2}',

@@ -237,13 +237,6 @@ def test_runs_are_deterministic():
     }
 
 
-def test_metrics_round_trip_through_json():
-    sc = _congested_scenario()
-    m = run_proposed(sc).metrics
-    doc = json.loads(json.dumps(m.to_dict()))
-    assert metrics_from_dict(doc) == m
-
-
 def _doomed_truck(tid: str = "t001"):
     # a 200 kWh pack cannot bank enough at either station to finish
     params = make_params(e_full=200.0)
@@ -258,12 +251,16 @@ def _doomed_truck(tid: str = "t001"):
     )
 
 
-def test_stranded_trucks_park_and_are_counted():
-    sc = make_scenario(
+def _doomed_scenario():
+    return make_scenario(
         stations=(make_station("s01"), make_station("s02")),
         trucks=(_doomed_truck(),),
         label="doomed",
     )
+
+
+def test_stranded_trucks_park_and_are_counted():
+    sc = _doomed_scenario()
     base = run_offline_baseline(sc)
     (trip,) = base.metrics.trips
     assert trip.stranded
@@ -284,6 +281,29 @@ def test_stranded_trucks_park_and_are_counted():
     report = compare(base.metrics, prop.metrics)
     assert report.stranded_baseline == 1
     assert report.stranded_proposed == 1
+
+
+# the doomed scenario strands its truck, so its trip has None fields and a
+# stranded_at_ramp value
+@pytest.mark.parametrize(
+    "scenario, runner",
+    [
+        pytest.param(_congested_scenario, run_proposed, id="congested-proposed"),
+        pytest.param(_doomed_scenario, run_proposed, id="doomed-proposed"),
+        pytest.param(_doomed_scenario, run_offline_baseline, id="doomed-offline"),
+    ],
+)
+def test_metrics_round_trip_through_json(scenario, runner):
+    m = runner(scenario()).metrics
+    doc = json.loads(json.dumps(m.to_dict()))
+    assert metrics_from_dict(doc) == m
+
+
+def test_metrics_reader_does_not_coerce_strings():
+    doc = run_proposed(_congested_scenario()).metrics.to_dict()
+    doc["per_truck"][0]["visits"][0]["t_arrival"] = "1.5"
+    with pytest.raises(ValueError, match=r"^per_truck\[0\]\.visits\[0\]: t_arrival must be a finite"):
+        metrics_from_dict(doc)
 
 
 def test_deadline_violations_are_clamped_overshoot():

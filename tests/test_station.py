@@ -112,6 +112,15 @@ def test_export_rebuilds_identical_schedule():
     assert clone.schedule_by_port() == ledger.schedule_by_port()
 
 
+def test_import_rejects_a_mistyped_assignment():
+    ledger = PortLedger(1)
+    ledger.commit(ledger.estimate_wait(0.0), "t001", 30.0)
+    doc = ledger.export()
+    doc["assignments"][0]["port"] = "0"
+    with pytest.raises(ValueError, match=r"^assignments\[0\]: port must be an integer$"):
+        PortLedger.from_export(doc)
+
+
 _events = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32),
