@@ -27,7 +27,7 @@ from .model import (
     decode_record,
     ordered_sum,
 )
-from .planner import PlannerInput, _pattern_need, _stop_patterns
+from .planner import PlannerInput, has_feasible_pattern
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
 
@@ -153,8 +153,7 @@ def _route_completable(
         assumed_waits=(0.0,) * (len(stations) - 1),
         remaining_time=remaining_time,
     )
-    need_of = _pattern_need(inp)
-    return any(need_of(pattern) is not None for pattern in _stop_patterns(len(stations)))
+    return has_feasible_pattern(inp)
 
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:

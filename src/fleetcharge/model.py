@@ -201,7 +201,12 @@ def electricity_price_per_minute(station: StationSpec, truck: TruckParams) -> fl
     ``min(port_power, p_max) / 60`` kWh, so the per-minute rate is the
     tariff times that quantity.
     """
-    return station.electricity_price_energy * charging_rate(station, truck)
+    return _price_per_minute_at(station, charging_rate(station, truck))
+
+
+def _price_per_minute_at(station: StationSpec, rate: float) -> float:
+    """`electricity_price_per_minute` for a rate the caller already has."""
+    return station.electricity_price_energy * rate
 
 
 def _is_finite_number(x: Any) -> bool:

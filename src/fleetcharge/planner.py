@@ -14,10 +14,15 @@ charging past capacity. The wait used for the station currently being
 negotiated is that station's live quote; stations further ahead get the
 truck's assumed wait.
 
-The problem is solved exactly: every stop pattern is enumerated (the route
-tail is small), and for each pattern the durations form a linear program
-with a single epigraph variable for the overtime hinge. Three prunings
-skip most of those LPs, and none is heuristic:
+The problem is solved exactly: stop patterns are enumerated level by level,
+fewest stops first, and for each pattern the durations form a linear
+program with a single epigraph variable for the overtime hinge. Before any
+pattern is visited, one pass over the route decides whether any pattern is
+feasible at all. It keeps the highest battery level that any choice of
+stops so far can reach: at each ramp the truck drives past, or, when the
+level meets the bound there, refills to full. A tail with no feasible
+pattern is reported infeasible without enumerating anything. Three
+per-pattern prunings then skip most of the LPs, and none is heuristic:
 
 * a pattern whose charge-to-full trajectory already dips below a bound has
   no feasible durations at all (charging to full is pointwise the highest
@@ -41,6 +46,15 @@ skipped only when its bound exceeds the best cost plus the tie tolerance,
 while a solved pattern replaces the best only when it is cheaper by more
 than that tolerance, so pruning never changes which pattern wins.
 
+The same bound, taken over a whole level, ends the enumeration. Every
+pattern with k or more stops pays at least the k smallest stop labors,
+and must buy at least the shortfall at the destination of a no-charge
+trajectory that takes the k shortest detours, at the tail's cheapest
+per-kWh cost and fastest rate. Once that level bound exceeds the best cost
+plus the tie tolerance, no pattern of this level or any later one can
+win, and the loop stops. Patterns of the levels it never reaches are never
+generated.
+
 Patterns with at most one stop never reach the simplex. The no-stop
 pattern's LP has a single variable, the overtime hinge, and is solved
 directly with the same floats the simplex would produce. A one-stop
@@ -53,8 +67,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Any, Callable, Sequence
+from itertools import combinations
+from typing import Any, Callable, Iterable, Sequence
 
 from .lp import LPResult, solve_lp
 from .model import (
@@ -65,6 +79,7 @@ from .model import (
     TruckParams,
     _check_params,
     _check_station,
+    _price_per_minute_at,
     charging_rate,
     decode_record,
     electricity_price_per_minute,
@@ -81,6 +96,7 @@ __all__ = [
     "check_feasibility",
     "anticipated_overtime",
     "evaluate_plan_cost",
+    "has_feasible_pattern",
     "solve_charging_problem",
     "minimal_rescue_charge",
     "planner_input_from_dict",
@@ -88,6 +104,9 @@ __all__ = [
 ]
 
 _COST_TIE_TOL = 1e-9
+# how far a charge-to-full trajectory may dip below a bound and still be
+# left for the LP to judge; energy needs are lowered by the same margin
+_ENERGY_MARGIN = 1e-7
 
 
 class RouteTooLongError(ValueError):
@@ -161,11 +180,15 @@ class PlannerInput:
             return ()
         return (self.quoted_wait,) + self.assumed_waits
 
+    # list comprehensions, not generator expressions: these run several
+    # times per plan, and a generator costs a frame per call
     def rates(self) -> tuple[float, ...]:
-        return tuple(charging_rate(s, self.params) for s in self.stations)
+        p = self.params
+        return tuple([charging_rate(s, p) for s in self.stations])
 
     def prices_per_minute(self) -> tuple[float, ...]:
-        return tuple(electricity_price_per_minute(s, self.params) for s in self.stations)
+        p = self.params
+        return tuple([electricity_price_per_minute(s, p) for s in self.stations])
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,8 +320,24 @@ def evaluate_plan_cost(
 # -- fixed stop pattern: the duration LP -------------------------------------
 
 
-def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
-    """Energy constants of the route tail, and the per-pattern energy walk.
+_Ramp = tuple[float, float, float, float]
+
+
+def _ramps(inp: PlannerInput) -> list[_Ramp]:
+    """Per remaining ramp: the battery bound there, the drain of driving
+    past, the drain of stopping (detour both ways plus the segment), and
+    the level after leaving a full charge."""
+    e_safe, e_full, p_bar = inp.params.e_safe, inp.params.e_full, inp.params.p_bar
+    return [
+        (e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), e_full - p_bar * (d + s))
+        for d, s in zip(inp.detour_times, inp.segment_times)
+    ]
+
+
+def _pattern_need(
+    inp: PlannerInput, ramps: list[_Ramp]
+) -> Callable[[Sequence[int]], float | None]:
+    """The per-pattern energy walk over the route tail's `_ramps`.
 
     The returned function maps a stop pattern (ascending station indices)
     to the energy, in kWh, that any feasible durations must buy, or to None
@@ -314,17 +353,10 @@ def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
       It is lowered by the same margin, so a pattern the LP accepts within
       its feasibility tolerance still buys at least that much.
     """
-    eps = 1e-7
+    eps = _ENERGY_MARGIN
     strict = inp.require_detour_margin_everywhere
     battery = inp.battery
-    e_safe, e_full, p_bar = inp.params.e_safe, inp.params.e_full, inp.params.p_bar
-    # per ramp: the bound there, the drain of driving past, the drain of
-    # stopping (detour both ways plus the segment), and the level after
-    # leaving a full charge
-    ramps = [
-        (e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), e_full - p_bar * (d + s))
-        for d, s in zip(inp.detour_times, inp.segment_times)
-    ]
+    e_safe = inp.params.e_safe
 
     def need_of(selected: Sequence[int]) -> float | None:
         high = battery  # charge-to-full trajectory
@@ -352,6 +384,35 @@ def _pattern_need(inp: PlannerInput) -> Callable[[Sequence[int]], float | None]:
     return need_of
 
 
+def has_feasible_pattern(inp: PlannerInput) -> bool:
+    """Whether some stop pattern has feasible durations by the
+    charge-to-full test of `_pattern_need`, in one pass over the route."""
+    return _feasible(inp, _ramps(inp))
+
+
+def _feasible(inp: PlannerInput, ramps: list[_Ramp]) -> bool:
+    """`has_feasible_pattern` over the input's already built `_ramps`.
+
+    Float subtraction is monotone, so a higher battery at a ramp is never
+    worse than a lower one: it can drive past wherever the lower one can,
+    and stopping refills both to the same level. The pass therefore keeps
+    only the highest level any pattern reaches. At each ramp the truck
+    drives past or, when the level meets the bound there, stops and
+    refills; in strict margin mode driving past needs the bound too.
+    """
+    strict = inp.require_detour_margin_everywhere
+    eps = _ENERGY_MARGIN
+    high = inp.battery
+    for floor, drive, _, refilled in ramps:
+        if high >= floor - eps:
+            high = max(high - drive, refilled)
+        elif strict:
+            return False
+        else:
+            high -= drive
+    return high >= inp.params.e_safe - eps
+
+
 class _RouteTail:
     """Constants of one route tail, built once per plan, and the
     per-pattern computations that share them: the cost lower bound and the
@@ -361,15 +422,13 @@ class _RouteTail:
 
     __slots__ = (
         "inp",
+        "ramps",
         "need_of",
         "rates",
         "minute_cost",
         "cost_per_kwh",
         "labor",
-        "floors",
         "detour_drain",
-        "drive",
-        "stop",
         "seg_total",
     )
 
@@ -378,20 +437,17 @@ class _RouteTail:
         rates = inp.rates()
         waits = inp.waits()
         self.inp = inp
-        self.need_of = _pattern_need(inp)
+        self.ramps = _ramps(inp)
+        self.need_of = _pattern_need(inp, self.ramps)
         self.rates = rates
         # labor plus electricity per charging minute, and per kWh bought
-        self.minute_cost = [p.kappa + price for price in inp.prices_per_minute()]
+        self.minute_cost = [
+            p.kappa + _price_per_minute_at(s, r) for s, r in zip(inp.stations, rates)
+        ]
         self.cost_per_kwh = [c / r for c, r in zip(self.minute_cost, rates)]
         # fixed minutes of a stop: the detour both ways plus the wait
         self.labor = [2.0 * d + w for d, w in zip(inp.detour_times, waits)]
-        self.floors = [p.e_safe + p.p_bar * d for d in inp.detour_times]
         self.detour_drain = [p.p_bar * d for d in inp.detour_times]
-        # drain of driving past a ramp, and of stopping there
-        self.drive = [p.p_bar * s for s in inp.segment_times]
-        self.stop = [
-            p.p_bar * (2.0 * d + s) for d, s in zip(inp.detour_times, inp.segment_times)
-        ]
         self.seg_total = ordered_sum(inp.segment_times)
 
     def bound(self, selected: Sequence[int]) -> tuple[float, float] | None:
@@ -430,6 +486,29 @@ class _RouteTail:
             lower += hinge
         return lower, const
 
+    def level_bound(self, k: int) -> float:
+        """A lower bound on the cost of every pattern with k or more stops.
+
+        It is `bound` with each pattern quantity replaced by its least value
+        over those patterns: the k smallest stop labors, the shortfall at
+        the destination of the no-charge trajectory that takes the k
+        shortest detours, and the whole tail's cheapest per-kWh cost and
+        fastest rate. It never decreases with k.
+        """
+        p = self.inp.params
+        fixed = ordered_sum(sorted(self.labor)[:k])
+        shortfall = (
+            p.e_safe
+            - self.inp.battery
+            + ordered_sum([drive for _, drive, _, _ in self.ramps])
+            + 2.0 * ordered_sum(sorted(self.detour_drain)[:k])
+            - _ENERGY_MARGIN
+        )
+        need = max(shortfall, 0.0)
+        lower = p.kappa * fixed + min(self.cost_per_kwh) * need
+        overtime = self.seg_total - self.inp.remaining_time + fixed + need / max(self.rates)
+        return lower + max(p.rho * overtime, 0.0)
+
     def lp(
         self,
         selected: Sequence[int],
@@ -459,7 +538,7 @@ class _RouteTail:
         # strictly before ramp l
         drain = [0.0]
         total = 0.0
-        for l, (drive, stop) in enumerate(zip(self.drive, self.stop)):
+        for l, (_, drive, stop, _) in enumerate(self.ramps):
             total += stop if l in picked else drive
             drain.append(total)
         m = len(rates)
@@ -471,7 +550,7 @@ class _RouteTail:
         for l in range(m):
             if inp.require_detour_margin_everywhere or l in picked:
                 a_ub.append([-rates[k] if k < l else 0.0 for k in selected] + hinge_col)
-                b_ub.append(inp.battery - drain[l] - self.floors[l])
+                b_ub.append(inp.battery - drain[l] - self.ramps[l][0])
         # reserve bound at the destination
         a_ub.append([-rates[k] for k in selected] + hinge_col)
         b_ub.append(inp.battery - drain[m] - p.e_safe)
@@ -522,7 +601,7 @@ class _RouteTail:
         strict = inp.require_detour_margin_everywhere
         shortfall = 0.0
         drain = 0.0
-        for drive, floor in zip(self.drive, self.floors):
+        for floor, drive, _, _ in self.ramps:
             if strict:
                 b = inp.battery - drain - floor
                 if b < 0:
@@ -566,7 +645,7 @@ class _RouteTail:
         lifted: list[float] = []
         drain = 0.0
         headroom = 0.0
-        for l, (drive, stop, floor) in enumerate(zip(self.drive, self.stop, self.floors)):
+        for l, (floor, drive, stop, _) in enumerate(self.ramps):
             if strict or l == k:
                 b = battery - drain - floor
                 if l > k:
@@ -594,59 +673,63 @@ class _RouteTail:
         return LPResult(status="optimal", x=(t, z), objective=self.minute_cost[k] * t + z)
 
 
-_PATTERN_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _stop_patterns(m: int) -> list[tuple[int, ...]]:
-    """All stop patterns as index tuples, fewest stops first, then by the
-    pattern's bit string (bit i set when station i is a stop). The first
-    cost-tied pattern in this order wins, so ties prefer fewer stops, then
+def _level_patterns(m: int, k: int) -> Iterable[tuple[int, ...]]:
+    """The stop patterns with k stops, as index tuples, in tie-break order:
+    by the pattern's bit string (bit i set when station i is a stop), which
+    is reversed lexicographic order. Levels are visited fewest stops first
+    and the first cost-tied pattern wins, so ties prefer fewer stops, then
     later stations: for m = 3 the order is (), (2,), (1,), (0,), (1, 2),
     (0, 2), (0, 1), (0, 1, 2)."""
-    cached = _PATTERN_CACHE.get(m)
-    if cached is None:
-        bit_tuples = sorted(product((0, 1), repeat=m), key=lambda b: (sum(b), b))
-        cached = [tuple(i for i, b in enumerate(bits) if b) for bits in bit_tuples]
-        _PATTERN_CACHE[m] = cached
-    return cached
+    return reversed(list(combinations(range(m), k)))
 
 
 def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     """Exactly solve the stop-and-duration problem for one route tail.
 
-    Enumerates every stop pattern (fewest stops first), solves the duration
-    LP for each surviving pattern, and keeps the cheapest; cost ties within
-    1e-9 keep the earlier pattern. A winner with two or more stops then has
-    its durations canonicalized by a second LP minimizing total charging
-    time among cost-optimal durations, so reported plans are unique and
-    replayable; a one-stop winner's closed-form duration is already that
-    minimum. ``lp_solves`` counts the `solve_lp` calls, so patterns with at
-    most one stop, solved directly, add none.
+    Returns 'infeasible' at once when no pattern passes the charge-to-full
+    test. Otherwise enumerates stop patterns level by level, fewest stops
+    first, solves the duration LP for each surviving pattern, and keeps the
+    cheapest; cost ties within 1e-9 keep the earlier pattern. The loop stops
+    at the first level whose level bound exceeds the best cost plus that
+    tolerance. The bound is taken only once some pattern has been solved,
+    and not for the last level, a single pattern that its own bound covers.
+    ``patterns_considered`` counts the patterns visited. A winner with two
+    or more stops then has its durations canonicalized by a second LP
+    minimizing total charging time among cost-optimal durations, so
+    reported plans are unique and replayable; a one-stop winner's
+    closed-form duration is already that minimum. ``lp_solves`` counts the
+    `solve_lp` calls, so patterns with at most one stop, solved directly,
+    add none.
     """
-    m = inp.station_count
     tail = _RouteTail(inp)
+    if not _feasible(inp, tail.ramps):
+        return PlannerSolution(status="infeasible", plan=None, patterns_considered=0, lp_solves=0)
+    m = inp.station_count
     best_cost = math.inf
     best_const = 0.0
     best_selected: tuple[int, ...] | None = None
     best_x: tuple[float, ...] = ()
     lp_solves = 0
     considered = 0
-    for selected in _stop_patterns(m):
-        considered += 1
-        bounds = tail.bound(selected)
-        if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
-            continue
-        if len(selected) > 1:
-            lp_solves += 1
-        result = tail.solve(selected)
-        if result.status != "optimal":
-            continue
-        cost = result.objective + bounds[1]
-        if cost < best_cost - _COST_TIE_TOL:
-            best_cost = cost
-            best_const = bounds[1]
-            best_selected = selected
-            best_x = result.x
+    for k in range(m + 1):
+        if best_cost < math.inf and k < m and tail.level_bound(k) > best_cost + _COST_TIE_TOL:
+            break
+        for selected in _level_patterns(m, k):
+            considered += 1
+            bounds = tail.bound(selected)
+            if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
+                continue
+            if len(selected) > 1:
+                lp_solves += 1
+            result = tail.solve(selected)
+            if result.status != "optimal":
+                continue
+            cost = result.objective + bounds[1]
+            if cost < best_cost - _COST_TIE_TOL:
+                best_cost = cost
+                best_const = bounds[1]
+                best_selected = selected
+                best_x = result.x
 
     if best_selected is None:
         return PlannerSolution(
@@ -707,10 +790,17 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     """Build a planner input from parsed JSON (the CLI's `plan` payload).
 
     Truck parameters and stations get the same checks as in a scenario;
-    any violation raises ValueError naming every problem found. A battery
-    above capacity is rejected like a scenario's ``e_initial``, and the
-    margin flag must be a JSON boolean.
+    any violation raises ValueError naming every problem found. The route
+    legs, battery, waits and time budget are decoded as the input's fields
+    (finite numbers, lists of them) and raise ValueError naming the first
+    bad field. A battery above capacity is rejected like a scenario's
+    ``e_initial``, and the margin flag must be a JSON boolean.
     """
+
+    def decoded(tp: Any, name: str, *default: Any) -> Any:
+        value = doc.get(name, *default) if default else doc[name]
+        return decode_record(tp, value, "planner input", name)
+
     try:
         params = decode_record(TruckParams, doc["params"], "planner input", "params")
         stations = decode_record(
@@ -731,12 +821,12 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
         inp = PlannerInput(
             params=params,
             stations=stations,
-            segment_times=tuple(doc["segment_times"]),
-            detour_times=tuple(doc["detour_times"]),
-            battery=doc["battery"],
-            quoted_wait=doc.get("quoted_wait", 0.0),
-            assumed_waits=tuple(doc.get("assumed_waits", ())),
-            remaining_time=doc["remaining_time"],
+            segment_times=decoded(tuple[float, ...], "segment_times"),
+            detour_times=decoded(tuple[float, ...], "detour_times"),
+            battery=decoded(float, "battery"),
+            quoted_wait=decoded(float, "quoted_wait", 0.0),
+            assumed_waits=decoded(tuple[float, ...], "assumed_waits", []),
+            remaining_time=decoded(float, "remaining_time"),
             require_detour_margin_everywhere=strict,
         )
     except KeyError as exc:

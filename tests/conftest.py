@@ -131,10 +131,11 @@ def _tenths(lo: float, hi: float):
 
 
 @st.composite
-def planner_inputs(draw) -> PlannerInput:
-    """Hypothesis inputs up to m=8 with non-uniform port power and prices,
-    rho in {0, 1, 10, 100}, kappa in {0, 0.4}, and both margin modes."""
-    m = draw(st.integers(0, 8))
+def planner_inputs(draw, min_stations: int = 0, max_stations: int = 8) -> PlannerInput:
+    """Hypothesis inputs with ``min_stations`` to ``max_stations`` remaining
+    stations, non-uniform port power and prices, rho in {0, 1, 10, 100},
+    kappa in {0, 0.4}, and both margin modes."""
+    m = draw(st.integers(min_stations, max_stations))
     stations = tuple(
         make_station(
             f"s{l + 1:02d}",

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from fleetcharge.model import ChargeDecision
-from fleetcharge.planner import (
-    PlannerInput,
-    _stop_patterns,
-    check_feasibility,
-    evaluate_plan_cost,
-)
+from fleetcharge.planner import PlannerInput, check_feasibility, evaluate_plan_cost
+
+from reference_planner import stop_patterns
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +60,7 @@ def brute_force_oracle(
     best_durs: tuple[float, ...] | None = None
     best_selected: tuple[int, ...] | None = None
 
-    for selected in _stop_patterns(m):
+    for selected in stop_patterns(m):
         sel_set = frozenset(selected)
         const_cost = p.kappa * sum(2.0 * inp.detour_times[l] + waits[l] for l in selected)
         fixed_minutes = seg_total + sum(

@@ -7,11 +7,17 @@ the package planner to return exactly the same plans. Each pattern is
 solved through the planner's own per-pattern entry point, so the two
 differ only in pruning; the direct solvers are checked against the simplex
 elsewhere. ``lp_solves`` counts `solve_lp` calls, as the planner does.
+
+It visits every pattern in the bit-string order of `stop_patterns`, which
+the planner's lazy per-level order must reproduce, and records the best
+cost found before each level starts, from which the tests derive how many
+patterns the planner's level cutoff lets it visit.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 from fleetcharge.model import ChargeDecision, ChargingPlan
 from fleetcharge.planner import (
@@ -19,9 +25,16 @@ from fleetcharge.planner import (
     PlannerInput,
     PlannerSolution,
     _RouteTail,
-    _stop_patterns,
     evaluate_plan_cost,
 )
+
+
+def stop_patterns(m: int) -> list[tuple[int, ...]]:
+    """All stop patterns as index tuples, fewest stops first, then by the
+    pattern's bit string (bit i set when station i is a stop): for m = 3,
+    (), (2,), (1,), (0,), (1, 2), (0, 2), (0, 1), (0, 1, 2)."""
+    bit_tuples = sorted(product((0, 1), repeat=m), key=lambda b: (sum(b), b))
+    return [tuple(i for i, b in enumerate(bits) if b) for bits in bit_tuples]
 
 
 def _pattern_constant_cost(inp: PlannerInput, selected: tuple[int, ...]) -> float:
@@ -52,6 +65,12 @@ def max_charge_feasible(inp: PlannerInput, selected: frozenset[int]) -> bool:
 
 
 def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
+    return reference_search(inp)[0]
+
+
+def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
+    """The reference solution, and the best cost found before each level
+    k = 0..m starts (infinite until some pattern is solved)."""
     m = inp.station_count
     tail = _RouteTail(inp)
     best_cost = math.inf
@@ -59,7 +78,10 @@ def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     best_x: tuple[float, ...] = ()
     lp_solves = 0
     considered = 0
-    for selected in _stop_patterns(m):
+    level_best = []
+    for selected in stop_patterns(m):
+        if len(selected) == len(level_best):
+            level_best.append(best_cost)
         considered += 1
         if _pattern_constant_cost(inp, selected) > best_cost + _COST_TIE_TOL:
             continue
@@ -77,9 +99,10 @@ def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
             best_x = result.x
 
     if best_selected is None:
-        return PlannerSolution(
+        solution = PlannerSolution(
             status="infeasible", plan=None, patterns_considered=considered, lp_solves=lp_solves
         )
+        return solution, level_best
 
     chosen = best_x
     if len(best_selected) > 1:
@@ -103,6 +126,7 @@ def reference_solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     )
     cost, overtime = evaluate_plan_cost(inp, decisions)
     plan = ChargingPlan(decisions=decisions, anticipated_cost=cost, anticipated_overtime=overtime)
-    return PlannerSolution(
+    solution = PlannerSolution(
         status="optimal", plan=plan, patterns_considered=considered, lp_solves=lp_solves
     )
+    return solution, level_best

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from fleetcharge.cli import main
 from fleetcharge.model import MAX_ENUMERATED_STATIONS, scenario_to_json
 
 from conftest import make_params, make_scenario, make_station, make_truck
+
+ROOT = Path(__file__).resolve().parent.parent
+# the README's `plan` example, which CI also runs on a bare install
+PLAN_INPUT = ROOT / "tests" / "fixtures" / "plan_input.json"
 
 RUN_FILES = (
     "metrics.json",
@@ -319,28 +324,13 @@ def test_generate_rejects_a_bad_template_with_exit_one(tmp_path, capsys, setting
 
 
 def _plan_payload() -> dict:
-    return {
-        "params": {
-            "p_max": 375.0,
-            "p_bar": 1.83,
-            "e_full": 624.0,
-            "e_safe": 156.0,
-            "kappa": 0.4,
-            "rho": 10.0,
-        },
-        "stations": [
-            {
-                "id": "s01",
-                "port_count": 3,
-                "port_power": 300.0,
-                "electricity_price_energy": 0.36,
-            }
-        ],
-        "segment_times": [60.0],
-        "detour_times": [5.0],
-        "battery": 230.0,
-        "remaining_time": 250.0,
-    }
+    return json.loads(PLAN_INPUT.read_text())
+
+
+def test_readme_plan_example_is_the_fixture():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("fleetcharge plan --input", 1)[1].split("```json\n", 1)[1]
+    assert json.loads(example.split("```", 1)[0]) == _plan_payload()
 
 
 def test_plan_subcommand(tmp_path, capsys):
@@ -356,6 +346,21 @@ def test_plan_subcommand(tmp_path, capsys):
     assert main(["plan", "--input", str(src)]) == 0
     captured = capsys.readouterr().out
     assert '"status": "optimal"' in captured
+
+
+def test_plan_defaults_the_optional_waits(tmp_path):
+    # the fixture spells out the defaults: no live quote and no assumed waits
+    payload = _plan_payload()
+    assert (payload["quoted_wait"], payload["assumed_waits"]) == (0.0, [])
+    plans = []
+    for doc in (payload, {k: v for k, v in payload.items() if "wait" not in k}):
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(doc))
+        dst = tmp_path / "plan.json"
+        assert main(["plan", "--input", str(src), "--out", str(dst)]) == 0
+        plans.append(dst.read_text())
+    assert plans[0] == plans[1]
+    assert json.loads(plans[1])["status"] == "optimal"
 
 
 def test_plan_rejects_bad_input(tmp_path, capsys):
@@ -379,6 +384,20 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
         ("params", "p_bar", float("nan"), "params: p_bar must be a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
         ("input", "battery", 5000, "battery 5000 exceeds battery capacity 624.0"),
+        *(
+            pytest.param(
+                "input", field, value, f"planner input: {text}", id=f"input-{field}-{label}"
+            )
+            for field, value, label, text in (
+                ("battery", True, "bool", "battery must be a finite number"),
+                ("battery", 10**400, "huge", "battery must be a finite number"),
+                ("remaining_time", True, "bool", "remaining_time must be a finite number"),
+                ("quoted_wait", None, "null", "quoted_wait must be a finite number"),
+                ("segment_times", [10**400], "huge", "segment_times[0] must be a finite number"),
+                ("detour_times", [False], "bool", "detour_times[0] must be a finite number"),
+                ("assumed_waits", {}, "object", "assumed_waits must be a list"),
+            )
+        ),
         *(
             ("input", "require_detour_margin_everywhere", flag,
              f"require_detour_margin_everywhere must be true or false, got {flag!r}")

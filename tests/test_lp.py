@@ -18,6 +18,7 @@ from fleetcharge.lp import solve_lp
 
 import reference_lp
 from conftest import planner_inputs
+from reference_planner import stop_patterns
 
 
 def test_trivial_minimum_at_origin():
@@ -107,7 +108,7 @@ def test_duration_lps_match_the_numpy_reference(inp):
 
     with mock.patch.object(planner, "solve_lp", recording):
         tail = planner._RouteTail(inp)
-        for selected in planner._stop_patterns(inp.station_count):
+        for selected in stop_patterns(inp.station_count):
             tail.lp(selected)
         # the canonical (cost_cap + minimize_total_time) and rescue variants
         planner.solve_charging_problem(inp)

@@ -77,7 +77,7 @@ def _row_levels(inp, k: int) -> list[float]:
     strict = inp.require_detour_margin_everywhere
     levels = []
     drain = 0.0
-    for l, (drive, stop, floor) in enumerate(zip(tail.drive, tail.stop, tail.floors)):
+    for l, (floor, drive, stop, _) in enumerate(tail.ramps):
         if strict or l == k:
             levels.append(drain + floor)
         drain += stop if l == k else drive
@@ -113,7 +113,8 @@ def near_boundary_cases(draw):
     if mode == "headroom":
         tail = _RouteTail(inp)
         p = inp.params
-        headroom_level = p.e_full + sum(tail.drive[:k]) + tail.detour_drain[k]
+        drain = sum(drive for _, drive, _, _ in tail.ramps[:k])
+        headroom_level = p.e_full + drain + tail.detour_drain[k]
         segs = list(inp.segment_times)
         segs[-1] += (offset - (levels[-1] - headroom_level)) / p.p_bar
         assume(segs[-1] >= 0.0)

@@ -1,40 +1,155 @@
-"""Lower-bound pruning: the planner agrees with the enumerate-everything
-reference plan for plan, and the bound never exceeds a pattern's optimum."""
+"""Lower-bound pruning and the level cutoff: the planner agrees with the
+enumerate-everything reference plan for plan, no bound exceeds a pattern's
+optimum, and the one-pass feasibility test agrees with full enumeration."""
 
+from math import comb
+
+import pytest
 from hypothesis import given, settings
 
 from fleetcharge import protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.planner import _RouteTail, _stop_patterns, solve_charging_problem
+from fleetcharge.model import ordered_sum
+from fleetcharge.planner import (
+    _COST_TIE_TOL,
+    _level_patterns,
+    _RouteTail,
+    check_feasibility,
+    evaluate_plan_cost,
+    has_feasible_pattern,
+    solve_charging_problem,
+)
 from fleetcharge.reports import write_run_outputs
 
-from conftest import assignment_lp, planner_inputs
-from reference_planner import reference_solve_charging_problem
+from conftest import assignment_lp, make_planner_input, planner_inputs
+from reference_planner import (
+    max_charge_feasible,
+    reference_search,
+    reference_solve_charging_problem,
+    stop_patterns,
+)
+
+
+def level_bound(inp, k):
+    """The cost that no pattern with k or more stops beats, from the input
+    alone: the k smallest stop labors, the destination shortfall of the
+    no-charge trajectory with the k shortest detours, the cheapest per-kWh
+    cost and the fastest rate."""
+    p = inp.params
+    labor = sorted(2.0 * d + w for d, w in zip(inp.detour_times, inp.waits()))
+    detours = sorted(2.0 * (p.p_bar * d) for d in inp.detour_times)
+    drive = ordered_sum(p.p_bar * s for s in inp.segment_times)
+    fixed = ordered_sum(labor[:k])
+    need = max(p.e_safe - inp.battery + drive + ordered_sum(detours[:k]) - 1e-7, 0.0)
+    cheapest = min(
+        (p.kappa + price) / rate for price, rate in zip(inp.prices_per_minute(), inp.rates())
+    )
+    overtime = ordered_sum(inp.segment_times) - inp.remaining_time + fixed + need / max(inp.rates())
+    return p.kappa * fixed + cheapest * need + max(p.rho * overtime, 0.0)
+
+
+def expected_patterns_considered(inp, level_best):
+    """Patterns the planner visits: none when no pattern passes the
+    charge-to-full test, else every level before the first level k < m
+    whose bound exceeds the reference's best cost over the lower levels."""
+    m = inp.station_count
+    if not any(max_charge_feasible(inp, frozenset(p)) for p in stop_patterns(m)):
+        return 0
+    count = 0
+    for k in range(m + 1):
+        if k < m and level_bound(inp, k) > level_best[k] + _COST_TIE_TOL:
+            break
+        count += comb(m, k)
+    return count
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planner_inputs())
 def test_pruned_planner_matches_reference(inp):
     pruned = solve_charging_problem(inp)
+    reference, level_best = reference_search(inp)
+    assert pruned.status == reference.status
+    assert pruned.plan == reference.plan
+    assert pruned.patterns_considered == expected_patterns_considered(inp, level_best)
+    assert pruned.lp_solves <= reference.lp_solves
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(planner_inputs(min_stations=9, max_stations=12))
+def test_planner_matches_the_uncut_reference_up_to_twelve_stations(inp):
+    pruned = solve_charging_problem(inp)
     reference = reference_solve_charging_problem(inp)
     assert pruned.status == reference.status
     assert pruned.plan == reference.plan
-    assert pruned.patterns_considered == reference.patterns_considered
-    assert pruned.lp_solves <= reference.lp_solves
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(planner_inputs(min_stations=13, max_stations=16))
+def test_long_tails_get_feasible_plans_at_their_own_cost(inp):
+    solution = solve_charging_problem(inp)
+    assert solution.status == ("optimal" if has_feasible_pattern(inp) else "infeasible")
+    if solution.plan is not None:
+        assert check_feasibility(inp, solution.plan) == []
+        assert evaluate_plan_cost(inp, solution.plan)[0] == solution.plan.anticipated_cost
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planner_inputs())
+def test_one_pass_feasibility_matches_full_enumeration(inp):
+    patterns = stop_patterns(inp.station_count)
+    expected = any(max_charge_feasible(inp, frozenset(p)) for p in patterns)
+    assert has_feasible_pattern(inp) == expected
+
+
+@pytest.mark.parametrize(
+    "segments, detours, battery, strict, feasible",
+    [
+        # 200 kWh is below the first ramp's bound of 156 + 1.83 * 30, but a
+        # truck that drives past it can stop at the second, which has no
+        # detour; in strict margin mode it cannot drive past either
+        ((5.0, 200.0), (30.0, 0.0), 200.0, False, True),
+        ((5.0, 200.0), (30.0, 0.0), 200.0, True, False),
+        # a refill after a 120-minute detour leaves less than driving past
+        ((150.0,), (120.0,), 620.0, True, True),
+    ],
+)
+def test_one_pass_feasibility_on_routes_with_long_detours(
+    segments, detours, battery, strict, feasible
+):
+    inp = make_planner_input(
+        segment_times=segments,
+        detour_times=detours,
+        battery=battery,
+        require_detour_margin_everywhere=strict,
+    )
+    patterns = stop_patterns(inp.station_count)
+    assert any(max_charge_feasible(inp, frozenset(p)) for p in patterns) is feasible
+    assert has_feasible_pattern(inp) is feasible
+    assert solve_charging_problem(inp).status == ("optimal" if feasible else "infeasible")
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_level_order_is_the_bit_string_order(m):
+    assert [p for k in range(m + 1) for p in _level_patterns(m, k)] == stop_patterns(m)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planner_inputs())
 def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
-    bound = _RouteTail(inp).bound
-    for selected in _stop_patterns(inp.station_count):
+    tail = _RouteTail(inp)
+    for selected in stop_patterns(inp.station_count):
         result = assignment_lp(inp, selected)
         if result.status != "optimal":
             continue
-        bounds = bound(selected)
+        bounds = tail.bound(selected)
         assert bounds is not None, f"pattern {selected} has an optimum but no bound"
         lower, const = bounds
-        assert lower <= float(result.objective) + const + 1e-9
+        optimum = float(result.objective) + const
+        assert lower <= optimum + 1e-9
+        # the level bound is nondecreasing in k, so its own level suffices
+        if selected:
+            assert tail.level_bound(len(selected)) <= optimum + 1e-9
+            assert level_bound(inp, len(selected)) == tail.level_bound(len(selected))
 
 
 def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
