@@ -277,7 +277,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     doc = _read_json(args.input, "input")
     try:
         inp = planner_input_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, f"bad planning input: {exc}")
     solution = solve_charging_problem(inp)
     out_text = json.dumps(solution_to_dict(solution), indent=2, allow_nan=False) + "\n"

@@ -31,6 +31,9 @@ from .planner import PlannerInput, has_feasible_pattern
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
 
+# draws of one truck before generation gives up on a template
+MAX_RESAMPLE_ATTEMPTS = 200
+
 
 def _snap01(x: float) -> float:
     return round(x, 1)
@@ -74,7 +77,6 @@ class ScenarioTemplate:
     e_safe: float = defaults.E_SAFE_KWH
     kappa: float = defaults.KAPPA_EUR_PER_MIN
     rho: float = defaults.RHO_EUR_PER_MIN
-    max_resample_attempts: int = 200
 
     def __post_init__(self) -> None:
         problems = []
@@ -159,7 +161,7 @@ def _route_completable(
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     """Sample a scenario from ``template`` with every draw pinned by
     ``seed``. Raises ValueError if a completable truck cannot be sampled
-    within the template's resample budget."""
+    within ``MAX_RESAMPLE_ATTEMPTS`` draws."""
     rng = random.Random(seed)
     stations = _sample_stations(template, rng)
     params = _truck_params(template)
@@ -174,7 +176,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     trucks = []
     for i in range(template.truck_count):
         accepted = None
-        for _ in range(template.max_resample_attempts):
+        for _ in range(MAX_RESAMPLE_ATTEMPTS):
             n_stops = rng.randint(lo_stops, hi_stops)
             idxs = sorted(rng.sample(range(template.station_count), n_stops))
             route_stations = tuple(stations[j] for j in idxs)
@@ -219,7 +221,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
         if accepted is None:
             raise ValueError(
                 f"could not sample a completable truck after "
-                f"{template.max_resample_attempts} attempts"
+                f"{MAX_RESAMPLE_ATTEMPTS} attempts"
             )
         trucks.append(accepted)
 

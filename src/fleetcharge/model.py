@@ -325,8 +325,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 #
 # Every record's JSON form is its field list: an object with one key per
 # dataclass field in declaration order, tuples as lists and nested records
-# as objects. The one exception is metrics.json, which RunMetrics.to_dict
-# lays out. Decoding checks types only; invariants are validation's job. A
+# as objects. The one layout written by hand is the per-truck objects of
+# metrics.json (RunMetrics.to_dict): they add derived keys (a trip's total
+# wait and charge time, a visit's constant "charged") that no record field
+# holds. Decoding checks types only; invariants are validation's job. A
 # float field takes any finite JSON number and keeps an integer literal an
 # int, so round-trips do not rewrite "160" as "160.0". Keys that are not
 # fields are ignored, and a field with a default may be absent.
@@ -359,12 +361,13 @@ def _record_fields(cls: type) -> tuple[tuple[str, Any, bool, bool], ...]:
 
 
 def encode_record(obj: Any) -> dict[str, Any]:
-    """A record's JSON form; json writes its tuples as lists."""
+    """A record's JSON form, tuples as lists, which `decode_record` reads
+    back."""
     doc = {}
     for name, _, _, nested in _record_fields(type(obj)):
         value = getattr(obj, name)
-        if nested and type(value) is tuple:
-            value = [encode_record(x) for x in value]
+        if type(value) is tuple:
+            value = [encode_record(x) for x in value] if nested else list(value)
         elif nested and value is not None:
             value = encode_record(value)
         doc[name] = value

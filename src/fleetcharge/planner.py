@@ -745,9 +745,6 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
         if canonical.status == "optimal":
             chosen = canonical.x
-        else:
-            lp_solves += 1
-            chosen = tail.lp(best_selected).x
     for i, l in enumerate(best_selected):
         durations[l] = chosen[i]
     decisions = tuple(
@@ -789,54 +786,26 @@ def minimal_rescue_charge(inp: PlannerInput) -> float | None:
 def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     """Build a planner input from parsed JSON (the CLI's `plan` payload).
 
-    Truck parameters and stations get the same checks as in a scenario;
-    any violation raises ValueError naming every problem found. The route
-    legs, battery, waits and time budget are decoded as the input's fields
-    (finite numbers, lists of them) and raise ValueError naming the first
-    bad field. A battery above capacity is rejected like a scenario's
-    ``e_initial``, and the margin flag must be a JSON boolean.
+    The payload is decoded as the input's fields, so a mistyped field
+    raises ValueError naming it; ``quoted_wait`` and ``assumed_waits``
+    default to no live quote and no assumed waits. Truck parameters and
+    stations then get the same checks as in a scenario, and any violation
+    raises ValueError naming every problem found. A battery above capacity
+    is rejected like a scenario's ``e_initial``.
     """
-
-    def decoded(tp: Any, name: str, *default: Any) -> Any:
-        value = doc.get(name, *default) if default else doc[name]
-        return decode_record(tp, value, "planner input", name)
-
-    try:
-        params = decode_record(TruckParams, doc["params"], "planner input", "params")
-        stations = decode_record(
-            tuple[StationSpec, ...], doc["stations"], "planner input", "stations"
+    inp = decode_record(
+        PlannerInput, {"quoted_wait": 0.0, "assumed_waits": [], **doc}, "planner input"
+    )
+    problems: list[str] = []
+    _check_params("planner input", inp.params, problems)
+    for s in inp.stations:
+        _check_station(f"station {s.id}", s, problems)
+    if inp.battery > inp.params.e_full:
+        problems.append(
+            f"planner input: battery {inp.battery} exceeds battery capacity {inp.params.e_full}"
         )
-        problems: list[str] = []
-        _check_params("planner input", params, problems)
-        for s in stations:
-            _check_station(f"station {s.id}", s, problems)
-        strict = doc.get("require_detour_margin_everywhere", True)
-        if not isinstance(strict, bool):
-            problems.append(
-                f"planner input: require_detour_margin_everywhere must be true or "
-                f"false, got {strict!r}"
-            )
-        if problems:
-            raise ValueError("; ".join(problems))
-        inp = PlannerInput(
-            params=params,
-            stations=stations,
-            segment_times=decoded(tuple[float, ...], "segment_times"),
-            detour_times=decoded(tuple[float, ...], "detour_times"),
-            battery=decoded(float, "battery"),
-            quoted_wait=decoded(float, "quoted_wait", 0.0),
-            assumed_waits=decoded(tuple[float, ...], "assumed_waits", []),
-            remaining_time=decoded(float, "remaining_time"),
-            require_detour_margin_everywhere=strict,
-        )
-    except KeyError as exc:
-        raise ValueError(f"planner input missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"planner input malformed: {exc}") from exc
-    if inp.battery > params.e_full:
-        raise ValueError(
-            f"planner input: battery {inp.battery} exceeds battery capacity {params.e_full}"
-        )
+    if problems:
+        raise ValueError("; ".join(problems))
     return inp
 
 

@@ -23,7 +23,6 @@ places.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Union
@@ -57,10 +56,8 @@ class MessageDecodeError(ValueError):
 
 
 def _check_time(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number")
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    if not _is_finite_number(value) or value < 0:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,11 +9,20 @@ regenerated from them with ``write_report_csvs``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from dataclasses import fields
 from pathlib import Path
+from typing import Any, Callable
 
-from .simulation import ComparisonReport, RunResult, StationTotals, VisitRecord, metrics_from_dict
+from .model import _record_fields
+from .simulation import (
+    ComparisonReport,
+    RunResult,
+    StationTotals,
+    TruckDelta,
+    VisitRecord,
+    metrics_from_dict,
+)
 from .station import PortLedger
 
 __all__ = [
@@ -34,22 +43,31 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _write_station_totals(path: Path, totals: tuple[StationTotals, ...]) -> Path:
-    _write_csv(
-        path,
-        [f.name for f in fields(StationTotals)],
-        [
-            [
-                s.station,
-                str(s.visits),
-                _fmt(s.waiting_minutes),
-                _fmt(s.charging_minutes),
-                _fmt(s.mean_wait),
-                _fmt(s.energy_delivered_kwh),
-            ]
-            for s in totals
-        ],
+@functools.cache
+def _cell_rule(cls: type) -> tuple[tuple[str, Callable[[Any], str]], ...]:
+    """``(field, format)`` per field of a record, in declaration order: a
+    field declared ``float`` or ``float | None`` is written with two
+    decimals and anything else with ``str``."""
+    return tuple(
+        (name, _fmt if tp in (float, float | None) else str)
+        for name, tp, _, _ in _record_fields(cls)
     )
+
+
+def _cells(record: Any) -> list[str]:
+    """A record's CSV cells by `_cell_rule`; None is an empty cell."""
+    return [
+        "" if (value := getattr(record, name)) is None else fmt(value)
+        for name, fmt in _cell_rule(type(record))
+    ]
+
+
+def _header(cls: type) -> list[str]:
+    return [name for name, _ in _cell_rule(cls)]
+
+
+def _write_station_totals(path: Path, totals: tuple[StationTotals, ...]) -> Path:
+    _write_csv(path, _header(StationTotals), [_cells(s) for s in totals])
     return path
 
 
@@ -67,24 +85,12 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     )
     written.append(metrics_path)
 
-    trips_rows = []
-    for trip in result.metrics.trips:
-        for v in trip.visits:
-            trips_rows.append(
-                [
-                    trip.truck_id,
-                    v.station,
-                    str(v.ramp),
-                    _fmt(v.t_arrival),
-                    _fmt(v.quoted_wait),
-                    _fmt(v.realized_wait),
-                    _fmt(v.charge_time),
-                    _fmt(v.battery_before),
-                    _fmt(v.battery_after),
-                ]
-            )
     trips_path = out / "trips.csv"
-    _write_csv(trips_path, ["truck"] + [f.name for f in fields(VisitRecord)], trips_rows)
+    _write_csv(
+        trips_path,
+        ["truck", *_header(VisitRecord)],
+        [[trip.truck_id, *_cells(v)] for trip in result.metrics.trips for v in trip.visits],
+    )
     written.append(trips_path)
 
     written.append(_write_station_totals(out / "stations.csv", result.metrics.station_totals))
@@ -116,37 +122,8 @@ def write_comparison_csv(report: ComparisonReport, path: str | Path) -> Path:
     truck's violation, a truck row's reduction percentage)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    rows: list[list[str]] = []
-    for t in report.trucks:
-        rows.append(
-            [
-                "truck",
-                t.truck_id,
-                _fmt(t.wait_baseline),
-                _fmt(t.wait_proposed),
-                _fmt(t.wait_delta),
-                _fmt(t.charge_baseline),
-                _fmt(t.charge_proposed),
-                "" if t.violation_baseline is None else _fmt(t.violation_baseline),
-                "" if t.violation_proposed is None else _fmt(t.violation_proposed),
-                "",
-            ]
-        )
-    for s in report.stations:
-        rows.append(
-            [
-                "station",
-                s.station,
-                _fmt(s.wait_baseline),
-                _fmt(s.wait_proposed),
-                _fmt(s.wait_proposed - s.wait_baseline),
-                _fmt(s.charge_baseline),
-                _fmt(s.charge_proposed),
-                "",
-                "",
-                "",
-            ]
-        )
+    rows = [["truck", *_cells(t), ""] for t in report.trucks]
+    rows += [["station", *_cells(s), "", "", ""] for s in report.stations]
     rows.append(
         [
             "total",
@@ -161,22 +138,7 @@ def write_comparison_csv(report: ComparisonReport, path: str | Path) -> Path:
             _fmt(report.wait_reduction_pct),
         ]
     )
-    _write_csv(
-        target,
-        [
-            "scope",
-            "id",
-            "wait_baseline",
-            "wait_proposed",
-            "wait_delta",
-            "charge_baseline",
-            "charge_proposed",
-            "violation_baseline",
-            "violation_proposed",
-            "wait_reduction_pct",
-        ],
-        rows,
-    )
+    _write_csv(target, ["scope", "id", *_header(TruckDelta)[1:], "wait_reduction_pct"], rows)
     return target
 
 
@@ -186,13 +148,13 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
     station_totals, residual_battery (with each truck's reserve threshold,
     stranded trucks omitted) and port_schedule. Both files are read back
     into run records before anything is written; a malformed file raises
-    KeyError, TypeError or ValueError."""
+    TypeError or ValueError."""
     run = Path(run_dir)
     metrics = metrics_from_dict(json.loads((run / "metrics.json").read_text(encoding="utf-8")))
     ledger_docs = json.loads((run / "ledgers.json").read_text(encoding="utf-8"))
     if not isinstance(ledger_docs, dict):
         raise TypeError("ledgers.json must hold a JSON object")
-    ledgers = {sid: PortLedger.from_export(doc) for sid, doc in ledger_docs.items()}
+    ledgers = {sid: PortLedger.from_export(doc, sid) for sid, doc in ledger_docs.items()}
     written = []
 
     waiters = sorted(

@@ -141,16 +141,18 @@ class RunMetrics:
         return {
             "label": self.label,
             "strategy": self.strategy,
-            "totals": {
-                "trucks": len(self.trips),
-                "stranded": self.stranded_count,
-                "deadline_violations": self.deadline_violation_count,
-                "rescue_charges": self.rescue_count,
-                "total_waiting_minutes": self.total_waiting_minutes,
-                "total_waiting_hours": self.total_waiting_hours,
-                "total_charging_minutes": self.total_charging_minutes,
-                "total_energy_delivered_kwh": self.total_energy_delivered,
-            },
+            "totals": encode_record(
+                _RunTotals(
+                    trucks=len(self.trips),
+                    stranded=self.stranded_count,
+                    deadline_violations=self.deadline_violation_count,
+                    rescue_charges=self.rescue_count,
+                    total_waiting_minutes=self.total_waiting_minutes,
+                    total_waiting_hours=self.total_waiting_hours,
+                    total_charging_minutes=self.total_charging_minutes,
+                    total_energy_delivered_kwh=self.total_energy_delivered,
+                )
+            ),
             "per_truck": [
                 {
                     "truck_id": t.truck_id,
@@ -185,26 +187,50 @@ class RunMetrics:
         }
 
 
-def metrics_from_dict(doc: dict[str, Any]) -> RunMetrics:
+@dataclass(frozen=True, slots=True)
+class _RunTotals:
+    """The ``totals`` object of metrics.json."""
+
+    trucks: int
+    stranded: int
+    deadline_violations: int
+    rescue_charges: int
+    total_waiting_minutes: float
+    total_waiting_hours: float
+    total_charging_minutes: float
+    total_energy_delivered_kwh: float
+
+
+@dataclass(frozen=True, slots=True)
+class _MetricsFile:
+    """What metrics.json holds of a run. Its per-truck objects carry derived
+    keys (each trip's totals, each visit's ``charged``) that decoding skips."""
+
+    label: str
+    strategy: str
+    totals: _RunTotals
+    per_truck: tuple[TripRecord, ...]
+    per_station: tuple[StationTotals, ...]
+
+
+def metrics_from_dict(doc: Any) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
-    ``RunMetrics.to_dict``). Trips and station rows are decoded by their
-    field lists; keys that are not fields (a trip's derived totals, a
-    visit's ``charged``) are skipped."""
-    totals = doc["totals"]
+    ``RunMetrics.to_dict``). A malformed ``doc`` raises ValueError naming
+    the field."""
+    f = decode_record(_MetricsFile, doc, "metrics")
+    t = f.totals
     return RunMetrics(
-        label=doc["label"],
-        strategy=doc["strategy"],
-        trips=decode_record(tuple[TripRecord, ...], doc["per_truck"], "metrics", "per_truck"),
-        station_totals=decode_record(
-            tuple[StationTotals, ...], doc["per_station"], "metrics", "per_station"
-        ),
-        total_waiting_minutes=float(totals["total_waiting_minutes"]),
-        total_waiting_hours=float(totals["total_waiting_hours"]),
-        total_charging_minutes=float(totals["total_charging_minutes"]),
-        total_energy_delivered=float(totals["total_energy_delivered_kwh"]),
-        deadline_violation_count=int(totals["deadline_violations"]),
-        stranded_count=int(totals["stranded"]),
-        rescue_count=int(totals["rescue_charges"]),
+        label=f.label,
+        strategy=f.strategy,
+        trips=f.per_truck,
+        station_totals=f.per_station,
+        total_waiting_minutes=t.total_waiting_minutes,
+        total_waiting_hours=t.total_waiting_hours,
+        total_charging_minutes=t.total_charging_minutes,
+        total_energy_delivered=t.total_energy_delivered_kwh,
+        deadline_violation_count=t.deadline_violations,
+        stranded_count=t.stranded,
+        rescue_count=t.rescue_charges,
     )
 
 
@@ -484,6 +510,7 @@ class StationDelta:
     station: str
     wait_baseline: float
     wait_proposed: float
+    wait_delta: float
     charge_baseline: float
     charge_proposed: float
 
@@ -540,6 +567,7 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
                 station=bs.station,
                 wait_baseline=bs.waiting_minutes,
                 wait_proposed=ps.waiting_minutes,
+                wait_delta=ps.waiting_minutes - bs.waiting_minutes,
                 charge_baseline=bs.charging_minutes,
                 charge_proposed=ps.charging_minutes,
             )

@@ -191,19 +191,33 @@ class PortLedger:
 
     def export(self) -> dict[str, Any]:
         """Ledger state as plain JSON-serializable data."""
-        return {
-            "port_count": len(self.available_times),
-            "available_times": list(self.available_times),
-            "version": self.version,
-            "assignments": [encode_record(a) for a in self.assignments],
-        }
+        return encode_record(
+            _LedgerState(
+                port_count=len(self.available_times),
+                available_times=tuple(self.available_times),
+                version=self.version,
+                assignments=tuple(self.assignments),
+            )
+        )
 
     @classmethod
-    def from_export(cls, doc: dict[str, Any]) -> "PortLedger":
-        ledger = cls(doc["port_count"])
-        ledger.available_times = [float(x) for x in doc["available_times"]]
-        ledger.version = int(doc["version"])
-        ledger.assignments = list(
-            decode_record(tuple[Assignment, ...], doc["assignments"], "ledger", "assignments")
-        )
+    def from_export(cls, doc: Any, name: str = "") -> "PortLedger":
+        """The inverse of `export`. A malformed ``doc`` raises ValueError
+        naming the field, under ``name`` when the caller gives one."""
+        state = decode_record(_LedgerState, doc, "ledger", name)
+        ledger = cls(state.port_count)
+        ledger.available_times = list(state.available_times)
+        ledger.version = state.version
+        ledger.assignments = list(state.assignments)
         return ledger
+
+
+@dataclass(frozen=True, slots=True)
+class _LedgerState:
+    """The JSON form of a `PortLedger`, one object per station in
+    ledgers.json."""
+
+    port_count: int
+    available_times: tuple[float, ...]
+    version: int
+    assignments: tuple[Assignment, ...]

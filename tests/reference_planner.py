@@ -111,9 +111,6 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
         canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
         if canonical.status == "optimal":
             chosen = canonical.x
-        else:
-            lp_solves += 1
-            chosen = tail.lp(best_selected).x
     durations = [0.0] * m
     for i, l in enumerate(best_selected):
         durations[l] = max(float(chosen[i]), 0.0)

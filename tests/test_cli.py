@@ -269,10 +269,13 @@ HUGE_LEDGER = json.dumps(
 ).encode()
 REPORT = ["report", "{tmp}/run/proposed"]
 RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
+COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}/c.csv"]
 
 
 # (file to overwrite after a good run in tmp_path, its bytes, argv, exit
-# code): malformed inputs end in an exit code, never a traceback
+# code): malformed inputs end in an exit code, never a traceback. Content
+# given as (key, ..., field, value) edits the file's JSON instead, and the
+# error must name the field.
 @pytest.mark.parametrize(
     "target, content, argv, code",
     [
@@ -281,12 +284,23 @@ RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
         pytest.param("run/proposed/ledgers.json", b"[]", REPORT, 2, id="report-ledgers-array"),
         pytest.param("run/proposed/ledgers.json", HUGE_LEDGER, REPORT, 2, id="report-ledger-port-count-huge"),
         pytest.param("run/proposed/metrics.json", NOT_UTF8, REPORT, 2, id="report-not-utf8"),
-        pytest.param(
-            "run/offline/metrics.json",
-            NOT_UTF8,
-            ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}/c.csv"],
-            2,
-            id="compare-not-utf8",
+        pytest.param("run/offline/metrics.json", NOT_UTF8, COMPARE, 2, id="compare-not-utf8"),
+        *(
+            pytest.param("run/offline/metrics.json", edit, COMPARE, 2, id=f"compare-{label}")
+            for edit, label in (
+                (("totals", "total_waiting_minutes", "12.5"), "string-total"),
+                (("totals", "rescue_charges", True), "bool-count"),
+                (("totals", "stranded", 2.9), "fractional-count"),
+                (("strategy", None), "null-strategy"),
+            )
+        ),
+        *(
+            pytest.param("run/proposed/ledgers.json", ("s01", field, value), REPORT, 2, id=f"report-ledger-{label}")
+            for field, value, label in (
+                ("version", "3", "string-version"),
+                ("available_times", ["0.0"], "string-times"),
+                ("port_count", True, "bool-port-count"),
+            )
         ),
         pytest.param("scenario.json", NOT_UTF8, RUN, 2, id="run-not-utf8"),
         pytest.param(
@@ -302,12 +316,22 @@ RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
 )
 def test_malformed_inputs_exit_with_a_code(tmp_path, scenario_file, capsys, target, content, argv, code):
     assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "run")]) == 0
+    field = ""
+    if isinstance(content, tuple):
+        *keys, field, value = content
+        doc = json.loads((tmp_path / target).read_bytes())
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[field] = value
+        content = json.dumps(doc).encode()
     if target is not None:
         (tmp_path / target).write_bytes(content)
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.err != ""
+    assert field in captured.err
 
 
 # type errors are caught decoding the template, range errors by validating
@@ -399,8 +423,11 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
             )
         ),
         *(
-            ("input", "require_detour_margin_everywhere", flag,
-             f"require_detour_margin_everywhere must be true or false, got {flag!r}")
+            pytest.param(
+                "input", "require_detour_margin_everywhere", flag,
+                "planner input: require_detour_margin_everywhere must be true or false",
+                id=f"input-require_detour_margin_everywhere-{flag!r}",
+            )
             for flag in ("false", "no", 0, 1, None)
         ),
     ],

@@ -116,7 +116,6 @@ def test_generation_fails_loudly_when_nothing_completable():
     t = ScenarioTemplate(
         e_initial_range=(157.0, 158.0),
         segment_time_range=(50.0, 60.0),
-        max_resample_attempts=10,
     )
     with pytest.raises(ValueError, match="completable"):
         generate_scenario(t, 0)

@@ -95,12 +95,28 @@ def test_grid_times_survive_the_wire_exactly():
         ('{"type":"arrival","truck":"t","station":"s","t_arrival":-1}', "t_arrival"),
         ('{"type":"arrival","truck":"t","station":"s","t_arrival":true}', "t_arrival"),
         ('{"type":"estimate","station":"s","truck":"t","wait":NaN}', "wait"),
+        ('{"type":"commit","truck":"t","station":"s","charge_time":1%s}' % ("0" * 400), "charge_time"),
         ('{"type":"ack","station":"s"}', "truck"),
     ],
 )
 def test_decoder_rejects_malformed_lines(line, fragment):
     with pytest.raises(MessageDecodeError, match=fragment):
         decode_message(line)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**400, float("inf"), float("nan"), -1.0, True, "10"],
+    ids=["huge-int", "inf", "nan", "negative", "bool", "string"],
+)
+def test_constructors_reject_times_that_are_not_finite_and_nonnegative(value):
+    for make in (
+        lambda: ArrivalAnnouncement(truck="t", station="s", t_arrival=value),
+        lambda: WaitingEstimate(station="s", truck="t", wait=value),
+        lambda: ChargingCommitment(truck="t", station="s", charge_time=value),
+    ):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            make()
 
 
 def test_exchange_commits_when_the_plan_charges():
