@@ -16,12 +16,15 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from .generator import ScenarioTemplate, generate_scenario
 from .model import (
     Scenario,
     ScenarioFormatError,
+    StationSpec,
+    TruckParams,
+    TruckSpec,
     dump_scenario,
     scenario_from_json,
     validate_scenario,
@@ -41,19 +44,20 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
 
-# scenario-wide parameter overrides accepted by `run --set`
+# `run --set` key -> (record, field): the key sets that field on every
+# truck's params, on every truck or on every station
 _RUN_KEYS = {
-    "p_max",
-    "p_bar",
-    "e_full",
-    "e_safe",
-    "price_energy",
-    "kappa",
-    "rho",
-    "w_hat",
-    "budget",
-    "port_power",
-    "port_count",
+    "p_max": (TruckParams, "p_max"),
+    "p_bar": (TruckParams, "p_bar"),
+    "e_full": (TruckParams, "e_full"),
+    "e_safe": (TruckParams, "e_safe"),
+    "kappa": (TruckParams, "kappa"),
+    "rho": (TruckParams, "rho"),
+    "w_hat": (TruckSpec, "w_hat_default"),
+    "budget": (TruckSpec, "extra_time_budget"),
+    "price_energy": (StationSpec, "electricity_price_energy"),
+    "port_power": (StationSpec, "port_power"),
+    "port_count": (StationSpec, "port_count"),
 }
 
 
@@ -99,6 +103,8 @@ def _read_json(path: str | None, what: str) -> Any:
 
 
 def _parse_run_overrides(items: list[str]) -> dict[str, float]:
+    """``--set`` items as ``{key: value}``, each value of its target
+    field's type."""
     overrides: dict[str, float] = {}
     for item in items:
         key, sep, value = item.partition("=")
@@ -110,11 +116,15 @@ def _parse_run_overrides(items: list[str]) -> dict[str, float]:
                 + ", ".join(sorted(_RUN_KEYS))
             )
         try:
-            overrides[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ValueError(f"override {key!r} needs a numeric value, got {value!r}")
-        if key == "port_count" and not overrides[key].is_integer():
-            raise ValueError(f"override 'port_count' needs an integer value, got {value!r}")
+        record, field = _RUN_KEYS[key]
+        if get_type_hints(record)[field] is int:
+            if not number.is_integer():
+                raise ValueError(f"override {key!r} needs an integer value, got {value!r}")
+            number = int(number)
+        overrides[key] = number
     return overrides
 
 
@@ -132,31 +142,16 @@ def _parse_template_sets(items: list[str]) -> dict[str, Any]:
 
 
 def _apply_overrides(scenario: Scenario, ov: dict[str, float]) -> Scenario:
-    if not ov:
-        return scenario
-    stations = []
-    for s in scenario.stations:
-        kw: dict[str, Any] = {}
-        if "price_energy" in ov:
-            kw["electricity_price_energy"] = ov["price_energy"]
-        if "port_power" in ov:
-            kw["port_power"] = ov["port_power"]
-        if "port_count" in ov:
-            kw["port_count"] = int(ov["port_count"])
-        stations.append(replace(s, **kw) if kw else s)
-    trucks = []
-    param_keys = ("p_max", "p_bar", "e_full", "e_safe", "kappa", "rho")
-    for t in scenario.trucks:
-        tkw: dict[str, Any] = {}
-        pkw = {k: ov[k] for k in param_keys if k in ov}
-        if pkw:
-            tkw["params"] = replace(t.params, **pkw)
-        if "w_hat" in ov:
-            tkw["w_hat_default"] = ov["w_hat"]
-        if "budget" in ov:
-            tkw["extra_time_budget"] = ov["budget"]
-        trucks.append(replace(t, **tkw) if tkw else t)
-    return replace(scenario, stations=tuple(stations), trucks=tuple(trucks))
+    changes: dict[type, dict[str, float]] = {TruckParams: {}, TruckSpec: {}, StationSpec: {}}
+    for key, value in ov.items():
+        record, field = _RUN_KEYS[key]
+        changes[record][field] = value
+    trucks = tuple(
+        replace(t, params=replace(t.params, **changes[TruckParams]), **changes[TruckSpec])
+        for t in scenario.trucks
+    )
+    stations = tuple(replace(s, **changes[StationSpec]) for s in scenario.stations)
+    return replace(scenario, stations=stations, trucks=trucks)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

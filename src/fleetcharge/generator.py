@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, get_origin
 
-from . import defaults
 from .model import (
     Route,
     Scenario,
@@ -50,33 +49,29 @@ def _floor01(x: float) -> float:
 @dataclass(frozen=True, slots=True)
 class ScenarioTemplate:
     """Ranges and fixed parameters for scenario sampling. Ranges are
-    inclusive (lo, hi) pairs; integer ranges use integer endpoints."""
+    inclusive (lo, hi) pairs; integer ranges use integer endpoints. The
+    field defaults are the reference heavy-truck, station and mission
+    values."""
 
     label: str = "generated"
     truck_count: int = 20
     station_count: int = 5
-    port_count_range: tuple[int, int] = (1, defaults.PORT_COUNT)
-    port_power_range: tuple[float, float] = (
-        defaults.PORT_POWER_KW,
-        defaults.PORT_POWER_KW,
-    )
-    price_range: tuple[float, float] = (
-        defaults.PRICE_ENERGY_EUR_PER_KWH,
-        defaults.PRICE_ENERGY_EUR_PER_KWH,
-    )
+    port_count_range: tuple[int, int] = (1, 3)
+    port_power_range: tuple[float, float] = (300.0, 300.0)  # kW
+    price_range: tuple[float, float] = (0.36, 0.36)  # euro per kWh
     stations_per_route_range: tuple[int, int] = (2, 4)
-    segment_time_range: tuple[float, float] = (20.0, 60.0)
-    detour_time_range: tuple[float, float] = (3.0, 12.0)
-    depart_window: tuple[float, float] = defaults.DEPART_WINDOW_MIN
-    e_initial_range: tuple[float, float] = (220.0, 500.0)
-    extra_time_budget: float = defaults.EXTRA_TIME_BUDGET_MIN
-    w_hat: float = defaults.W_HAT_DEFAULT_MIN
-    p_max: float = defaults.P_MAX_KW
-    p_bar: float = defaults.P_BAR_KWH_PER_MIN
-    e_full: float = defaults.E_FULL_KWH
-    e_safe: float = defaults.E_SAFE_KWH
-    kappa: float = defaults.KAPPA_EUR_PER_MIN
-    rho: float = defaults.RHO_EUR_PER_MIN
+    segment_time_range: tuple[float, float] = (20.0, 60.0)  # min
+    detour_time_range: tuple[float, float] = (3.0, 12.0)  # min
+    depart_window: tuple[float, float] = (480.0, 600.0)  # min, 08:00-10:00
+    e_initial_range: tuple[float, float] = (220.0, 500.0)  # kWh
+    extra_time_budget: float = 160.0  # min of slack over pure driving time
+    w_hat: float = 12.0  # min assumed at stations not yet negotiated
+    p_max: float = 375.0  # kW, highest power the battery accepts
+    p_bar: float = 1.83  # kWh per min of driving
+    e_full: float = 624.0  # kWh, battery capacity
+    e_safe: float = 156.0  # kWh, reserve (25% of capacity) plans never cross
+    kappa: float = 0.4  # euro per min of driver labor
+    rho: float = 10.0  # euro per min of overtime
 
     def __post_init__(self) -> None:
         problems = []

@@ -211,10 +211,6 @@ class ExchangeOutcome:
     assignment: Assignment | None
     rescue_charge: float | None
 
-    @property
-    def charge_time(self) -> float:
-        return self.transcript.messages[2].charge_time
-
 
 def run_ramp_exchange(
     sequence_no: int,

@@ -183,17 +183,15 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
     )
     written.append(path)
 
-    schedule = sorted(
-        ((sid, a) for sid, ledger in ledgers.items() for a in ledger.assignments),
-        key=lambda row: (row[0], row[1].port, row[1].start),
-    )
     path = run / "port_schedule.csv"
     _write_csv(
         path,
         ["station", "port", "truck", "start", "end"],
         [
             [sid, str(a.port), a.truck, _fmt(a.start), _fmt(a.start + a.duration)]
-            for sid, a in schedule
+            for sid in sorted(ledgers)
+            for port in ledgers[sid].schedule_by_port()
+            for a in port
         ],
     )
     written.append(path)

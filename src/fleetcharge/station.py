@@ -202,13 +202,29 @@ class PortLedger:
 
     @classmethod
     def from_export(cls, doc: Any, name: str = "") -> "PortLedger":
-        """The inverse of `export`. A malformed ``doc`` raises ValueError
-        naming the field, under ``name`` when the caller gives one."""
+        """The inverse of `export`. A malformed ``doc``, or a ledger that
+        disagrees with its own assignment log, raises ValueError naming the
+        field, under ``name`` when the caller gives one."""
         state = decode_record(_LedgerState, doc, "ledger", name)
         ledger = cls(state.port_count)
         ledger.available_times = list(state.available_times)
         ledger.version = state.version
         ledger.assignments = list(state.assignments)
+        # the shape first: `audit` indexes the port list by each booked port
+        n = state.port_count
+        if len(ledger.available_times) != n:
+            problems = [
+                f"available_times has {len(ledger.available_times)} entries, port_count is {n}"
+            ]
+        else:
+            problems = [
+                f"assignment {i}: port {a.port} is not in 0..{n - 1}"
+                for i, a in enumerate(ledger.assignments)
+                if not 0 <= a.port < n
+            ]
+        problems = problems or ledger.audit()
+        if problems:
+            raise ValueError(f"{name or 'ledger'}: " + "; ".join(problems))
         return ledger
 
 

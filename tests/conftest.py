@@ -8,21 +8,25 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from fleetcharge import defaults, planner
+from fleetcharge import planner
+from fleetcharge.generator import ScenarioTemplate, _truck_params
 from fleetcharge.lp import LPResult, solve_lp
 from fleetcharge.model import Route, Scenario, StationSpec, TruckParams, TruckSpec
 from fleetcharge.planner import PlannerInput, _RouteTail
 
+# the reference truck, station and mission values
+DEFAULTS = ScenarioTemplate()
+
 
 def make_params(**overrides) -> TruckParams:
-    return replace(defaults.default_truck_params(), **overrides)
+    return replace(_truck_params(DEFAULTS), **overrides)
 
 
 def make_station(
     sid: str = "s01",
     port_count: int = 3,
-    port_power: float = defaults.PORT_POWER_KW,
-    price: float = defaults.PRICE_ENERGY_EUR_PER_KWH,
+    port_power: float = DEFAULTS.port_power_range[0],
+    price: float = DEFAULTS.price_range[0],
 ) -> StationSpec:
     return StationSpec(
         id=sid,
@@ -39,8 +43,8 @@ def make_truck(
     detour_times: tuple[float, ...] = (5.0,),
     e_initial: float = 400.0,
     depart_time: float = 480.0,
-    budget: float = defaults.EXTRA_TIME_BUDGET_MIN,
-    w_hat: float = defaults.W_HAT_DEFAULT_MIN,
+    budget: float = DEFAULTS.extra_time_budget,
+    w_hat: float = DEFAULTS.w_hat,
     params: TruckParams | None = None,
 ) -> TruckSpec:
     return TruckSpec(
@@ -88,7 +92,7 @@ def make_planner_input(
             make_station(f"s{i + 1:02d}") for i in range(len(segment_times))
         )
     if assumed_waits is None:
-        assumed_waits = (defaults.W_HAT_DEFAULT_MIN,) * max(len(stations) - 1, 0)
+        assumed_waits = (DEFAULTS.w_hat,) * max(len(stations) - 1, 0)
     return PlannerInput(
         params=params if params is not None else make_params(),
         stations=stations,

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from fleetcharge import defaults
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import ChargeDecision, StationSpec
 from fleetcharge.planner import (
@@ -22,6 +21,7 @@ from fleetcharge.reports import write_run_outputs
 from fleetcharge.simulation import run_offline_baseline, run_proposed
 from fleetcharge.station import PortLedger
 
+from conftest import DEFAULTS, make_params
 from grid_oracle import brute_force_oracle
 
 
@@ -97,7 +97,7 @@ def _random_planner_input(rng: random.Random) -> PlannerInput:
     )
     segs = tuple(round(rng.uniform(20.0, 80.0), 1) for _ in range(m))
     return PlannerInput(
-        params=defaults.default_truck_params(),
+        params=make_params(),
         stations=stations,
         segment_times=segs,
         detour_times=tuple(round(rng.uniform(1.0, 12.0), 1) for _ in range(m)),
@@ -360,8 +360,8 @@ def test_criterion_5_realized_waits_equal_quotes(safety_runs, congested_runs):
 def test_criterion_6_residuals_cluster_at_reserve(congested_runs):
     runs, _ = congested_runs
     problems: list[str] = []
-    e_safe = defaults.E_SAFE_KWH
-    if e_safe != 0.25 * defaults.E_FULL_KWH:
+    e_safe = DEFAULTS.e_safe
+    if e_safe != 0.25 * DEFAULTS.e_full:
         problems.append("reserve is not exactly a quarter of capacity")
     charged = []
     for _sc, _base, prop in runs:
@@ -404,7 +404,7 @@ def test_criterion_7_reruns_are_byte_identical(tmp_path):
 
 def test_criterion_8_worked_examples():
     problems: list[str] = []
-    params = defaults.default_truck_params()
+    params = make_params()
     station = StationSpec(
         id="s01",
         port_count=3,

@@ -5,10 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fleetcharge import cli
 from fleetcharge.cli import main
 from fleetcharge.model import MAX_ENUMERATED_STATIONS, scenario_to_json
 
@@ -17,6 +19,8 @@ from conftest import make_params, make_scenario, make_station, make_truck
 ROOT = Path(__file__).resolve().parent.parent
 # the README's `plan` example, which CI also runs on a bare install
 PLAN_INPUT = ROOT / "tests" / "fixtures" / "plan_input.json"
+# its solution as `plan --out` writes it, which CI also diffs against
+PLAN_OUTPUT = ROOT / "tests" / "fixtures" / "plan_output.json"
 
 RUN_FILES = (
     "metrics.json",
@@ -190,6 +194,48 @@ def test_run_overrides_apply(tmp_path, scenario_file):
         assert doc["port_count"] == 2
 
 
+# each `run --set` key: a value and the field it sets on every truck's
+# params, every truck or every station
+RUN_OVERRIDES = {
+    "p_max": (350.0, "params", "p_max"),
+    "p_bar": (1.5, "params", "p_bar"),
+    "e_full": (500.0, "params", "e_full"),
+    "e_safe": (125.0, "params", "e_safe"),
+    "kappa": (0.25, "params", "kappa"),
+    "rho": (2.5, "params", "rho"),
+    "w_hat": (20.0, "truck", "w_hat_default"),
+    "budget": (90.0, "truck", "extra_time_budget"),
+    "price_energy": (0.5, "station", "electricity_price_energy"),
+    "port_power": (150.0, "station", "port_power"),
+    "port_count": (2, "station", "port_count"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._RUN_KEYS))
+def test_run_override_sets_its_field_everywhere(key):
+    value, record, field = RUN_OVERRIDES[key]
+    sc = make_scenario(
+        stations=(make_station("s01"), make_station("s02", port_count=1, price=0.3)),
+        trucks=(
+            make_truck("t001"),
+            make_truck("t002", budget=120.0, w_hat=5.0, params=make_params(rho=1.0)),
+        ),
+    )
+    overrides = cli._parse_run_overrides([f"{key}={value}"])
+    assert overrides == {key: value}
+    assert type(overrides[key]) is type(value)
+
+    def edit(obj, kind):
+        return replace(obj, **{field: value}) if kind == record else obj
+
+    expected = replace(
+        sc,
+        stations=tuple(edit(s, "station") for s in sc.stations),
+        trucks=tuple(edit(replace(t, params=edit(t.params, "params")), "truck") for t in sc.trucks),
+    )
+    assert cli._apply_overrides(sc, {key: value}) == expected
+
+
 def test_generate_template_sets_override_file(tmp_path, scenario_file):
     out = tmp_path / "small.json"
     tpl = tmp_path / "template.json"  # written by the fixture
@@ -300,7 +346,13 @@ COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}
                 ("version", "3", "string-version"),
                 ("available_times", ["0.0"], "string-times"),
                 ("port_count", True, "bool-port-count"),
+                ("available_times", [], "no-times"),
+                ("version", 99, "wrong-version"),
             )
+        ),
+        pytest.param(
+            "run/proposed/ledgers.json", ("s01", "assignments", 0, "port", 5), REPORT, 2,
+            id="report-ledger-port-out-of-range",
         ),
         pytest.param("scenario.json", NOT_UTF8, RUN, 2, id="run-not-utf8"),
         pytest.param(
@@ -362,14 +414,15 @@ def test_plan_subcommand(tmp_path, capsys):
     src.write_text(json.dumps(_plan_payload()))
     dst = tmp_path / "plan.json"
     assert main(["plan", "--input", str(src), "--out", str(dst)]) == 0
+    assert dst.read_bytes() == PLAN_OUTPUT.read_bytes()
     doc = json.loads(dst.read_text())
     assert doc["status"] == "optimal"
     assert doc["decisions"][0]["charge"] is True
     assert doc["decisions"][0]["duration"] > 0
     # without --out the solution goes to stdout
+    capsys.readouterr()
     assert main(["plan", "--input", str(src)]) == 0
-    captured = capsys.readouterr().out
-    assert '"status": "optimal"' in captured
+    assert capsys.readouterr().out == PLAN_OUTPUT.read_text()
 
 
 def test_plan_defaults_the_optional_waits(tmp_path):

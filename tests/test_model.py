@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from fleetcharge import defaults
 from fleetcharge.model import (
     Route,
     Scenario,
@@ -18,13 +17,13 @@ from fleetcharge.model import (
     validate_scenario,
 )
 
-from conftest import make_params, make_scenario, make_station, make_truck
+from conftest import DEFAULTS, make_params, make_scenario, make_station, make_truck
 
 
 def test_reserve_is_quarter_of_capacity():
-    assert defaults.E_SAFE_KWH == 156.0
-    assert defaults.E_FULL_KWH == 624.0
-    assert defaults.E_SAFE_KWH == 0.25 * defaults.E_FULL_KWH
+    assert DEFAULTS.e_safe == 156.0
+    assert DEFAULTS.e_full == 624.0
+    assert DEFAULTS.e_safe == 0.25 * DEFAULTS.e_full
 
 
 def test_charging_rate_is_capped_by_vehicle_limit(params):

@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fleetcharge import defaults
 from fleetcharge.model import ChargeDecision
 from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
