@@ -325,13 +325,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 #
 # Every record's JSON form is its field list: an object with one key per
 # dataclass field in declaration order, tuples as lists and nested records
-# as objects. The one layout written by hand is the per-truck objects of
-# metrics.json (RunMetrics.to_dict): they add derived keys (a trip's total
-# wait and charge time, a visit's constant "charged") that no record field
-# holds. Decoding checks types only; invariants are validation's job. A
-# float field takes any finite JSON number and keeps an integer literal an
-# int, so round-trips do not rewrite "160" as "160.0". Keys that are not
-# fields are ignored, and a field with a default may be absent.
+# as objects. Every file and wire format is such a record, so this is the
+# only place a layout is written down. Decoding checks types only;
+# invariants are validation's job. A float field takes any finite JSON
+# number and keeps an integer literal an int, so round-trips do not rewrite
+# "160" as "160.0". A field with a default may be absent, and a key that is
+# not a field is an error, so a misspelt optional field is not silently
+# replaced by its default.
 
 
 class _Bad(Exception):
@@ -402,6 +402,9 @@ def _decoder(tp: Any) -> Callable[[Any, str, str], Any]:
                     kwargs[key] = dec(doc[key], path, key)
                 elif required:
                     raise _Bad(path, f"missing field '{key}'")
+            if len(doc) > len(kwargs):  # some key is not a field
+                extra = next(key for key in doc if key not in kwargs)
+                raise _Bad(path, f"unexpected field '{extra}'")
             return tp(**kwargs)
 
         return record

@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from typing import Any, Union
+from typing import Union
 
-from .model import _is_finite_number, _record_fields
+from .model import _is_finite_number, _record_fields, decode_record
 from .planner import (
     PlannerInput,
     PlannerSolution,
@@ -157,30 +157,17 @@ def decode_message(line: str) -> Message:
         raise MessageDecodeError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MessageDecodeError("message must be a JSON object")
-    kind = doc.get("type")
+    kind = doc.pop("type", None)
     if kind is None:
         raise MessageDecodeError("missing field 'type'")
     cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise MessageDecodeError(f"unknown message type {kind!r}")
-    wire_fields = _WIRE[cls][1]
-    values: dict[str, Any] = {}
-    for name, _, is_time in wire_fields:
-        if name not in doc:
-            raise MessageDecodeError(f"{kind}: missing field '{name}'")
-        value = doc[name]
-        if is_time and _is_finite_number(value):
-            value = float(value)
-        elif not isinstance(value, float if is_time else str):
-            expected = "a number" if is_time else "a string"
-            raise MessageDecodeError(f"{kind}: field '{name}' must be {expected}")
-        values[name] = value
-    if len(doc) > 1 + len(values):  # every field is present, so some key is extra
-        extra = next(name for name in doc if name != "type" and name not in values)
-        raise MessageDecodeError(f"{kind}: unexpected field '{extra}'")
     try:
-        return cls(**values)
-    except ValueError as exc:  # a time that is not finite and nonnegative
+        return decode_record(cls, doc, kind, error=MessageDecodeError)
+    except MessageDecodeError:
+        raise
+    except ValueError as exc:  # a negative time
         raise MessageDecodeError(f"{kind}: {exc}") from None
 
 

@@ -87,15 +87,15 @@ class TripRecord:
     origin (offline baseline with an infeasible plan)."""
 
     truck_id: str
-    visits: tuple[VisitRecord, ...]
+    stranded: bool
+    stranded_at_ramp: int | None
     depart_time: float
     deadline: float
     reserve_battery: float
     arrival_time: float | None
-    residual_battery: float | None
     deadline_violation: float | None
-    stranded: bool
-    stranded_at_ramp: int | None
+    residual_battery: float | None
+    visits: tuple[VisitRecord, ...]
 
     @property
     def total_wait(self) -> float:
@@ -138,11 +138,11 @@ class RunMetrics:
     rescue_count: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "strategy": self.strategy,
-            "totals": encode_record(
-                _RunTotals(
+        return encode_record(
+            _MetricsFile(
+                label=self.label,
+                strategy=self.strategy,
+                totals=_RunTotals(
                     trucks=len(self.trips),
                     stranded=self.stranded_count,
                     deadline_violations=self.deadline_violation_count,
@@ -151,40 +151,11 @@ class RunMetrics:
                     total_waiting_hours=self.total_waiting_hours,
                     total_charging_minutes=self.total_charging_minutes,
                     total_energy_delivered_kwh=self.total_energy_delivered,
-                )
-            ),
-            "per_truck": [
-                {
-                    "truck_id": t.truck_id,
-                    "stranded": t.stranded,
-                    "stranded_at_ramp": t.stranded_at_ramp,
-                    "depart_time": t.depart_time,
-                    "deadline": t.deadline,
-                    "reserve_battery": t.reserve_battery,
-                    "arrival_time": t.arrival_time,
-                    "deadline_violation": t.deadline_violation,
-                    "residual_battery": t.residual_battery,
-                    "total_wait": t.total_wait,
-                    "total_charge_time": t.total_charge_time,
-                    "visits": [
-                        {
-                            "station": v.station,
-                            "ramp": v.ramp,
-                            "charged": True,
-                            "t_arrival": v.t_arrival,
-                            "quoted_wait": v.quoted_wait,
-                            "realized_wait": v.realized_wait,
-                            "charge_time": v.charge_time,
-                            "battery_before": v.battery_before,
-                            "battery_after": v.battery_after,
-                        }
-                        for v in t.visits
-                    ],
-                }
-                for t in self.trips
-            ],
-            "per_station": [encode_record(s) for s in self.station_totals],
-        }
+                ),
+                per_truck=self.trips,
+                per_station=self.station_totals,
+            )
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +174,7 @@ class _RunTotals:
 
 @dataclass(frozen=True, slots=True)
 class _MetricsFile:
-    """What metrics.json holds of a run. Its per-truck objects carry derived
-    keys (each trip's totals, each visit's ``charged``) that decoding skips."""
+    """What metrics.json holds of a run."""
 
     label: str
     strategy: str

@@ -206,23 +206,24 @@ class PortLedger:
         disagrees with its own assignment log, raises ValueError naming the
         field, under ``name`` when the caller gives one."""
         state = decode_record(_LedgerState, doc, "ledger", name)
-        ledger = cls(state.port_count)
-        ledger.available_times = list(state.available_times)
-        ledger.version = state.version
-        ledger.assignments = list(state.assignments)
         # the shape first: `audit` indexes the port list by each booked port
         n = state.port_count
-        if len(ledger.available_times) != n:
-            problems = [
-                f"available_times has {len(ledger.available_times)} entries, port_count is {n}"
-            ]
+        if not 1 <= n <= MAX_PORT_COUNT:
+            problems = [f"port_count must be in 1..{MAX_PORT_COUNT}, got {n}"]
+        elif len(state.available_times) != n:
+            problems = [f"available_times has {len(state.available_times)} entries, port_count is {n}"]
         else:
             problems = [
                 f"assignment {i}: port {a.port} is not in 0..{n - 1}"
-                for i, a in enumerate(ledger.assignments)
+                for i, a in enumerate(state.assignments)
                 if not 0 <= a.port < n
             ]
-        problems = problems or ledger.audit()
+        if not problems:
+            ledger = cls(n)
+            ledger.available_times = list(state.available_times)
+            ledger.version = state.version
+            ledger.assignments = list(state.assignments)
+            problems = ledger.audit()
         if problems:
             raise ValueError(f"{name or 'ledger'}: " + "; ".join(problems))
         return ledger

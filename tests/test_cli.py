@@ -318,10 +318,10 @@ RUN = ["run", "--scenario", "{tmp}/scenario.json", "--out", "{tmp}/r"]
 COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}/c.csv"]
 
 
-# (file to overwrite after a good run in tmp_path, its bytes, argv, exit
-# code): malformed inputs end in an exit code, never a traceback. Content
-# given as (key, ..., field, value) edits the file's JSON instead, and the
-# error must name the field.
+# (file to overwrite after a good run and a copy of the plan fixture in
+# tmp_path, its bytes, argv, exit code): malformed inputs end in an exit
+# code, never a traceback. Content given as (key, ..., field, value) edits
+# the file's JSON instead, and the error must name the field.
 @pytest.mark.parametrize(
     "target, content, argv, code",
     [
@@ -364,10 +364,24 @@ COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}
         pytest.param(None, None, RUN + ["--set", "port_count=inf"], 1, id="run-port-count-inf"),
         pytest.param(None, None, RUN + ["--set", "port_count=1e300"], 2, id="run-port-count-huge"),
         pytest.param("scenario.json", HUGE_PORT_COUNT, RUN, 2, id="run-scenario-port-count-huge"),
+        # a key that is no field of its record: a derived value, a misspelt
+        # field, or a key that run directories written before metrics.json
+        # lost its derived per-truck keys still hold
+        pytest.param("scenario.json", ("trucks", 0, "deadline", 600.0), RUN, 2, id="run-scenario-unknown-key"),
+        pytest.param("run/proposed/ledgers.json", ("s01", "port_power", 300.0), REPORT, 2, id="report-ledger-unknown-key"),
+        pytest.param(
+            "run/offline/metrics.json", ("per_truck", 0, "total_wait", 0.0), COMPARE, 2,
+            id="compare-metrics-unknown-key",
+        ),
+        pytest.param(
+            "in.json", ("require_detour_margin_everywere", False), ["plan", "--input", "{tmp}/in.json"], 2,
+            id="plan-unknown-key",
+        ),
     ],
 )
 def test_malformed_inputs_exit_with_a_code(tmp_path, scenario_file, capsys, target, content, argv, code):
     assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "run")]) == 0
+    shutil.copy(PLAN_INPUT, tmp_path / "in.json")
     field = ""
     if isinstance(content, tuple):
         *keys, field, value = content

@@ -100,7 +100,7 @@ def test_template_from_dict_round_trip():
 
 
 def test_template_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown template keys: trucks"):
+    with pytest.raises(ValueError, match="^template: unexpected field 'trucks'$"):
         ScenarioTemplate.from_dict({"trucks": 8})
 
 

@@ -196,7 +196,10 @@ def test_schema_rejects_what_the_parser_rejects():
     schema = json.loads(
         (Path(__file__).resolve().parent.parent / "schemas" / "scenario.schema.json").read_text()
     )
-    doc = json.loads(scenario_to_json(make_scenario()))
-    doc["stations"][0]["port_count"] = "three"
-    with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(doc, schema)
+    for field, value in (("port_count", "three"), ("ports", 3)):  # mistyped, unknown
+        doc = json.loads(scenario_to_json(make_scenario()))
+        doc["stations"][0][field] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        with pytest.raises(ScenarioFormatError, match=rf"^stations\[0\]: .*{field}"):
+            scenario_from_json(json.dumps(doc))

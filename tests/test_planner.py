@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fleetcharge.model import ChargeDecision
 from fleetcharge.planner import (
@@ -23,7 +24,7 @@ from fleetcharge.planner import (
     solve_charging_problem,
 )
 
-from conftest import assignment_lp, make_params, make_planner_input, make_station
+from conftest import assignment_lp, make_params, make_planner_input, make_station, planner_inputs
 from grid_oracle import brute_force_oracle
 
 
@@ -524,6 +525,16 @@ def test_rescue_is_none_when_no_charge_suffices():
         stations=(), segment_times=(), detour_times=(), assumed_waits=(), battery=100.0
     )
     assert minimal_rescue_charge(inp0) is None
+
+
+# The deadline the rescue ignores is already soft in the regular problem, so
+# a rescue never exists where the regular problem is infeasible; the rescue
+# path in `run_ramp_exchange` is then never taken.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(planner_inputs(1, 6))
+def test_an_infeasible_problem_has_no_rescue(inp):
+    if solve_charging_problem(inp).status == "infeasible":
+        assert minimal_rescue_charge(inp) is None
 
 
 # -- dict bridges -------------------------------------------------------------

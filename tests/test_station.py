@@ -121,6 +121,12 @@ def test_import_rejects_a_mistyped_assignment():
         PortLedger.from_export(doc)
 
 
+def test_import_names_the_station_of_an_out_of_range_port_count():
+    doc = {"port_count": 10**30, "available_times": [], "version": 0, "assignments": []}
+    with pytest.raises(ValueError, match=r"^s01: port_count"):
+        PortLedger.from_export(doc, "s01")
+
+
 _events = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32),
