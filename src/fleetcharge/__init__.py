@@ -37,6 +37,7 @@ from .planner import (
     PlannerInput,
     PlannerSolution,
     RouteTooLongError,
+    TruckRoute,
     check_feasibility,
     compute_energy_trajectory,
     evaluate_plan_cost,
@@ -69,6 +70,7 @@ __all__ = [
     "PlannerInput",
     "PlannerSolution",
     "RouteTooLongError",
+    "TruckRoute",
     "check_feasibility",
     "compute_energy_trajectory",
     "evaluate_plan_cost",

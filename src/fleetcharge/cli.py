@@ -260,9 +260,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         written = write_report_csvs(run)
     except OSError as exc:
         return _fail(EXIT_USAGE, f"cannot use run directory: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers files that are not UTF-8 or not JSON
-        return _fail(EXIT_VALIDATION, f"corrupt run files: {exc!r}")
+    except ValueError as exc:  # names the file it could not read
+        return _fail(EXIT_VALIDATION, str(exc))
+    except (KeyError, TypeError) as exc:  # records that contradict each other
+        return _fail(EXIT_VALIDATION, f"corrupt run files in {run}: {exc}")
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

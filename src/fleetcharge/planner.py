@@ -82,7 +82,6 @@ from .model import (
     _price_per_minute_at,
     charging_rate,
     decode_record,
-    electricity_price_per_minute,
     encode_record,
     ordered_sum,
 )
@@ -92,6 +91,7 @@ __all__ = [
     "PlannerInput",
     "PlannerSolution",
     "RouteTooLongError",
+    "TruckRoute",
     "compute_energy_trajectory",
     "check_feasibility",
     "anticipated_overtime",
@@ -174,22 +174,6 @@ class PlannerInput:
     def station_count(self) -> int:
         return len(self.stations)
 
-    def waits(self) -> tuple[float, ...]:
-        """Wait assumed at each remaining station (quote first, defaults after)."""
-        if not self.stations:
-            return ()
-        return (self.quoted_wait,) + self.assumed_waits
-
-    # list comprehensions, not generator expressions: these run several
-    # times per plan, and a generator costs a frame per call
-    def rates(self) -> tuple[float, ...]:
-        p = self.params
-        return tuple([charging_rate(s, p) for s in self.stations])
-
-    def prices_per_minute(self) -> tuple[float, ...]:
-        p = self.params
-        return tuple([electricity_price_per_minute(s, p) for s in self.stations])
-
 
 @dataclass(frozen=True, slots=True)
 class PlannerSolution:
@@ -223,7 +207,7 @@ def compute_energy_trajectory(
     if len(decisions) != m:
         raise ValueError(f"expected {m} decisions, got {len(decisions)}")
     p = inp.params
-    rates = inp.rates()
+    rates = _RouteTail(inp).rates
     levels = [inp.battery]
     e = inp.battery
     for l in range(m):
@@ -250,12 +234,10 @@ def check_feasibility(
     """
     decisions = _decisions_of(plan)
     m = inp.station_count
-    if len(decisions) != m:
-        raise ValueError(f"expected {m} decisions, got {len(decisions)}")
     p = inp.params
-    rates = inp.rates()
     out: list[str] = []
     levels = compute_energy_trajectory(inp, decisions)
+    rates = _RouteTail(inp).rates
     for l in range(m):
         dec = decisions[l]
         if dec.duration < -slack:
@@ -289,32 +271,14 @@ def anticipated_overtime(
     inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
 ) -> float:
     """Planned trip-tail time minus the remaining budget (negative = slack)."""
-    decisions = _decisions_of(plan)
-    waits = inp.waits()
-    spent = ordered_sum(inp.segment_times)
-    for l, dec in enumerate(decisions):
-        if dec.charge:
-            spent += 2.0 * inp.detour_times[l] + dec.duration + waits[l]
-    return spent - inp.remaining_time
+    return _RouteTail(inp).cost(plan)[1]
 
 
 def evaluate_plan_cost(
     inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
 ) -> tuple[float, float]:
     """Exact objective value and overtime of a plan, as (cost, overtime)."""
-    decisions = _decisions_of(plan)
-    waits = inp.waits()
-    prices = inp.prices_per_minute()
-    p = inp.params
-    labor_minutes = 0.0
-    energy_cost = 0.0
-    for l, dec in enumerate(decisions):
-        if dec.charge:
-            labor_minutes += 2.0 * inp.detour_times[l] + dec.duration + waits[l]
-            energy_cost += prices[l] * dec.duration
-    overtime = anticipated_overtime(inp, decisions)
-    cost = p.kappa * labor_minutes + energy_cost + max(p.rho * overtime, 0.0)
-    return cost, overtime
+    return _RouteTail(inp).cost(plan)
 
 
 # -- fixed stop pattern: the duration LP -------------------------------------
@@ -323,21 +287,18 @@ def evaluate_plan_cost(
 _Ramp = tuple[float, float, float, float]
 
 
-def _ramps(inp: PlannerInput) -> list[_Ramp]:
-    """Per remaining ramp: the battery bound there, the drain of driving
-    past, the drain of stopping (detour both ways plus the segment), and
-    the level after leaving a full charge."""
-    e_safe, e_full, p_bar = inp.params.e_safe, inp.params.e_full, inp.params.p_bar
-    return [
-        (e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), e_full - p_bar * (d + s))
-        for d, s in zip(inp.detour_times, inp.segment_times)
-    ]
+def _ramp_row(p: TruckParams, d: float, s: float) -> _Ramp:
+    """The battery bound at a ramp with detour ``d`` and segment ``s``, the
+    drain of driving past, the drain of stopping (detour both ways plus the
+    segment), and the level after leaving a full charge."""
+    p_bar = p.p_bar
+    return (p.e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), p.e_full - p_bar * (d + s))
 
 
 def _pattern_need(
-    inp: PlannerInput, ramps: list[_Ramp]
+    strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp]
 ) -> Callable[[Sequence[int]], float | None]:
-    """The per-pattern energy walk over the route tail's `_ramps`.
+    """The per-pattern energy walk over a route tail's ramp rows.
 
     The returned function maps a stop pattern (ascending station indices)
     to the energy, in kWh, that any feasible durations must buy, or to None
@@ -354,9 +315,6 @@ def _pattern_need(
       its feasibility tolerance still buys at least that much.
     """
     eps = _ENERGY_MARGIN
-    strict = inp.require_detour_margin_everywhere
-    battery = inp.battery
-    e_safe = inp.params.e_safe
 
     def need_of(selected: Sequence[int]) -> float | None:
         high = battery  # charge-to-full trajectory
@@ -387,11 +345,17 @@ def _pattern_need(
 def has_feasible_pattern(inp: PlannerInput) -> bool:
     """Whether some stop pattern has feasible durations by the
     charge-to-full test of `_pattern_need`, in one pass over the route."""
-    return _feasible(inp, _ramps(inp))
+    p = inp.params
+    return _feasible(
+        inp.require_detour_margin_everywhere,
+        inp.battery,
+        p.e_safe,
+        [_ramp_row(p, d, s) for d, s in zip(inp.detour_times, inp.segment_times)],
+    )
 
 
-def _feasible(inp: PlannerInput, ramps: list[_Ramp]) -> bool:
-    """`has_feasible_pattern` over the input's already built `_ramps`.
+def _feasible(strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp]) -> bool:
+    """`has_feasible_pattern` over already built ramp rows.
 
     Float subtraction is monotone, so a higher battery at a ramp is never
     worse than a lower one: it can drive past wherever the lower one can,
@@ -400,9 +364,8 @@ def _feasible(inp: PlannerInput, ramps: list[_Ramp]) -> bool:
     drives past or, when the level meets the bound there, stops and
     refills; in strict margin mode driving past needs the bound too.
     """
-    strict = inp.require_detour_margin_everywhere
     eps = _ENERGY_MARGIN
-    high = inp.battery
+    high = battery
     for floor, drive, _, refilled in ramps:
         if high >= floor - eps:
             high = max(high - drive, refilled)
@@ -410,18 +373,173 @@ def _feasible(inp: PlannerInput, ramps: list[_Ramp]) -> bool:
             return False
         else:
             high -= drive
-    return high >= inp.params.e_safe - eps
+    return high >= e_safe - eps
+
+
+# The fields of one station's row in `TruckRoute.columns`: its `_ramp_row`,
+# then the station's own constants.
+(
+    _FLOOR,
+    _DRIVE,
+    _STOP,
+    _REFILLED,
+    _RATE,
+    _PRICE,
+    _MINUTE_COST,
+    _COST_PER_KWH,
+    _DETOUR_DRAIN,
+    _STOP_MINUTES,
+    _SEGMENT,
+    _DETOUR,
+    _WAIT,
+    _STATION,
+) = range(14)
+_FIELDS = 14
+
+
+class TruckRoute:
+    """The per-station constants of one truck's route, which no ramp
+    exchange changes.
+
+    Built once per truck, from a validated scenario or planner input. Each
+    station has a row: its `_ramp_row`, charging rate, per-minute
+    electricity price, labor-plus-electricity cost per charging minute and
+    per kWh, detour drain, the fixed minutes ``2d + w`` of a stop with its
+    assumed wait, and its segment, detour, assumed wait and spec. Station
+    l is reached from ramp l (0-based), its segment drives from ramp l to
+    the next ramp or, for the last, to the destination, and its wait is the
+    one assumed while planning from an earlier ramp.
+
+    `at` gives the planner's view from one ramp by slicing the rows. Only
+    the stop labor under the live quote, three scalar checks and the
+    driving time left are computed per ramp; the last is an `ordered_sum`
+    of the remaining segments, because a truck plans at each ramp once and
+    a table of suffix sums would cost a one-off route O(m^2) additions.
+
+    The rows are interleaved in one flat tuple, so that a field of every
+    station from ramp i on is one extended slice, `column`. A truck keeps
+    its route between exchanges, and each object the route holds is young
+    in the garbage collections that land in exchanges and adds to their
+    cost: a tuple per field and per ramp row made a route a dozen objects
+    and raised the exchange p99 on the benchmark's dense fleet by a fifth,
+    where one flat tuple keeps it level.
+    """
+
+    __slots__ = ("params", "strict", "station_count", "columns")
+
+    def __init__(
+        self,
+        params: TruckParams,
+        stations: Sequence[StationSpec],
+        segment_times: Sequence[float],
+        detour_times: Sequence[float],
+        waits: Sequence[float],
+        strict: bool,
+    ) -> None:
+        self.params = params
+        self.strict = strict
+        self.station_count = len(stations)
+        columns: list[Any] = []
+        for station, d, s, w in zip(stations, detour_times, segment_times, waits):
+            rate = charging_rate(station, params)
+            price = _price_per_minute_at(station, rate)
+            # labor plus electricity per charging minute, and per kWh bought
+            minute_cost = params.kappa + price
+            columns += _ramp_row(params, d, s)
+            columns += (
+                rate,
+                price,
+                minute_cost,
+                minute_cost / rate,
+                params.p_bar * d,
+                2.0 * d + w,
+                s,
+                d,
+                w,
+                station,
+            )
+        self.columns = tuple(columns)
+
+    @classmethod
+    def of_input(cls, inp: PlannerInput) -> TruckRoute:
+        """The route of a planner input; its first station's assumed wait,
+        never used, is 0."""
+        return cls(
+            inp.params,
+            inp.stations,
+            inp.segment_times,
+            inp.detour_times,
+            (0.0,) + inp.assumed_waits,
+            inp.require_detour_margin_everywhere,
+        )
+
+    def column(self, field: int, i: int) -> tuple[Any, ...]:
+        """One field of every station from ramp i on."""
+        return self.columns[_FIELDS * i + field :: _FIELDS]
+
+    def detour_time(self, i: int) -> float:
+        """The one-way detour from ramp i to its station."""
+        return self.columns[_FIELDS * i + _DETOUR]
+
+    def at(
+        self, i: int, battery: float, quoted_wait: float, remaining_time: float
+    ) -> _RouteTail:
+        """The route tail from ramp i, reached with ``battery``, under
+        station i's live ``quoted_wait``, with ``remaining_time`` minutes
+        left until the deadline. The three values get `PlannerInput`'s
+        checks and messages."""
+        if i < self.station_count and (not math.isfinite(quoted_wait) or quoted_wait < 0):
+            raise ValueError("quoted_wait must be a finite nonnegative number")
+        if not math.isfinite(battery):
+            raise ValueError("battery must be a finite number")
+        if not math.isfinite(remaining_time):
+            raise ValueError("remaining_time must be a finite number")
+        tail = object.__new__(_RouteTail)
+        self._slice_into(tail, i, battery, quoted_wait, remaining_time)
+        return tail
+
+    def _slice_into(
+        self, tail: _RouteTail, i: int, battery: float, quoted_wait: float, remaining_time: float
+    ) -> None:
+        c, o, n = self.columns, _FIELDS * i, _FIELDS
+        tail.route = self
+        tail.start = i
+        tail.battery = battery
+        tail.quoted_wait = quoted_wait
+        tail.remaining_time = remaining_time
+        tail.ramps = ramps = tuple(
+            zip(c[o + _FLOOR :: n], c[o + _DRIVE :: n], c[o + _STOP :: n], c[o + _REFILLED :: n])
+        )
+        tail.need_of = _pattern_need(self.strict, battery, self.params.e_safe, ramps)
+        tail.rates = c[o + _RATE :: n]
+        tail.minute_cost = c[o + _MINUTE_COST :: n]
+        tail.cost_per_kwh = c[o + _COST_PER_KWH :: n]
+        tail.detour_drain = c[o + _DETOUR_DRAIN :: n]
+        # fixed minutes of a stop: the detour both ways plus the wait
+        if i < self.station_count:
+            tail.labor = (2.0 * c[o + _DETOUR] + quoted_wait,) + c[o + n + _STOP_MINUTES :: n]
+        else:
+            tail.labor = ()
+        tail.seg_total = ordered_sum(c[o + _SEGMENT :: n])
 
 
 class _RouteTail:
-    """Constants of one route tail, built once per plan, and the
+    """A truck's route from one ramp on: the slices of its `TruckRoute`,
+    the battery, the live quote and the remaining time, and the
     per-pattern computations that share them: the cost lower bound and the
     duration LP, solved directly for at most one stop and built for
     `solve_lp` otherwise.
+
+    ``_RouteTail(inp)`` is the tail of a one-off route built from a planner
+    input, at its first ramp; `TruckRoute.at` makes the others.
     """
 
     __slots__ = (
-        "inp",
+        "route",
+        "start",
+        "battery",
+        "quoted_wait",
+        "remaining_time",
         "ramps",
         "need_of",
         "rates",
@@ -433,22 +551,48 @@ class _RouteTail:
     )
 
     def __init__(self, inp: PlannerInput) -> None:
-        p = inp.params
-        rates = inp.rates()
-        waits = inp.waits()
-        self.inp = inp
-        self.ramps = _ramps(inp)
-        self.need_of = _pattern_need(inp, self.ramps)
-        self.rates = rates
-        # labor plus electricity per charging minute, and per kWh bought
-        self.minute_cost = [
-            p.kappa + _price_per_minute_at(s, r) for s, r in zip(inp.stations, rates)
-        ]
-        self.cost_per_kwh = [c / r for c, r in zip(self.minute_cost, rates)]
-        # fixed minutes of a stop: the detour both ways plus the wait
-        self.labor = [2.0 * d + w for d, w in zip(inp.detour_times, waits)]
-        self.detour_drain = [p.p_bar * d for d in inp.detour_times]
-        self.seg_total = ordered_sum(inp.segment_times)
+        TruckRoute.of_input(inp)._slice_into(
+            self, 0, inp.battery, inp.quoted_wait, inp.remaining_time
+        )
+
+    def planner_input(self) -> PlannerInput:
+        """The planner input of this tail, as a truck at this ramp would
+        state it: the remaining stations, segments and detours, the live
+        quote, and the assumed waits of the stations after it."""
+        r, i = self.route, self.start
+        return PlannerInput(
+            params=r.params,
+            stations=r.column(_STATION, i),
+            segment_times=r.column(_SEGMENT, i),
+            detour_times=r.column(_DETOUR, i),
+            battery=self.battery,
+            quoted_wait=self.quoted_wait,
+            assumed_waits=r.column(_WAIT, i + 1),
+            remaining_time=self.remaining_time,
+            require_detour_margin_everywhere=r.strict,
+        )
+
+    def cost(self, plan: ChargingPlan | Sequence[ChargeDecision]) -> tuple[float, float]:
+        """Exact objective value and overtime of a plan for this tail, as
+        (cost, overtime), from the route's per-minute prices."""
+        decisions = _decisions_of(plan)
+        route, i = self.route, self.start
+        prices = route.column(_PRICE, i)
+        detours = route.column(_DETOUR, i)
+        waits = route.column(_WAIT, i)
+        p = route.params
+        labor_minutes = 0.0
+        energy_cost = 0.0
+        spent = self.seg_total
+        for l, dec in enumerate(decisions):
+            if dec.charge:
+                wait = self.quoted_wait if l == 0 else waits[l]
+                minutes = 2.0 * detours[l] + dec.duration + wait
+                labor_minutes += minutes
+                energy_cost += prices[l] * dec.duration
+                spent += minutes
+        overtime = spent - self.remaining_time
+        return p.kappa * labor_minutes + energy_cost + max(p.rho * overtime, 0.0), overtime
 
     def bound(self, selected: Sequence[int]) -> tuple[float, float] | None:
         """``(lower_bound, constant_cost)`` of a stop pattern, or None when
@@ -474,9 +618,9 @@ class _RouteTail:
                 cheapest = cost_per_kwh[l]
             if rates[l] > fastest:
                 fastest = rates[l]
-        p = self.inp.params
+        p = self.route.params
         const = p.kappa * fixed
-        overtime = self.seg_total - self.inp.remaining_time + fixed
+        overtime = self.seg_total - self.remaining_time + fixed
         lower = const
         if selected and need > 0.0:
             lower += cheapest * need
@@ -495,18 +639,18 @@ class _RouteTail:
         shortest detours, and the whole tail's cheapest per-kWh cost and
         fastest rate. It never decreases with k.
         """
-        p = self.inp.params
+        p = self.route.params
         fixed = ordered_sum(sorted(self.labor)[:k])
         shortfall = (
             p.e_safe
-            - self.inp.battery
+            - self.battery
             + ordered_sum([drive for _, drive, _, _ in self.ramps])
             + 2.0 * ordered_sum(sorted(self.detour_drain)[:k])
             - _ENERGY_MARGIN
         )
         need = max(shortfall, 0.0)
         lower = p.kappa * fixed + min(self.cost_per_kwh) * need
-        overtime = self.seg_total - self.inp.remaining_time + fixed + need / max(self.rates)
+        overtime = self.seg_total - self.remaining_time + fixed + need / max(self.rates)
         return lower + max(p.rho * overtime, 0.0)
 
     def lp(
@@ -529,8 +673,8 @@ class _RouteTail:
         and `one_stop` reproduce it for fewer, the rescue variant
         (``with_overtime`` off, minimal time) included.
         """
-        inp = self.inp
-        p = inp.params
+        p = self.route.params
+        battery = self.battery
         rates = self.rates
         picked = set(selected)
         # cumulative driving consumption reaching each ramp (and the
@@ -548,14 +692,14 @@ class _RouteTail:
         b_ub: list[float] = []
         # reserve-plus-detour bound at ramps
         for l in range(m):
-            if inp.require_detour_margin_everywhere or l in picked:
+            if self.route.strict or l in picked:
                 a_ub.append([-rates[k] if k < l else 0.0 for k in selected] + hinge_col)
-                b_ub.append(inp.battery - drain[l] - self.ramps[l][0])
+                b_ub.append(battery - drain[l] - self.ramps[l][0])
         # reserve bound at the destination
         a_ub.append([-rates[k] for k in selected] + hinge_col)
-        b_ub.append(inp.battery - drain[m] - p.e_safe)
+        b_ub.append(battery - drain[m] - p.e_safe)
         # capacity bound at each planned stop
-        headroom = p.e_full - inp.battery
+        headroom = p.e_full - battery
         for l in selected:
             a_ub.append([rates[k] if k <= l else 0.0 for k in selected] + hinge_col)
             b_ub.append(headroom + drain[l] + self.detour_drain[l])
@@ -564,7 +708,7 @@ class _RouteTail:
             # z >= rho * (fixed_minutes + sum of durations - budget)
             fixed_minutes = self.seg_total + ordered_sum(self.labor[l] for l in selected)
             a_ub.append([p.rho] * len(selected) + [-1.0])
-            b_ub.append(p.rho * (inp.remaining_time - fixed_minutes))
+            b_ub.append(p.rho * (self.remaining_time - fixed_minutes))
 
         cost_row = [self.minute_cost[l] for l in selected] + ([1.0] if with_overtime else [])
         if cost_cap is not None:
@@ -596,23 +740,23 @@ class _RouteTail:
         phase-1 tolerance. Otherwise z is the overtime row's shortfall, or 0.
         Every right-hand side is the same float expression ``lp`` builds.
         """
-        inp = self.inp
-        p = inp.params
-        strict = inp.require_detour_margin_everywhere
+        p = self.route.params
+        strict = self.route.strict
+        battery = self.battery
         shortfall = 0.0
         drain = 0.0
         for floor, drive, _, _ in self.ramps:
             if strict:
-                b = inp.battery - drain - floor
+                b = battery - drain - floor
                 if b < 0:
                     shortfall += -1.0 * b
             drain += drive
-        b = inp.battery - drain - p.e_safe
+        b = battery - drain - p.e_safe
         if b < 0:
             shortfall += -1.0 * b
         if shortfall > 1e-7:
             return LPResult(status="infeasible", x=None, objective=None)
-        b_overtime = float(p.rho * (inp.remaining_time - self.seg_total))
+        b_overtime = float(p.rho * (self.remaining_time - self.seg_total))
         z = -1.0 * b_overtime if b_overtime < 0 else 0.0
         return LPResult(status="optimal", x=(z,), objective=z)
 
@@ -637,10 +781,9 @@ class _RouteTail:
         capacity row give. The result agrees with the simplex's to within
         rounding, not bit for bit.
         """
-        inp = self.inp
-        p = inp.params
-        strict = inp.require_detour_margin_everywhere
-        battery = inp.battery
+        p = self.route.params
+        strict = self.route.strict
+        battery = self.battery
         residual = 0.0
         lifted: list[float] = []
         drain = 0.0
@@ -668,7 +811,7 @@ class _RouteTail:
         t = largest / self.rates[k]
         if not with_overtime:
             return LPResult(status="optimal", x=(t,), objective=t)
-        b_overtime = p.rho * (inp.remaining_time - (self.seg_total + self.labor[k]))
+        b_overtime = p.rho * (self.remaining_time - (self.seg_total + self.labor[k]))
         z = max(p.rho * t - b_overtime, 0.0)
         return LPResult(status="optimal", x=(t, z), objective=self.minute_cost[k] * t + z)
 
@@ -683,8 +826,9 @@ def _level_patterns(m: int, k: int) -> Iterable[tuple[int, ...]]:
     return reversed(list(combinations(range(m), k)))
 
 
-def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
-    """Exactly solve the stop-and-duration problem for one route tail.
+def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
+    """Exactly solve the stop-and-duration problem for one route tail,
+    given as a planner input or as a `TruckRoute.at` tail.
 
     Returns 'infeasible' at once when no pattern passes the charge-to-full
     test. Otherwise enumerates stop patterns level by level, fewest stops
@@ -701,10 +845,11 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     `solve_lp` calls, so patterns with at most one stop, solved directly,
     add none.
     """
-    tail = _RouteTail(inp)
-    if not _feasible(inp, tail.ramps):
+    tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
+    route = tail.route
+    if not _feasible(route.strict, tail.battery, route.params.e_safe, tail.ramps):
         return PlannerSolution(status="infeasible", plan=None, patterns_considered=0, lp_solves=0)
-    m = inp.station_count
+    m = len(tail.rates)
     best_cost = math.inf
     best_const = 0.0
     best_selected: tuple[int, ...] | None = None
@@ -754,7 +899,7 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
         )
         for l in range(m)
     )
-    cost, overtime = evaluate_plan_cost(inp, decisions)
+    cost, overtime = tail.cost(decisions)
     plan = ChargingPlan(
         decisions=decisions, anticipated_cost=cost, anticipated_overtime=overtime
     )
@@ -763,7 +908,7 @@ def solve_charging_problem(inp: PlannerInput) -> PlannerSolution:
     )
 
 
-def minimal_rescue_charge(inp: PlannerInput) -> float | None:
+def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
     """Smallest charge (minutes) at the current station that keeps the rest
     of the route above the battery bounds, ignoring the deadline entirely.
 
@@ -772,9 +917,10 @@ def minimal_rescue_charge(inp: PlannerInput) -> float | None:
     the overtime. Returns None when even that does not exist (the truck is
     stranded).
     """
-    if inp.station_count == 0:
+    tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
+    if not tail.rates:
         return None
-    result = _RouteTail(inp).one_stop(0, with_overtime=False)
+    result = tail.one_stop(0, with_overtime=False)
     if result.status != "optimal":
         return None
     return result.x[0]

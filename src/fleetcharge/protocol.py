@@ -23,14 +23,14 @@ places.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Union
 
 from .model import _is_finite_number, _record_fields, decode_record
 from .planner import (
-    PlannerInput,
     PlannerSolution,
+    TruckRoute,
     minimal_rescue_charge,
     solve_charging_problem,
 )
@@ -188,9 +188,10 @@ class ExchangeTranscript:
 @dataclass(frozen=True, slots=True)
 class ExchangeOutcome:
     """Everything the engine needs after an exchange: the transcript, the
-    planner's full solution, the quote planned against, the booked slot
-    (None when the commitment was zero), and the rescue charge if the
-    regular problem was infeasible and a minimal safe charge existed."""
+    planner's full solution for the route tail planned against the live
+    quote, that quote, the booked slot (None when the commitment was zero),
+    and the rescue charge if the regular problem was infeasible and a
+    minimal safe charge existed."""
 
     transcript: ExchangeTranscript
     solution: PlannerSolution
@@ -205,35 +206,40 @@ def run_ramp_exchange(
     truck_id: str,
     station_id: str,
     clock: float,
-    base_input: PlannerInput,
+    route: TruckRoute,
+    index: int,
+    battery: float,
+    remaining_time: float,
 ) -> ExchangeOutcome:
     """Execute one complete exchange at a ramp.
 
-    ``base_input`` describes the remaining route from this ramp; its
-    ``quoted_wait`` is overwritten with the station's live quote before
-    planning. The committed time is the planned duration at this station
-    (zero when the plan skips it). If the planner finds no feasible plan,
-    the truck falls back to the smallest charge here that keeps the rest of
-    the route above the battery bounds, deadline ignored; if even that does
-    not exist the commitment is zero and the caller decides what stranding
-    means.
+    ``route`` is the truck's route and ``index`` the position on it of
+    this ramp's station (0 at the first ramp); ``battery`` is the level
+    reaching the ramp and ``remaining_time`` the minutes left until the
+    delivery deadline. The truck plans the route's tail from this ramp,
+    ``route.at(index, ...)``, against the station's live quote and commits
+    the planned duration at this station (zero when the plan skips it). If
+    the planner finds no feasible plan, the truck falls back to the
+    smallest charge here that keeps the rest of the route above the battery
+    bounds, deadline ignored; if even that does not exist the commitment is
+    zero and the caller decides what stranding means.
 
     A StaleQuoteError from the ledger propagates: exchanges are serialized
     by the engine, so staleness indicates a sequencing bug, not a condition
     to retry.
     """
-    t_arrival = clock + base_input.detour_times[0]
+    t_arrival = clock + route.detour_time(index)
     arrival = ArrivalAnnouncement(truck=truck_id, station=station_id, t_arrival=t_arrival)
     quote = ledger.estimate_wait(t_arrival)
     estimate = WaitingEstimate(station=station_id, truck=truck_id, wait=quote.wait)
-    inp = replace(base_input, quoted_wait=quote.wait)
-    solution = solve_charging_problem(inp)
+    tail = route.at(index, battery, quote.wait, remaining_time)
+    solution = solve_charging_problem(tail)
     rescue_charge: float | None = None
     if solution.status == "optimal":
         first = solution.plan.decisions[0]
         charge_time = first.duration if first.charge else 0.0
     else:
-        rescue_charge = minimal_rescue_charge(inp)
+        rescue_charge = minimal_rescue_charge(tail)
         charge_time = rescue_charge if rescue_charge is not None else 0.0
     version_before = ledger.version
     commitment = ChargingCommitment(

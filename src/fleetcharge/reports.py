@@ -142,19 +142,31 @@ def write_comparison_csv(report: ComparisonReport, path: str | Path) -> Path:
     return target
 
 
+def _ledgers_from_dict(docs: Any) -> dict[str, PortLedger]:
+    if not isinstance(docs, dict):
+        raise TypeError("must hold a JSON object")
+    return {sid: PortLedger.from_export(doc, sid) for sid, doc in docs.items()}
+
+
+def _read_run_file(path: Path, kind: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode`` of a run file's JSON; anything malformed, from its bytes
+    to its fields, raises ValueError naming the file."""
+    try:
+        return decode(json.loads(path.read_text(encoding="utf-8")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is not a {kind} file: {exc}") from None
+
+
 def write_report_csvs(run_dir: str | Path) -> list[Path]:
     """Regenerate the four report CSVs from a run directory's metrics.json
     and ledgers.json: waiting_by_truck (descending, zero waits omitted),
     station_totals, residual_battery (with each truck's reserve threshold,
     stranded trucks omitted) and port_schedule. Both files are read back
     into run records before anything is written; a malformed file raises
-    TypeError or ValueError."""
+    ValueError naming it."""
     run = Path(run_dir)
-    metrics = metrics_from_dict(json.loads((run / "metrics.json").read_text(encoding="utf-8")))
-    ledger_docs = json.loads((run / "ledgers.json").read_text(encoding="utf-8"))
-    if not isinstance(ledger_docs, dict):
-        raise TypeError("ledgers.json must hold a JSON object")
-    ledgers = {sid: PortLedger.from_export(doc, sid) for sid, doc in ledger_docs.items()}
+    metrics = _read_run_file(run / "metrics.json", "metrics", metrics_from_dict)
+    ledgers = _read_run_file(run / "ledgers.json", "ledgers", _ledgers_from_dict)
     written = []
 
     waiters = sorted(

@@ -37,7 +37,7 @@ from .model import (
     ordered_sum,
     validate_scenario,
 )
-from .planner import PlannerInput, solve_charging_problem
+from .planner import TruckRoute, solve_charging_problem
 from .protocol import ExchangeTranscript, run_ramp_exchange
 from .station import PortLedger
 
@@ -304,6 +304,9 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
     visits: dict[str, list[VisitRecord]] = {t.id: [] for t in scenario.trucks}
     trips: dict[str, TripRecord] = {}
     plans: dict[str, list[float]] = {}  # offline charge time at each ramp
+    # a proposed truck's route constants, from its first exchange until its
+    # last one
+    routes: dict[str, TruckRoute] = {}
     transcripts: list[ExchangeTranscript] = []
     rescue_count = 0
     ramp_arrivals = 0
@@ -330,25 +333,28 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
                 clock += route.detour_times[ramp - 1]
         heapq.heappush(heap, (clock, spec.id, ramp, battery))
 
+    def build_route(spec: TruckSpec, wait: float) -> TruckRoute:
+        """The planner's constants of a truck's route, each station after
+        the negotiated one assumed to make it wait ``wait`` minutes."""
+        route = spec.route
+        return TruckRoute(
+            spec.params,
+            [station_specs[sid] for sid in route.station_ids],
+            route.segment_times[1:],
+            route.detour_times,
+            (wait,) * route.ramp_count,
+            strict,
+        )
+
     for spec in scenario.trucks:
         route = spec.route
         tau0 = route.segment_times[0]
         clock = spec.depart_time + tau0
         battery = spec.e_initial - spec.params.p_bar * tau0
         if not proposed and route.ramp_count:
-            solution = solve_charging_problem(
-                PlannerInput(
-                    params=spec.params,
-                    stations=tuple(station_specs[sid] for sid in route.station_ids),
-                    segment_times=tuple(route.segment_times[1:]),
-                    detour_times=route.detour_times,
-                    battery=battery,
-                    quoted_wait=0.0,
-                    assumed_waits=(0.0,) * (route.ramp_count - 1),
-                    remaining_time=spec.deadline - clock,
-                    require_detour_margin_everywhere=strict,
-                )
-            )
+            # planned once, at the origin, assuming no wait anywhere
+            tail = build_route(spec, 0.0).at(0, battery, 0.0, spec.deadline - clock)
+            solution = solve_charging_problem(tail)
             if solution.status != "optimal":
                 trips[spec.id] = _trip(spec, [], None, None, 0)
                 continue
@@ -371,19 +377,17 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
         station_id = route.station_ids[i]
         if proposed:
             ramp_arrivals += 1
-            base_input = PlannerInput(
-                params=spec.params,
-                stations=tuple(station_specs[sid] for sid in route.station_ids[i:]),
-                segment_times=tuple(route.segment_times[ramp:]),
-                detour_times=tuple(route.detour_times[i:]),
-                battery=battery,
-                quoted_wait=0.0,
-                assumed_waits=(spec.w_hat_default,) * (route.ramp_count - ramp),
-                remaining_time=spec.deadline - time,
-                require_detour_margin_everywhere=strict,
-            )
+            truck_route = build_route(spec, spec.w_hat_default) if i == 0 else routes.pop(truck_id)
             outcome = run_ramp_exchange(
-                len(transcripts) + 1, ledgers[station_id], truck_id, station_id, time, base_input
+                len(transcripts) + 1,
+                ledgers[station_id],
+                truck_id,
+                station_id,
+                time,
+                truck_route,
+                i,
+                battery,
+                spec.deadline - time,
             )
             transcripts.append(outcome.transcript)
             if outcome.rescue_charge is not None:
@@ -391,6 +395,8 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
             if outcome.solution.status != "optimal" and outcome.assignment is None:
                 trips[truck_id] = _trip(spec, visits[truck_id], None, None, ramp)
                 continue
+            if ramp < route.ramp_count:
+                routes[truck_id] = truck_route
             quote, a = outcome.quote, outcome.assignment
         else:
             # queue on arrival behind whoever booked first

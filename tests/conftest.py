@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from fleetcharge import planner
 from fleetcharge.generator import ScenarioTemplate, _truck_params
 from fleetcharge.lp import LPResult, solve_lp
-from fleetcharge.model import Route, Scenario, StationSpec, TruckParams, TruckSpec
+from fleetcharge.model import (
+    Route,
+    Scenario,
+    StationSpec,
+    TruckParams,
+    TruckSpec,
+    charging_rate,
+    electricity_price_per_minute,
+)
 from fleetcharge.planner import PlannerInput, _RouteTail
 
 # the reference truck, station and mission values
@@ -104,6 +112,21 @@ def make_planner_input(
         remaining_time=remaining_time,
         **kw,
     )
+
+
+def rates_of(inp: PlannerInput) -> tuple[float, ...]:
+    """Charging rate at each remaining station, kWh per minute."""
+    return tuple(charging_rate(s, inp.params) for s in inp.stations)
+
+
+def prices_of(inp: PlannerInput) -> tuple[float, ...]:
+    """Electricity cost of one charging minute at each remaining station."""
+    return tuple(electricity_price_per_minute(s, inp.params) for s in inp.stations)
+
+
+def waits_of(inp: PlannerInput) -> tuple[float, ...]:
+    """Wait assumed at each remaining station: the quote, then the defaults."""
+    return (inp.quoted_wait,) + inp.assumed_waits if inp.stations else ()
 
 
 def assignment_lp(inp: PlannerInput, selected, **options) -> LPResult:

@@ -16,6 +16,7 @@ import numpy as np
 from fleetcharge.model import ChargeDecision
 from fleetcharge.planner import PlannerInput, check_feasibility, evaluate_plan_cost
 
+from conftest import prices_of, rates_of, waits_of
 from reference_planner import stop_patterns
 
 
@@ -51,9 +52,9 @@ def brute_force_oracle(
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     p = inp.params
-    rates = inp.rates()
-    prices = inp.prices_per_minute()
-    waits = inp.waits()
+    rates = rates_of(inp)
+    prices = prices_of(inp)
+    waits = waits_of(inp)
     seg_total = sum(inp.segment_times)
 
     best_cost = math.inf

@@ -28,6 +28,8 @@ from fleetcharge.planner import (
     evaluate_plan_cost,
 )
 
+from conftest import waits_of
+
 
 def stop_patterns(m: int) -> list[tuple[int, ...]]:
     """All stop patterns as index tuples, fewest stops first, then by the
@@ -38,7 +40,7 @@ def stop_patterns(m: int) -> list[tuple[int, ...]]:
 
 
 def _pattern_constant_cost(inp: PlannerInput, selected: tuple[int, ...]) -> float:
-    waits = inp.waits()
+    waits = waits_of(inp)
     fixed = 0.0
     for l in selected:
         fixed += 2.0 * inp.detour_times[l] + waits[l]

@@ -308,6 +308,31 @@ def test_report_omits_trucks_that_never_waited(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "name, kind, keys, message",
+    [
+        # a run directory written before metrics.json lost its derived keys
+        ("metrics.json", "metrics", ("per_truck", 0, "total_wait"), "per_truck[0]: unexpected field 'total_wait'"),
+        ("ledgers.json", "ledgers", ("s01", "port_power"), "s01: unexpected field 'port_power'"),
+    ],
+)
+def test_report_names_the_file_it_could_not_read(
+    tmp_path, scenario_file, capsys, name, kind, keys, message
+):
+    run_dir = tmp_path / "run" / "proposed"
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "run")]) == 0
+    path = run_dir / name
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = 0.0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(run_dir)]) == 2
+    assert capsys.readouterr().err == f"{path} is not a {kind} file: {message}\n"
+
+
 NOT_UTF8 = b'{"label": "\xff"}'
 HUGE_PORT_COUNT = scenario_to_json(make_scenario(stations=(make_station(port_count=10**30),))).encode()
 HUGE_LEDGER = json.dumps(

@@ -24,7 +24,15 @@ from fleetcharge.planner import (
     solve_charging_problem,
 )
 
-from conftest import assignment_lp, make_params, make_planner_input, make_station, planner_inputs
+from conftest import (
+    assignment_lp,
+    make_params,
+    make_planner_input,
+    make_station,
+    planner_inputs,
+    prices_of,
+    rates_of,
+)
 from grid_oracle import brute_force_oracle
 
 
@@ -350,7 +358,7 @@ def test_candidate_plans_never_beat_the_solver():
         if sol.status != "optimal":
             continue
         m = inp.station_count
-        rates = inp.rates()
+        rates = rates_of(inp)
         for pattern in itertools.product((0, 1), repeat=m):
             for trial in range(4):
                 decisions = []
@@ -415,7 +423,7 @@ def _naive_grid_oracle(inp: PlannerInput, step: float):
     """Reference for the reference: every duration coordinate on the grid,
     no shortcuts. Only viable for tiny capacities."""
     m = inp.station_count
-    rates = inp.rates()
+    rates = rates_of(inp)
     best = None
     for pattern in itertools.product((0, 1), repeat=m):
         selected = [l for l in range(m) if pattern[l]]
@@ -483,7 +491,7 @@ def test_solver_agrees_with_grid_oracle():
         # the grid contains no plan cheaper than the LP optimum, and the
         # LP optimum is within one grid step per station of the best grid plan
         assert sol.plan.anticipated_cost <= oracle.cost + 1e-9
-        eps_prime = max(inp.prices_per_minute())
+        eps_prime = max(prices_of(inp))
         bound = (inp.params.kappa + eps_prime + inp.params.rho) * inp.station_count * 0.1
         assert oracle.cost - sol.plan.anticipated_cost <= bound
         compared += 1

@@ -21,7 +21,14 @@ from fleetcharge.planner import (
 )
 from fleetcharge.reports import write_run_outputs
 
-from conftest import assignment_lp, make_planner_input, planner_inputs
+from conftest import (
+    assignment_lp,
+    make_planner_input,
+    planner_inputs,
+    prices_of,
+    rates_of,
+    waits_of,
+)
 from reference_planner import (
     max_charge_feasible,
     reference_search,
@@ -36,15 +43,15 @@ def level_bound(inp, k):
     no-charge trajectory with the k shortest detours, the cheapest per-kWh
     cost and the fastest rate."""
     p = inp.params
-    labor = sorted(2.0 * d + w for d, w in zip(inp.detour_times, inp.waits()))
+    labor = sorted(2.0 * d + w for d, w in zip(inp.detour_times, waits_of(inp)))
     detours = sorted(2.0 * (p.p_bar * d) for d in inp.detour_times)
     drive = ordered_sum(p.p_bar * s for s in inp.segment_times)
     fixed = ordered_sum(labor[:k])
     need = max(p.e_safe - inp.battery + drive + ordered_sum(detours[:k]) - 1e-7, 0.0)
     cheapest = min(
-        (p.kappa + price) / rate for price, rate in zip(inp.prices_per_minute(), inp.rates())
+        (p.kappa + price) / rate for price, rate in zip(prices_of(inp), rates_of(inp))
     )
-    overtime = ordered_sum(inp.segment_times) - inp.remaining_time + fixed + need / max(inp.rates())
+    overtime = ordered_sum(inp.segment_times) - inp.remaining_time + fixed + need / max(rates_of(inp))
     return p.kappa * fixed + cheapest * need + max(p.rho * overtime, 0.0)
 
 
@@ -184,7 +191,8 @@ def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
         }
 
     pruned = run_all("pruned", solve_charging_problem)
-    reference = run_all("reference", reference_solve_charging_problem)
+    # the engine plans over route tails; the reference takes their inputs
+    reference = run_all("reference", lambda tail: reference_solve_charging_problem(tail.planner_input()))
     assert len(pruned) == 10
     assert pruned == reference
     assert lp_solves["pruned"] < lp_solves["reference"]

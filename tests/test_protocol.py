@@ -14,6 +14,7 @@ from fleetcharge.protocol import (
     encode_message,
     run_ramp_exchange,
 )
+from fleetcharge.planner import TruckRoute, solve_charging_problem
 from fleetcharge.station import PortLedger, StaleQuoteError
 
 from conftest import make_planner_input
@@ -124,7 +125,9 @@ def test_exchange_commits_when_the_plan_charges():
     base = make_planner_input(
         segment_times=(60.0,), detour_times=(5.0,), battery=230.0, quoted_wait=0.0
     )
-    outcome = run_ramp_exchange(1, ledger, "t001", "s01", 100.0, base)
+    outcome = run_ramp_exchange(
+        1, ledger, "t001", "s01", 100.0, TruckRoute.of_input(base), 0, base.battery, base.remaining_time
+    )
     tr = outcome.transcript
     assert tr.sequence_no == 1
     assert len(tr.messages) == 4
@@ -146,7 +149,9 @@ def test_exchange_still_has_four_messages_when_skipping():
     base = make_planner_input(
         segment_times=(60.0,), detour_times=(5.0,), battery=500.0, quoted_wait=0.0
     )
-    outcome = run_ramp_exchange(1, ledger, "t001", "s01", 100.0, base)
+    outcome = run_ramp_exchange(
+        1, ledger, "t001", "s01", 100.0, TruckRoute.of_input(base), 0, base.battery, base.remaining_time
+    )
     tr = outcome.transcript
     assert len(tr.messages) == 4
     assert tr.messages[2].charge_time == 0.0
@@ -163,7 +168,9 @@ def test_exchange_uses_the_live_quote_not_the_assumed_wait():
     base = make_planner_input(
         segment_times=(60.0,), detour_times=(5.0,), battery=230.0, quoted_wait=0.0
     )
-    outcome = run_ramp_exchange(2, ledger, "t001", "s01", 100.0, base)
+    outcome = run_ramp_exchange(
+        2, ledger, "t001", "s01", 100.0, TruckRoute.of_input(base), 0, base.battery, base.remaining_time
+    )
     quoted = outcome.transcript.messages[1].wait
     assert quoted > 0.0
     assert outcome.quote.wait == quoted
@@ -184,7 +191,9 @@ def test_exchange_without_any_feasible_plan_books_nothing():
         assumed_waits=(12.0,),
         params=params,
     )
-    outcome = run_ramp_exchange(1, ledger, "t001", "s01", 0.0, base)
+    outcome = run_ramp_exchange(
+        1, ledger, "t001", "s01", 0.0, TruckRoute.of_input(base), 0, base.battery, base.remaining_time
+    )
     assert outcome.solution.status == "infeasible"
     assert outcome.rescue_charge is None
     assert outcome.assignment is None
@@ -192,12 +201,44 @@ def test_exchange_without_any_feasible_plan_books_nothing():
     assert outcome.transcript.messages[2].charge_time == 0.0
 
 
+def test_exchange_at_a_later_ramp_plans_the_tail_from_that_ramp():
+    # the second ramp of a two-station route: the announced arrival uses
+    # that ramp's detour, and the plan is the one of the route's suffix
+    # with the live quote in place of the assumed wait
+    ledger = PortLedger(1)
+    ledger.commit(ledger.estimate_wait(100.0), "t000", 20.0)
+    base = make_planner_input(
+        segment_times=(30.0, 60.0),
+        detour_times=(3.0, 5.0),
+        battery=400.0,
+        assumed_waits=(12.0,),
+    )
+    outcome = run_ramp_exchange(
+        1, ledger, "t001", "s02", 100.0, TruckRoute.of_input(base), 1, 230.0, 150.0
+    )
+    assert outcome.transcript.messages[0].t_arrival == 105.0
+    quoted = outcome.quote.wait
+    assert quoted > 0.0
+    suffix = make_planner_input(
+        stations=base.stations[1:],
+        segment_times=(60.0,),
+        detour_times=(5.0,),
+        battery=230.0,
+        quoted_wait=quoted,
+        remaining_time=150.0,
+    )
+    assert outcome.solution == solve_charging_problem(suffix)
+    assert outcome.transcript.messages[2].charge_time > 0.0
+
+
 def test_wire_lines_replay_as_a_transcript():
     ledger = PortLedger(1)
     base = make_planner_input(
         segment_times=(60.0,), detour_times=(5.0,), battery=230.0, quoted_wait=0.0
     )
-    outcome = run_ramp_exchange(1, ledger, "t001", "s01", 100.0, base)
+    outcome = run_ramp_exchange(
+        1, ledger, "t001", "s01", 100.0, TruckRoute.of_input(base), 0, base.battery, base.remaining_time
+    )
     lines = outcome.transcript.wire_lines()
     assert len(lines) == 4
     decoded = [decode_message(line) for line in lines]

@@ -211,9 +211,9 @@ def test_one_exchange_per_ramp_arrival(monkeypatch):
     plans = []
     solve = simulation.solve_charging_problem
 
-    def counting_solve(inp):
-        plans.append(inp)
-        return solve(inp)
+    def counting_solve(tail):
+        plans.append(tail.planner_input())
+        return solve(tail)
 
     monkeypatch.setattr(simulation, "solve_charging_problem", counting_solve)
     offline = run_offline_baseline(sc)
