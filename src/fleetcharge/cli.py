@@ -214,9 +214,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         results[strategy] = result
         m = result.metrics
         print(
-            f"{strategy}: {len(m.trips)} trucks, total wait "
-            f"{m.total_waiting_minutes:.2f} min, {m.deadline_violation_count} "
-            f"late, {m.stranded_count} stranded -> {out / strategy}"
+            f"{strategy}: {m.totals.trucks} trucks, total wait "
+            f"{m.totals.total_waiting_minutes:.2f} min, {m.totals.deadline_violations} "
+            f"late, {m.totals.stranded} stranded -> {out / strategy}"
         )
     if args.strategy == "both":
         report = compare(results["offline"].metrics, results["proposed"].metrics)

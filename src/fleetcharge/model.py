@@ -289,9 +289,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         _check_station(prefix, s, out)
 
     station_ids = {s.id for s in scenario.stations}
+    # the stations with a usable port power, and the slowest of them
+    powered = {s.id: s for s in scenario.stations if _is_finite_number(s.port_power) and s.port_power > 0}
+    slowest = min(powered.values(), key=lambda s: s.port_power, default=None)
     seen_trucks: set[str] = set()
     for t in scenario.trucks:
         prefix = f"truck {t.id}"
+        before = len(out)
         if t.id in seen_trucks:
             out.append(f"{prefix}: duplicate truck id")
         seen_trucks.add(t.id)
@@ -317,8 +321,27 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         first_detour = t.route.detour_times[0] if t.route.detour_times else 0.0
         if t.e_initial < t.params.e_safe + t.params.p_bar * first_detour:
             out.append(f"{prefix}: initial battery insufficient for first detour")
+        if len(out) > before:
+            continue
+        # totals over the route that overflow or underflow although every
+        # input is finite; a full charge takes longest at the slowest station
+        p, r = t.params, t.route
+        if not math.isfinite(t.deadline):
+            out.append(f"{prefix}: deadline is not a finite number")
+        if not math.isfinite(p.p_bar * (ordered_sum(r.segment_times) + 2.0 * ordered_sum(r.detour_times))):
+            out.append(f"{prefix}: the energy drained over the route is not a finite number")
+        if slowest is None or _full_charge_is_finite(slowest, p):
+            continue
+        for sid in dict.fromkeys(r.station_ids):
+            if sid in powered and not _full_charge_is_finite(powered[sid], p):
+                out.append(f"{prefix}: a full charge at station {sid} does not take a finite time")
 
     return out
+
+
+def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
+    rate = charging_rate(s, p)
+    return rate > 0 and math.isfinite(p.e_full / rate)
 
 
 # -- JSON codec ----------------------------------------------------------------

@@ -89,11 +89,11 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     _write_csv(
         trips_path,
         ["truck", *_header(VisitRecord)],
-        [[trip.truck_id, *_cells(v)] for trip in result.metrics.trips for v in trip.visits],
+        [[trip.truck_id, *_cells(v)] for trip in result.metrics.per_truck for v in trip.visits],
     )
     written.append(trips_path)
 
-    written.append(_write_station_totals(out / "stations.csv", result.metrics.station_totals))
+    written.append(_write_station_totals(out / "stations.csv", result.metrics.per_station))
 
     transcript_path = out / "transcript.jsonl"
     transcript_path.write_text(
@@ -170,7 +170,7 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
     written = []
 
     waiters = sorted(
-        ((t.truck_id, t.total_wait) for t in metrics.trips if t.total_wait > 0),
+        ((t.truck_id, t.total_wait) for t in metrics.per_truck if t.total_wait > 0),
         key=lambda row: (-row[1], row[0]),
     )
     path = run / "waiting_by_truck.csv"
@@ -181,7 +181,7 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
     )
     written.append(path)
 
-    written.append(_write_station_totals(run / "station_totals.csv", metrics.station_totals))
+    written.append(_write_station_totals(run / "station_totals.csv", metrics.per_station))
 
     path = run / "residual_battery.csv"
     _write_csv(
@@ -189,7 +189,7 @@ def write_report_csvs(run_dir: str | Path) -> list[Path]:
         ["truck", "residual_battery", "threshold"],
         [
             [t.truck_id, _fmt(t.residual_battery), _fmt(t.reserve_battery)]
-            for t in metrics.trips
+            for t in metrics.per_truck
             if not t.stranded
         ],
     )

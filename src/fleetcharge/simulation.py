@@ -45,6 +45,7 @@ __all__ = [
     "VisitRecord",
     "TripRecord",
     "StationTotals",
+    "RunTotals",
     "RunMetrics",
     "RunResult",
     "TruckDelta",
@@ -121,46 +122,9 @@ class StationTotals:
 
 
 @dataclass(frozen=True, slots=True)
-class RunMetrics:
-    """Aggregates are computed from the trip records they summarize, so the
-    sums match their constituents exactly."""
-
-    label: str
-    strategy: str
-    trips: tuple[TripRecord, ...]
-    station_totals: tuple[StationTotals, ...]
-    total_waiting_minutes: float
-    total_waiting_hours: float
-    total_charging_minutes: float
-    total_energy_delivered: float
-    deadline_violation_count: int
-    stranded_count: int
-    rescue_count: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return encode_record(
-            _MetricsFile(
-                label=self.label,
-                strategy=self.strategy,
-                totals=_RunTotals(
-                    trucks=len(self.trips),
-                    stranded=self.stranded_count,
-                    deadline_violations=self.deadline_violation_count,
-                    rescue_charges=self.rescue_count,
-                    total_waiting_minutes=self.total_waiting_minutes,
-                    total_waiting_hours=self.total_waiting_hours,
-                    total_charging_minutes=self.total_charging_minutes,
-                    total_energy_delivered_kwh=self.total_energy_delivered,
-                ),
-                per_truck=self.trips,
-                per_station=self.station_totals,
-            )
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class _RunTotals:
-    """The ``totals`` object of metrics.json."""
+class RunTotals:
+    """Fleet aggregates, computed from the trip records they summarize, so
+    the sums match their constituents exactly."""
 
     trucks: int
     stranded: int
@@ -173,35 +137,43 @@ class _RunTotals:
 
 
 @dataclass(frozen=True, slots=True)
-class _MetricsFile:
-    """What metrics.json holds of a run."""
+class RunMetrics:
+    """What a run measured; its fields are the keys of metrics.json."""
 
     label: str
     strategy: str
-    totals: _RunTotals
+    totals: RunTotals
     per_truck: tuple[TripRecord, ...]
     per_station: tuple[StationTotals, ...]
+
+    # the three totals perfbench/run.py reports by these names
+    @property
+    def total_waiting_minutes(self) -> float:
+        return self.totals.total_waiting_minutes
+
+    @property
+    def deadline_violation_count(self) -> int:
+        return self.totals.deadline_violations
+
+    @property
+    def stranded_count(self) -> int:
+        return self.totals.stranded
+
+    def to_dict(self) -> dict[str, Any]:
+        return encode_record(self)
 
 
 def metrics_from_dict(doc: Any) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
-    ``RunMetrics.to_dict``). A malformed ``doc`` raises ValueError naming
+    ``RunMetrics.to_dict``). A malformed ``doc``, or a trip whose arrival
+    fields disagree with its ``stranded`` flag, raises ValueError naming
     the field."""
-    f = decode_record(_MetricsFile, doc, "metrics")
-    t = f.totals
-    return RunMetrics(
-        label=f.label,
-        strategy=f.strategy,
-        trips=f.per_truck,
-        station_totals=f.per_station,
-        total_waiting_minutes=t.total_waiting_minutes,
-        total_waiting_hours=t.total_waiting_hours,
-        total_charging_minutes=t.total_charging_minutes,
-        total_energy_delivered=t.total_energy_delivered_kwh,
-        deadline_violation_count=t.deadline_violations,
-        stranded_count=t.stranded,
-        rescue_count=t.rescue_charges,
-    )
+    metrics = decode_record(RunMetrics, doc, "metrics")
+    for i, trip in enumerate(metrics.per_truck):
+        for name in ("arrival_time", "deadline_violation", "residual_battery"):
+            if (getattr(trip, name) is None) != trip.stranded:
+                raise ValueError(f"per_truck[{i}]: {name} must be null exactly when stranded")
+    return metrics
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,17 +245,20 @@ def _build_metrics(
     return RunMetrics(
         label=scenario.label,
         strategy=strategy,
-        trips=trips,
-        station_totals=tuple(station_rows),
-        total_waiting_minutes=total_wait,
-        total_waiting_hours=total_wait / 60.0,
-        total_charging_minutes=ordered_sum(t.total_charge_time for t in trips),
-        total_energy_delivered=ordered_sum(t.total_energy for t in trips),
-        deadline_violation_count=sum(
-            1 for t in trips if t.deadline_violation is not None and t.deadline_violation > 0
+        totals=RunTotals(
+            trucks=len(trips),
+            stranded=sum(1 for t in trips if t.stranded),
+            deadline_violations=sum(
+                1 for t in trips if t.deadline_violation is not None and t.deadline_violation > 0
+            ),
+            rescue_charges=rescue_count,
+            total_waiting_minutes=total_wait,
+            total_waiting_hours=total_wait / 60.0,
+            total_charging_minutes=ordered_sum(t.total_charge_time for t in trips),
+            total_energy_delivered_kwh=ordered_sum(t.total_energy for t in trips),
         ),
-        stranded_count=sum(1 for t in trips if t.stranded),
-        rescue_count=rescue_count,
+        per_truck=trips,
+        per_station=tuple(station_rows),
     )
 
 
@@ -513,12 +488,12 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
             f"cannot compare runs of different scenarios: "
             f"{baseline.label!r} vs {proposed.label!r}"
         )
-    prop_by_truck = {t.truck_id: t for t in proposed.trips}
-    base_ids = [t.truck_id for t in baseline.trips]
+    prop_by_truck = {t.truck_id: t for t in proposed.per_truck}
+    base_ids = [t.truck_id for t in baseline.per_truck]
     if set(base_ids) != set(prop_by_truck):
         raise ValueError("cannot compare runs with different truck sets")
     truck_rows = []
-    for bt in baseline.trips:
+    for bt in baseline.per_truck:
         pt = prop_by_truck[bt.truck_id]
         truck_rows.append(
             TruckDelta(
@@ -532,11 +507,11 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
                 violation_proposed=pt.deadline_violation,
             )
         )
-    prop_by_station = {s.station: s for s in proposed.station_totals}
-    if {s.station for s in baseline.station_totals} != set(prop_by_station):
+    prop_by_station = {s.station: s for s in proposed.per_station}
+    if {s.station for s in baseline.per_station} != set(prop_by_station):
         raise ValueError("cannot compare runs with different station sets")
     station_rows = []
-    for bs in baseline.station_totals:
+    for bs in baseline.per_station:
         ps = prop_by_station[bs.station]
         station_rows.append(
             StationDelta(
@@ -548,8 +523,8 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
                 charge_proposed=ps.charging_minutes,
             )
         )
-    wait_base = baseline.total_waiting_minutes
-    wait_prop = proposed.total_waiting_minutes
+    wait_base = baseline.totals.total_waiting_minutes
+    wait_prop = proposed.totals.total_waiting_minutes
     reduction = 100.0 * (wait_base - wait_prop) / wait_base if wait_base > 0 else 0.0
     return ComparisonReport(
         label=baseline.label,
@@ -558,10 +533,10 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
         wait_baseline=wait_base,
         wait_proposed=wait_prop,
         wait_reduction_pct=reduction,
-        violations_baseline=baseline.deadline_violation_count,
-        violations_proposed=proposed.deadline_violation_count,
-        stranded_baseline=baseline.stranded_count,
-        stranded_proposed=proposed.stranded_count,
+        violations_baseline=baseline.totals.deadline_violations,
+        violations_proposed=proposed.totals.deadline_violations,
+        stranded_baseline=baseline.totals.stranded,
+        stranded_proposed=proposed.totals.stranded,
     )
 
 
@@ -586,7 +561,7 @@ def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[
         for msg in ledger.audit():
             out.append(f"ledger {station_id}: {msg}")
 
-    for trip in result.metrics.trips:
+    for trip in result.metrics.per_truck:
         spec = trucks[trip.truck_id]
         for v in trip.visits:
             if v.realized_wait != v.quoted_wait:

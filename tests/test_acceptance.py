@@ -221,7 +221,7 @@ def test_criterion_3_safety_and_conservation(safety_runs):
             for sid, ledger in result.ledgers.items():
                 if ledger.audit():
                     problems.append(f"{sc.label}/{sid}: ledger audit failed")
-            for trip in result.metrics.trips:
+            for trip in result.metrics.per_truck:
                 if trip.stranded:
                     continue
                 spec = specs[trip.truck_id]
@@ -303,13 +303,13 @@ def test_criterion_4_mean_wait_reduction(congested_runs):
     problems: list[str] = []
     reductions = []
     for sc, base, prop in runs:
-        waited = sum(1 for t in base.metrics.trips if t.total_wait > 0.0)
+        waited = sum(1 for t in base.metrics.per_truck if t.total_wait > 0.0)
         if waited < 0.25 * len(sc.trucks):
             problems.append(
                 f"{sc.label}: only {waited}/{len(sc.trucks)} baseline trucks waited"
             )
-        b = base.metrics.total_waiting_minutes
-        p = prop.metrics.total_waiting_minutes
+        b = base.metrics.totals.total_waiting_minutes
+        p = prop.metrics.totals.total_waiting_minutes
         if b <= 0.0:
             problems.append(f"{sc.label}: baseline waiting is zero")
             continue
@@ -338,7 +338,7 @@ def test_criterion_5_realized_waits_equal_quotes(safety_runs, congested_runs):
     positive = 0
     for runs, _ in (safety_runs, congested_runs):
         for sc, _base, prop in runs:
-            for trip in prop.metrics.trips:
+            for trip in prop.metrics.per_truck:
                 for v in trip.visits:
                     if v.realized_wait != v.quoted_wait:
                         problems.append(
@@ -365,7 +365,7 @@ def test_criterion_6_residuals_cluster_at_reserve(congested_runs):
         problems.append("reserve is not exactly a quarter of capacity")
     charged = []
     for _sc, _base, prop in runs:
-        for trip in prop.metrics.trips:
+        for trip in prop.metrics.per_truck:
             if trip.visits and not trip.stranded:
                 charged.append(trip.residual_battery)
     near = sum(1 for r in charged if abs(r - e_safe) <= 0.05 * e_safe)

@@ -5,14 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetcharge import cli
 from fleetcharge.cli import main
-from fleetcharge.model import MAX_ENUMERATED_STATIONS, scenario_to_json
+from fleetcharge.model import MAX_ENUMERATED_STATIONS, MAX_PORT_COUNT, scenario_to_json
 
 from conftest import make_params, make_scenario, make_station, make_truck
 
@@ -21,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PLAN_INPUT = ROOT / "tests" / "fixtures" / "plan_input.json"
 # its solution as `plan --out` writes it, which CI also diffs against
 PLAN_OUTPUT = ROOT / "tests" / "fixtures" / "plan_output.json"
+GOLDEN_SCENARIO = ROOT / "tests" / "goldens" / "scenario.json"
 
 RUN_FILES = (
     "metrics.json",
@@ -149,6 +153,78 @@ def test_route_beyond_planner_limit_exits_two(tmp_path, capsys):
     path.write_text(scenario_to_json(make_scenario(trucks=(truck,), label="long")))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
     assert f"{n} ramps exceeds" in capsys.readouterr().err
+
+
+def _run_golden(tmp_dir, route_edits=(), sets=(), strategy="both") -> int:
+    """``run`` of the golden scenario with each ``(truck, field, index)``
+    of ``route_edits`` set to 1e308 and ``--set`` given each of ``sets``."""
+    doc = json.loads(GOLDEN_SCENARIO.read_text())
+    for truck, field, i in route_edits:
+        doc["trucks"][truck]["route"][field][i] = 1e308
+    path = Path(tmp_dir) / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["run", "--scenario", str(path), "--strategy", strategy, "--out", str(Path(tmp_dir) / "r")]
+    return main(argv + [arg for item in sets for arg in ("--set", item)])
+
+
+# every input is finite, but a total over the route is not: the energy
+# drained, the deadline, or a full charge at a near-zero power
+@pytest.mark.parametrize(
+    "route_edits, sets, strategy, message",
+    [
+        *(
+            pytest.param(
+                [(0, "segment_times", 0)], [], strategy, "the energy drained over the route is not a finite number",
+                id=f"drain-{strategy}",
+            )
+            for strategy in ("offline", "proposed")
+        ),
+        *(
+            pytest.param(
+                [(0, "segment_times", 1), (0, "segment_times", 2)], [], strategy, "deadline is not a finite number",
+                id=f"deadline-{strategy}",
+            )
+            for strategy in ("offline", "proposed")
+        ),
+        *(
+            pytest.param(
+                [], [f"{key}=1e-320"], "proposed", "a full charge at station s01 does not take a finite time",
+                id=f"{key}-subnormal",
+            )
+            for key in ("p_max", "port_power")
+        ),
+    ],
+)
+def test_run_rejects_route_totals_that_are_not_finite(tmp_path, capsys, route_edits, sets, strategy, message):
+    assert _run_golden(tmp_path, route_edits, sets, strategy) == 2
+    assert f"scenario invalid: truck t001: {message}\n" in capsys.readouterr().err
+
+
+def _extreme_set(key: str):
+    values = (0, 1, MAX_PORT_COUNT, MAX_PORT_COUNT + 1) if key == "port_count" else (1e-320, 1e308, 0.0)
+    return st.sampled_from(values).map(lambda value: f"{key}={value!r}")
+
+
+_ROUTE_SLOTS = [
+    (i, field, j)
+    for i, truck in enumerate(json.loads(GOLDEN_SCENARIO.read_text())["trucks"])
+    for field in ("segment_times", "detour_times")
+    for j in range(len(truck["route"][field]))
+]
+
+
+# whatever extreme value a parameter or a route time takes, `run` ends in
+# a result or a validation error, never a traceback
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    sets=st.lists(st.sampled_from(sorted(cli._RUN_KEYS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.tuples(*map(_extreme_set, keys))
+    ),
+    route_edits=st.lists(st.sampled_from(_ROUTE_SLOTS), max_size=1),
+)
+def test_run_of_extreme_values_exits_zero_or_two(sets, route_edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_golden(tmp, route_edits, sets) in (0, 2)
 
 
 def test_stranded_fleet_still_exits_zero(tmp_path):
@@ -401,6 +477,15 @@ COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}
         pytest.param(
             "in.json", ("require_detour_margin_everywere", False), ["plan", "--input", "{tmp}/in.json"], 2,
             id="plan-unknown-key",
+        ),
+        # a trip that arrived has a residual battery
+        pytest.param(
+            "run/proposed/metrics.json", ("per_truck", 0, "residual_battery", None), REPORT, 2,
+            id="report-trip-contradicts-stranded",
+        ),
+        pytest.param(
+            "run/offline/metrics.json", ("per_truck", 0, "residual_battery", None), COMPARE, 2,
+            id="compare-trip-contradicts-stranded",
         ),
     ],
 )

@@ -86,7 +86,7 @@ def test_generated_fleets_complete_their_trips(seed):
     sc = generate_scenario(ScenarioTemplate(truck_count=10), seed)
     for runner in (run_proposed, run_offline_baseline):
         result = runner(sc)
-        assert result.metrics.stranded_count == 0
+        assert result.metrics.totals.stranded == 0
         assert audit_run(sc, result) == []
 
 

@@ -108,6 +108,23 @@ def test_validation_reports_every_truck_with_non_finite_fields():
     assert any("t003" in msg and "exceeds battery capacity" in msg for msg in msgs)
 
 
+def test_validation_flags_route_totals_that_are_not_finite():
+    sc = make_scenario(
+        trucks=(
+            make_truck("t001", segment_times=(1e308, 1e308)),
+            make_truck("t002", params=make_params(p_max=1e-320)),
+        )
+    )
+    assert validate_scenario(sc) == [
+        "truck t001: deadline is not a finite number",
+        "truck t001: the energy drained over the route is not a finite number",
+        "truck t002: a full charge at station s01 does not take a finite time",
+    ]
+    # a station's own fault is reported once, not again for each truck
+    sc = make_scenario(stations=(make_station(port_power=0.0),))
+    assert validate_scenario(sc) == ["station s01: port_power must be positive, got 0.0"]
+
+
 def test_validation_is_pure():
     sc = make_scenario(trucks=(make_truck(e_initial=156.0),))
     assert validate_scenario(sc) == validate_scenario(sc)

@@ -1,7 +1,7 @@
 """Discrete-event engine: contention, conservation, determinism."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +9,7 @@ from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import Scenario, ordered_sum
 from fleetcharge.simulation import (
+    RunMetrics,
     audit_run,
     compare,
     metrics_from_dict,
@@ -38,7 +39,7 @@ def _contention_scenario() -> Scenario:
 def test_second_truck_waits_exactly_the_overlap():
     result = run_proposed(_contention_scenario())
     assert audit_run(_contention_scenario(), result) == []
-    first, second = result.metrics.trips
+    first, second = result.metrics.per_truck
     (v1,) = first.visits
     (v2,) = second.visits
     assert v1.t_arrival == 32.0  # ramp at 30, detour 2
@@ -63,7 +64,7 @@ def test_second_truck_waits_exactly_the_overlap():
 def test_charge_tops_up_to_reserve_at_destination():
     sc = _contention_scenario()
     for result in (run_proposed(sc), run_offline_baseline(sc)):
-        for trip in result.metrics.trips:
+        for trip in result.metrics.per_truck:
             assert trip.residual_battery == pytest.approx(156.0, abs=1e-7)
             assert not trip.stranded
 
@@ -80,7 +81,7 @@ def test_truck_without_stations_just_drives():
     sc = make_scenario(trucks=(truck,), label="no-stops")
     for runner in (run_proposed, run_offline_baseline):
         result = runner(sc)
-        (trip,) = result.metrics.trips
+        (trip,) = result.metrics.per_truck
         assert trip.visits == ()
         assert trip.arrival_time == 190.0
         assert trip.residual_battery == pytest.approx(400.0 - 1.83 * 90.0, abs=1e-9)
@@ -107,8 +108,8 @@ def test_private_stations_make_strategies_coincide():
     base = run_offline_baseline(sc)
     prop = run_proposed(sc)
     for m in (base.metrics, prop.metrics):
-        assert m.total_waiting_minutes == 0.0
-        assert all(v.realized_wait == 0.0 for t in m.trips for v in t.visits)
+        assert m.totals.total_waiting_minutes == 0.0
+        assert all(v.realized_wait == 0.0 for t in m.per_truck for v in t.visits)
     b, p = base.metrics.to_dict(), prop.metrics.to_dict()
     assert b["per_truck"] == p["per_truck"]
     assert b["per_station"] == p["per_station"]
@@ -120,7 +121,7 @@ def test_private_stations_make_strategies_coincide():
 def test_comparing_a_run_with_itself_reduces_nothing():
     sc = _contention_scenario()
     m = run_offline_baseline(sc).metrics
-    assert m.total_waiting_minutes > 0.0
+    assert m.totals.total_waiting_minutes > 0.0
     report = compare(m, m)
     assert report.wait_reduction_pct == 0.0
     assert all(t.wait_delta == 0.0 for t in report.trucks)
@@ -153,9 +154,9 @@ def _congested_scenario(seed: int = 3) -> Scenario:
 def test_realized_waits_equal_quotes_exactly():
     sc = _congested_scenario()
     result = run_proposed(sc)
-    waits = [v.realized_wait for t in result.metrics.trips for v in t.visits]
+    waits = [v.realized_wait for t in result.metrics.per_truck for v in t.visits]
     assert any(w > 0 for w in waits)
-    for trip in result.metrics.trips:
+    for trip in result.metrics.per_truck:
         for v in trip.visits:
             assert v.realized_wait == v.quoted_wait
 
@@ -167,8 +168,8 @@ def test_energy_balances_and_aggregates_are_sums():
         result = runner(sc)
         assert audit_run(sc, result) == []
         m = result.metrics
-        assert m.stranded_count == 0
-        for trip, spec in zip(m.trips, sc.trucks):
+        assert m.totals.stranded == 0
+        for trip, spec in zip(m.per_truck, sc.trucks):
             route = routes[trip.truck_id]
             detours = sum(
                 2.0 * route.detour_times[v.ramp - 1] for v in trip.visits
@@ -182,13 +183,13 @@ def test_energy_balances_and_aggregates_are_sums():
             assert trip.residual_battery >= spec.params.e_safe - 1e-7
         # totals are the documented left-to-right fold, bit for bit; the
         # builtin sum of floats rounds differently from Python 3.12 on
-        assert m.total_waiting_minutes == ordered_sum(t.total_wait for t in m.trips)
-        assert m.total_charging_minutes == ordered_sum(t.total_charge_time for t in m.trips)
-        assert m.total_energy_delivered == ordered_sum(t.total_energy for t in m.trips)
-        assert m.total_waiting_hours == m.total_waiting_minutes / 60.0
-        for s in m.station_totals:
+        assert m.totals.total_waiting_minutes == ordered_sum(t.total_wait for t in m.per_truck)
+        assert m.totals.total_charging_minutes == ordered_sum(t.total_charge_time for t in m.per_truck)
+        assert m.totals.total_energy_delivered_kwh == ordered_sum(t.total_energy for t in m.per_truck)
+        assert m.totals.total_waiting_hours == m.totals.total_waiting_minutes / 60.0
+        for s in m.per_station:
             visits = [
-                v for t in m.trips for v in t.visits if v.station == s.station
+                v for t in m.per_truck for v in t.visits if v.station == s.station
             ]
             assert s.visits == len(visits)
             assert s.waiting_minutes == ordered_sum(v.realized_wait for v in visits)
@@ -262,16 +263,16 @@ def _doomed_scenario():
 def test_stranded_trucks_park_and_are_counted():
     sc = _doomed_scenario()
     base = run_offline_baseline(sc)
-    (trip,) = base.metrics.trips
+    (trip,) = base.metrics.per_truck
     assert trip.stranded
     assert trip.stranded_at_ramp == 0  # never left the origin
     assert trip.arrival_time is None
     assert trip.deadline_violation is None
-    assert base.metrics.stranded_count == 1
+    assert base.metrics.totals.stranded == 1
     assert audit_run(sc, base) == []
 
     prop = run_proposed(sc)
-    (trip,) = prop.metrics.trips
+    (trip,) = prop.metrics.per_truck
     assert trip.stranded
     assert trip.stranded_at_ramp == 1  # parked at the first ramp
     assert prop.ramp_arrivals == 1
@@ -299,6 +300,28 @@ def test_metrics_round_trip_through_json(scenario, runner):
     assert metrics_from_dict(doc) == m
 
 
+def test_metrics_fields_are_the_file_keys():
+    m = run_proposed(_congested_scenario()).metrics
+    assert [f.name for f in fields(RunMetrics)] == list(m.to_dict())
+    t = m.totals
+    assert (m.total_waiting_minutes, m.deadline_violation_count, m.stranded_count) == (
+        t.total_waiting_minutes,
+        t.deadline_violations,
+        t.stranded,
+    )
+
+
+# a stranded trip has no arrival fields and any other trip has all three
+@pytest.mark.parametrize("field", ["arrival_time", "deadline_violation", "residual_battery"])
+@pytest.mark.parametrize("scenario, value", [(_congested_scenario, None), (_doomed_scenario, 0.0)])
+def test_metrics_reader_rejects_a_trip_that_contradicts_its_stranded_flag(scenario, value, field):
+    doc = run_proposed(scenario()).metrics.to_dict()
+    doc["per_truck"][-1][field] = value
+    i = len(doc["per_truck"]) - 1
+    with pytest.raises(ValueError, match=rf"^per_truck\[{i}\]: {field} must be null exactly when stranded$"):
+        metrics_from_dict(doc)
+
+
 def test_metrics_reader_does_not_coerce_strings():
     doc = run_proposed(_congested_scenario()).metrics.to_dict()
     doc["per_truck"][0]["visits"][0]["t_arrival"] = "1.5"
@@ -315,16 +338,16 @@ def test_deadline_violations_are_clamped_overshoot():
         label="tight",
     )
     result = run_proposed(tight)
-    for trip in result.metrics.trips:
+    for trip in result.metrics.per_truck:
         assert trip.deadline_violation is not None
         assert trip.deadline_violation == pytest.approx(
             max(trip.arrival_time - trip.deadline, 0.0), abs=1e-12
         )
-    assert result.metrics.deadline_violation_count == sum(
-        1 for t in result.metrics.trips if t.deadline_violation > 0
+    assert result.metrics.totals.deadline_violations == sum(
+        1 for t in result.metrics.per_truck if t.deadline_violation > 0
     )
     # time over budget is penalized, not forbidden: the plans stay optimal
     # and no minimum-to-finish fallback fires
-    assert result.metrics.rescue_count == 0
-    assert result.metrics.stranded_count == 0
+    assert result.metrics.totals.rescue_charges == 0
+    assert result.metrics.totals.stranded == 0
     assert audit_run(tight, result) == []

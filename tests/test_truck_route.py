@@ -105,8 +105,8 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
     # some trucks stop on the way and replan past their first ramp, and
     # the doomed truck strands in both runs
     assert any(i > 0 for _, _, i, _, _ in exchanges)
-    assert offline.metrics.stranded_count >= 1
-    assert proposed.metrics.stranded_count >= 1
+    assert offline.metrics.totals.stranded >= 1
+    assert proposed.metrics.totals.stranded >= 1
 
 
 def test_route_checks_the_per_ramp_values_as_the_planner_input_does():
