@@ -18,6 +18,7 @@ import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Iterable
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "electricity_price_per_minute",
     "encode_record",
     "decode_record",
+    "record_json",
     "scenario_to_json",
     "scenario_from_json",
     "load_scenario",
@@ -358,8 +360,30 @@ def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
 
 
 class _Bad(Exception):
-    """A decode failure ``(where, text)``; ``where`` is the path of the
-    enclosing object, empty at the root."""
+    """A decode failure. ``text`` is said of the failing value's key, or of
+    the value itself when ``of_object`` (a record that is not an object or
+    lacks or has a wrong key). ``steps`` are the value's keys and list
+    indices, innermost first, gathered while the failure unwinds, so that a
+    successful decode builds no path."""
+
+    def __init__(self, text: str, of_object: bool = False) -> None:
+        self.text = text
+        self.of_object = of_object
+        self.steps: list[str | int] = []
+
+    def message(self, root: str, name: str) -> str:
+        """``<path>: <text>``: the path of the failing value's object, or
+        ``root`` when that is the document, and for a failing key the key
+        with its indices before ``text``."""
+        names = [name]  # each key with the indices that follow it
+        for step in reversed(self.steps):
+            if type(step) is int:
+                names[-1] += f"[{step}]"
+            else:
+                names.append(step)
+        key = "" if self.of_object else names.pop() + " "
+        # only the document's own name may be empty
+        return f"{'.'.join(filter(None, names)) or root}: {key}{self.text}"
 
 
 _SCALARS = {
@@ -398,49 +422,62 @@ def encode_record(obj: Any) -> dict[str, Any]:
 
 
 @functools.cache
-def _decoder(tp: Any) -> Callable[[Any, str, str], Any]:
-    """The function ``(value, where, name)`` that checks a JSON value against
-    ``tp`` (a scalar, a record, ``tuple[X, ...]``, ``tuple[X, X]`` or
-    ``X | None``) and builds it; ``name`` is the value's key in the object
-    at path ``where``."""
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """The function that checks a JSON value against ``tp`` (a scalar, a
+    record, ``tuple[X, ...]``, ``tuple[X, X]`` or ``X | None``) and builds
+    it, or raises `_Bad`."""
     if tp in _SCALARS:
         check, expected = _SCALARS[tp]
+        text = f"must be {expected}"
+        isfinite = math.isfinite
 
-        def scalar(value: Any, where: str, name: str) -> Any:
-            if check(value):
+        def scalar(value: Any) -> Any:
+            # json.loads makes values of the exact types, which pass at once
+            if type(value) is tp and (tp is not float or isfinite(value)) or check(value):
                 return value
-            raise _Bad(where, f"{name} must be {expected}")
+            raise _Bad(text)
 
         return scalar
     if is_dataclass(tp):
         plan = [(name, _decoder(ftp), req) for name, ftp, req, _ in _record_fields(tp)]
 
-        def record(doc: Any, where: str, name: str) -> Any:
-            path = f"{where}.{name}" if where else name
+        def record(doc: Any) -> Any:
             if not isinstance(doc, dict):
-                raise _Bad(path, "must be an object")
+                raise _Bad("must be an object", True)
             kwargs = {}
             for key, dec, required in plan:
                 if key in doc:
-                    kwargs[key] = dec(doc[key], path, key)
+                    try:
+                        kwargs[key] = dec(doc[key])
+                    except _Bad as exc:
+                        exc.steps.append(key)
+                        raise
                 elif required:
-                    raise _Bad(path, f"missing field '{key}'")
+                    raise _Bad(f"missing field '{key}'", True)
             if len(doc) > len(kwargs):  # some key is not a field
                 extra = next(key for key in doc if key not in kwargs)
-                raise _Bad(path, f"unexpected field '{extra}'")
+                raise _Bad(f"unexpected field '{extra}'", True)
             return tp(**kwargs)
 
         return record
     args = typing.get_args(tp)
     item = _decoder(args[0])
     if typing.get_origin(tp) is not tuple:  # X | None
-        return lambda value, where, name: None if value is None else item(value, where, name)
+        return lambda value: None if value is None else item(value)
     size = None if args[-1] is Ellipsis else len(args)
+    text = "must be a list" + (f" of {size}" if size else "")
 
-    def items(value: Any, where: str, name: str) -> tuple[Any, ...]:
+    def items(value: Any) -> tuple[Any, ...]:
         if not isinstance(value, list) or size not in (None, len(value)):
-            raise _Bad(where, f"{name} must be a list" + (f" of {size}" if size else ""))
-        return tuple([item(x, where, f"{name}[{i}]") for i, x in enumerate(value)])
+            raise _Bad(text)
+        out = []
+        try:
+            for x in value:
+                out.append(item(x))
+        except _Bad as exc:
+            exc.steps.append(len(out))
+            raise
+        return tuple(out)
 
     return items
 
@@ -452,17 +489,102 @@ def decode_record(
     value's key in the enclosing document, which ``root`` names. Raises
     ``error`` with a message ``<path>: ...`` that names the field."""
     try:
-        return _decoder(tp)(value, "", name)
+        return _decoder(tp)(value)
     except _Bad as exc:
-        where, text = exc.args
-        raise error(f"{where or root}: {text}") from None
+        raise error(exc.message(root, name)) from None
+
+
+# -- JSON writer ---------------------------------------------------------------
+#
+# The canonical text of a record is json.dumps(encode_record(x), indent=2,
+# allow_nan=False). With an indent, json runs its pure-Python encoder over
+# the dict tree encode_record built, so the writer below produces the same
+# bytes from the record itself: each key and indent is a constant of the
+# record's writer, and a value of its field's exact scalar type is written
+# by the function json uses for it. Any other value (an int in a float
+# field, NaN, a bool, a list) goes through json.dumps alone, so its bytes
+# and its error are json's.
+
+
+def _dumps(value: Any, indent: str) -> str:
+    """json's own text of one value nested at ``indent``."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+@functools.cache
+def _writer(tp: Any, indent: str) -> Callable[[Any], str]:
+    """The function that writes a value of type ``tp`` (a scalar, a record,
+    ``tuple[X, ...]``, ``tuple[X, X]``, ``X | None`` or ``dict[str, X]``)
+    as json.dumps does on a line indented by ``indent``."""
+    if tp is float:
+        return lambda v: _float_repr(v) if type(v) is float and math.isfinite(v) else _dumps(v, indent)
+    if tp is int:
+        return lambda v: _int_repr(v) if type(v) is int else _dumps(v, indent)
+    if tp is str:
+        return lambda v: _quote(v) if type(v) is str else _dumps(v, indent)
+    if tp is bool:
+        return lambda v: ("true" if v else "false") if type(v) is bool else _dumps(v, indent)
+    inner = indent + "  "
+    close = f"\n{indent}"
+    if is_dataclass(tp):
+        plan = [(name, _writer(ftp, inner)) for name, ftp, _, _ in _record_fields(tp)]
+        template = (
+            "{" + ",".join(f"\n{inner}{_quote(name)}: %s" for name, _ in plan) + close + "}"
+        )
+
+        def record(obj: Any) -> str:
+            if type(obj) is not tp:
+                return _dumps(obj, indent)
+            return template % tuple([write(getattr(obj, name)) for name, write in plan])
+
+        return record
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is dict:
+        value_writer = _writer(args[1], inner)
+
+        def mapping(doc: Any) -> str:
+            if type(doc) is not dict:
+                return _dumps(doc, indent)
+            if not doc:
+                return "{}"
+            body = ",".join([f"\n{inner}{_quote(k)}: {value_writer(v)}" for k, v in doc.items()])
+            return "{" + body + close + "}"
+
+        return mapping
+    if typing.get_origin(tp) is not tuple:  # X | None
+        write = _writer(args[0], indent)
+        return lambda v: "null" if v is None else write(v)
+    write = _writer(args[0], inner)
+    sep = f",\n{inner}"
+
+    def items(value: Any) -> str:
+        if type(value) is not tuple:
+            return _dumps(value, indent)
+        if not value:
+            return "[]"
+        return f"[\n{inner}" + sep.join(map(write, value)) + close + "]"
+
+    return items
+
+
+def record_json(value: Any, tp: Any = None) -> str:
+    """The canonical JSON text of a record ``value``:
+    ``json.dumps(encode_record(value), indent=2, allow_nan=False) + "\\n"``,
+    byte for byte, written without building that dict. ``tp`` is the
+    value's type, by default its class; a ``dict[str, X]`` of records is
+    written as json writes the dict of their encodings."""
+    return _writer(type(value) if tp is None else tp, "")(value) + "\n"
 
 
 def scenario_to_json(scenario: Scenario) -> str:
     """Serialize a scenario to its canonical JSON document (2-space indent,
     field order, trailing newline), so serialize -> parse -> serialize is
     byte-identical."""
-    return json.dumps(encode_record(scenario), indent=2, allow_nan=False) + "\n"
+    return record_json(scenario)
 
 
 def scenario_from_json(text: str) -> Scenario:

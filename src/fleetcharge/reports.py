@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable
 
-from .model import _record_fields
+from .model import _record_fields, record_json
 from .simulation import (
     ComparisonReport,
     RunResult,
@@ -23,7 +23,7 @@ from .simulation import (
     VisitRecord,
     metrics_from_dict,
 )
-from .station import PortLedger
+from .station import PortLedger, _LedgerState
 
 __all__ = [
     "write_run_outputs",
@@ -80,9 +80,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     written = []
 
     metrics_path = out / "metrics.json"
-    metrics_path.write_text(
-        json.dumps(result.metrics.to_dict(), indent=2, allow_nan=False) + "\n"
-    )
+    metrics_path.write_text(record_json(result.metrics))
     written.append(metrics_path)
 
     trips_path = out / "trips.csv"
@@ -105,12 +103,10 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
 
     ledgers_path = out / "ledgers.json"
     ledgers_path.write_text(
-        json.dumps(
-            {sid: ledger.export() for sid, ledger in result.ledgers.items()},
-            indent=2,
-            allow_nan=False,
+        record_json(
+            {sid: ledger.state() for sid, ledger in result.ledgers.items()},
+            dict[str, _LedgerState],
         )
-        + "\n"
     )
     written.append(ledgers_path)
     return written

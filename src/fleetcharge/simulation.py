@@ -192,22 +192,24 @@ class RunResult:
 
 def _trip(
     spec: TruckSpec,
+    deadline: float,
     visits: list[VisitRecord],
     arrival_time: float | None,
     residual: float | None,
     stranded_at_ramp: int | None = None,
 ) -> TripRecord:
-    """The record of a finished trip; no arrival time means stranded."""
+    """The record of a finished trip; no arrival time means stranded.
+    ``deadline`` is ``spec.deadline``, which sums the whole route."""
     return TripRecord(
         truck_id=spec.id,
         visits=tuple(visits),
         depart_time=spec.depart_time,
-        deadline=spec.deadline,
+        deadline=deadline,
         reserve_battery=spec.params.e_safe,
         arrival_time=arrival_time,
         residual_battery=residual,
         deadline_violation=(
-            None if arrival_time is None else max(arrival_time - spec.deadline, 0.0)
+            None if arrival_time is None else max(arrival_time - deadline, 0.0)
         ),
         stranded=arrival_time is None,
         stranded_at_ramp=stranded_at_ramp,
@@ -276,6 +278,8 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
     station_specs = scenario.station_by_id()
     ledgers = {s.id: PortLedger(s.port_count) for s in scenario.stations}
     trucks = {t.id: t for t in scenario.trucks}
+    # each truck's deadline, a sum over its whole route, taken once
+    deadlines = {t.id: t.deadline for t in scenario.trucks}
     visits: dict[str, list[VisitRecord]] = {t.id: [] for t in scenario.trucks}
     trips: dict[str, TripRecord] = {}
     plans: dict[str, list[float]] = {}  # offline charge time at each ramp
@@ -328,10 +332,10 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
         battery = spec.e_initial - spec.params.p_bar * tau0
         if not proposed and route.ramp_count:
             # planned once, at the origin, assuming no wait anywhere
-            tail = build_route(spec, 0.0).at(0, battery, 0.0, spec.deadline - clock)
+            tail = build_route(spec, 0.0).at(0, battery, 0.0, deadlines[spec.id] - clock)
             solution = solve_charging_problem(tail)
             if solution.status != "optimal":
-                trips[spec.id] = _trip(spec, [], None, None, 0)
+                trips[spec.id] = _trip(spec, deadlines[spec.id], [], None, None, 0)
                 continue
             # zero-duration stops in a plan change nothing at the station,
             # so the truck does not take their detours
@@ -346,7 +350,7 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
         spec = trucks[truck_id]
         route = spec.route
         if ramp > route.ramp_count:
-            trips[truck_id] = _trip(spec, visits[truck_id], time, battery)
+            trips[truck_id] = _trip(spec, deadlines[truck_id], visits[truck_id], time, battery)
             continue
         i = ramp - 1
         station_id = route.station_ids[i]
@@ -362,13 +366,15 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
                 truck_route,
                 i,
                 battery,
-                spec.deadline - time,
+                deadlines[truck_id] - time,
             )
             transcripts.append(outcome.transcript)
             if outcome.rescue_charge is not None:
                 rescue_count += 1
             if outcome.solution.status != "optimal" and outcome.assignment is None:
-                trips[truck_id] = _trip(spec, visits[truck_id], None, None, ramp)
+                trips[truck_id] = _trip(
+                    spec, deadlines[truck_id], visits[truck_id], None, None, ramp
+                )
                 continue
             if ramp < route.ramp_count:
                 routes[truck_id] = truck_route

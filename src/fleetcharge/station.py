@@ -189,16 +189,18 @@ class PortLedger:
             )
         return out
 
+    def state(self) -> "_LedgerState":
+        """The ledger as its JSON record, one object of ledgers.json."""
+        return _LedgerState(
+            port_count=len(self.available_times),
+            available_times=tuple(self.available_times),
+            version=self.version,
+            assignments=tuple(self.assignments),
+        )
+
     def export(self) -> dict[str, Any]:
         """Ledger state as plain JSON-serializable data."""
-        return encode_record(
-            _LedgerState(
-                port_count=len(self.available_times),
-                available_times=tuple(self.available_times),
-                version=self.version,
-                assignments=tuple(self.assignments),
-            )
-        )
+        return encode_record(self.state())
 
     @classmethod
     def from_export(cls, doc: Any, name: str = "") -> "PortLedger":
