@@ -94,7 +94,6 @@ __all__ = [
     "TruckRoute",
     "compute_energy_trajectory",
     "check_feasibility",
-    "anticipated_overtime",
     "evaluate_plan_cost",
     "has_feasible_pattern",
     "solve_charging_problem",
@@ -265,13 +264,6 @@ def check_feasibility(
             f"destination: level {levels[m]:.6f} below reserve {p.e_safe:.6f}"
         )
     return out
-
-
-def anticipated_overtime(
-    inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
-) -> float:
-    """Planned trip-tail time minus the remaining budget (negative = slack)."""
-    return _RouteTail(inp).cost(plan)[1]
 
 
 def evaluate_plan_cost(

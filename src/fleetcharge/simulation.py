@@ -1,8 +1,10 @@
 """Deterministic discrete-event simulation of a charging-coordinated fleet.
 
 Two strategies run through one event loop over the same scenario and the
-same first-come-first-served station ledgers. They differ only in when a
-truck plans and when it books a port:
+same first-come-first-served station ledgers. Each truck's trip is one
+generator that drives its route ramp by ramp and pauses, yielding the
+time, before each step that touches a ledger. The strategies differ only
+in when a truck plans and when it books a port:
 
 * ``run_proposed``: every ramp arrival is an event that runs the
   four-message exchange; the truck replans its whole remaining route
@@ -11,20 +13,22 @@ truck plans and when it books a port:
   arrival time (now plus detour).
 * ``run_offline_baseline``: each truck solves the same planning problem
   once at its origin assuming zero waits everywhere and never replans.
-  Its events are its arrivals at the planned stations, where it queues
-  behind whoever booked first, so waits emerge from contention it did not
-  plan for.
+  It drives past every ramp without a planned stop; its events are its
+  arrivals at the planned stations, where it queues behind whoever booked
+  first, so waits emerge from contention it did not plan for.
 
 After a visit or a skip both strategies share the same code: the visit
-record, the detour, the segment drain and the next event. Events are
-processed in (time, truck id) order, which is total because a truck has
-at most one pending event, so a scenario replays byte-identically. All
-clocks are continuous minutes; no rounding happens inside the engine.
+record, the detour and the next segment. The loop resumes trips in
+(time, truck id) order, which is total because a truck has at most one
+pending event, so a scenario replays byte-identically. A trip that ends
+stores its own record. All clocks are continuous minutes; no rounding
+happens inside the engine.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,7 +37,6 @@ from .model import (
     TruckSpec,
     charging_rate,
     decode_record,
-    encode_record,
     ordered_sum,
     validate_scenario,
 )
@@ -159,13 +162,10 @@ class RunMetrics:
     def stranded_count(self) -> int:
         return self.totals.stranded
 
-    def to_dict(self) -> dict[str, Any]:
-        return encode_record(self)
-
 
 def metrics_from_dict(doc: Any) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
-    ``RunMetrics.to_dict``). A malformed ``doc``, or a trip whose arrival
+    ``encode_record``). A malformed ``doc``, or a trip whose arrival
     fields disagree with its ``stranded`` flag, raises ValueError naming
     the field."""
     metrics = decode_record(RunMetrics, doc, "metrics")
@@ -277,40 +277,10 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
     proposed = strategy == "proposed"
     station_specs = scenario.station_by_id()
     ledgers = {s.id: PortLedger(s.port_count) for s in scenario.stations}
-    trucks = {t.id: t for t in scenario.trucks}
-    # each truck's deadline, a sum over its whole route, taken once
-    deadlines = {t.id: t.deadline for t in scenario.trucks}
-    visits: dict[str, list[VisitRecord]] = {t.id: [] for t in scenario.trucks}
     trips: dict[str, TripRecord] = {}
-    plans: dict[str, list[float]] = {}  # offline charge time at each ramp
-    # a proposed truck's route constants, from its first exchange until its
-    # last one
-    routes: dict[str, TruckRoute] = {}
     transcripts: list[ExchangeTranscript] = []
     rescue_count = 0
     ramp_arrivals = 0
-    # (time, truck id, ramp, battery at the ramp), where ramp_count + 1 is
-    # the destination. The time is the ramp arrival of a proposed truck and
-    # the station arrival of an offline one. A truck has at most one
-    # pending event, so (time, truck id) orders the heap totally.
-    heap: list[tuple[float, str, int, float]] = []
-
-    def reach(spec: TruckSpec, ramp: int, clock: float, battery: float) -> None:
-        """Schedule the next event of a truck standing at ``ramp`` at
-        ``clock``. A proposed truck's event is that ramp. An offline truck
-        drives past every ramp without a planned stop; its event is its
-        arrival at the next planned station, or at the destination."""
-        route = spec.route
-        if not proposed:
-            p_bar = spec.params.p_bar
-            while ramp <= route.ramp_count and plans[spec.id][ramp - 1] == 0.0:
-                seg = route.segment_times[ramp]
-                clock += seg
-                battery -= p_bar * seg
-                ramp += 1
-            if ramp <= route.ramp_count:
-                clock += route.detour_times[ramp - 1]
-        heapq.heappush(heap, (clock, spec.id, ramp, battery))
 
     def build_route(spec: TruckSpec, wait: float) -> TruckRoute:
         """The planner's constants of a truck's route, each station after
@@ -325,87 +295,106 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
             strict,
         )
 
-    for spec in scenario.trucks:
+    def trip(spec: TruckSpec) -> Iterator[float]:
+        """Drive one truck from its origin to its destination, yielding
+        before each step that touches a ledger the time it happens at: a
+        proposed truck's ramp arrival, an offline truck's arrival at a
+        planned station. Stores the truck's `TripRecord` when it ends."""
+        nonlocal rescue_count, ramp_arrivals
         route = spec.route
+        params = spec.params
+        p_bar = params.p_bar
+        deadline = spec.deadline
         tau0 = route.segment_times[0]
         clock = spec.depart_time + tau0
-        battery = spec.e_initial - spec.params.p_bar * tau0
+        battery = spec.e_initial - p_bar * tau0
+        visits: list[VisitRecord] = []
+        truck_route: TruckRoute | None = None  # built at a proposed truck's first exchange
         if not proposed and route.ramp_count:
             # planned once, at the origin, assuming no wait anywhere
-            tail = build_route(spec, 0.0).at(0, battery, 0.0, deadlines[spec.id] - clock)
-            solution = solve_charging_problem(tail)
+            solution = solve_charging_problem(
+                build_route(spec, 0.0).at(0, battery, 0.0, deadline - clock)
+            )
             if solution.status != "optimal":
-                trips[spec.id] = _trip(spec, deadlines[spec.id], [], None, None, 0)
-                continue
+                trips[spec.id] = _trip(spec, deadline, visits, None, None, 0)
+                return
             # zero-duration stops in a plan change nothing at the station,
             # so the truck does not take their detours
-            plans[spec.id] = [
+            plan = [
                 dec.duration if dec.charge and dec.duration > 0.0 else 0.0
                 for dec in solution.plan.decisions
             ]
-        reach(spec, 1, clock, battery)
-
-    while heap:
-        time, truck_id, ramp, battery = heapq.heappop(heap)
-        spec = trucks[truck_id]
-        route = spec.route
-        if ramp > route.ramp_count:
-            trips[truck_id] = _trip(spec, deadlines[truck_id], visits[truck_id], time, battery)
-            continue
-        i = ramp - 1
-        station_id = route.station_ids[i]
-        if proposed:
-            ramp_arrivals += 1
-            truck_route = build_route(spec, spec.w_hat_default) if i == 0 else routes.pop(truck_id)
-            outcome = run_ramp_exchange(
-                len(transcripts) + 1,
-                ledgers[station_id],
-                truck_id,
-                station_id,
-                time,
-                truck_route,
-                i,
-                battery,
-                deadlines[truck_id] - time,
-            )
-            transcripts.append(outcome.transcript)
-            if outcome.rescue_charge is not None:
-                rescue_count += 1
-            if outcome.solution.status != "optimal" and outcome.assignment is None:
-                trips[truck_id] = _trip(
-                    spec, deadlines[truck_id], visits[truck_id], None, None, ramp
-                )
-                continue
-            if ramp < route.ramp_count:
-                routes[truck_id] = truck_route
-            quote, a = outcome.quote, outcome.assignment
-        else:
-            # queue on arrival behind whoever booked first
-            ledger = ledgers[station_id]
-            quote = ledger.estimate_wait(time)
-            a = ledger.commit(quote, truck_id, plans[truck_id][i])
-        p_bar = spec.params.p_bar
-        if a is not None:
+            del solution  # the trip keeps only the durations
+        for i, station_id in enumerate(route.station_ids):
             d = route.detour_times[i]
-            rate = charging_rate(station_specs[station_id], spec.params)
-            battery_before = battery - p_bar * d
-            battery_after = min(battery_before + rate * a.duration, spec.params.e_full)
-            visits[truck_id].append(
-                VisitRecord(
-                    station=station_id,
-                    ramp=ramp,
-                    t_arrival=a.arrival,
-                    quoted_wait=quote.wait,
-                    realized_wait=a.wait,
-                    charge_time=a.duration,
-                    battery_before=battery_before,
-                    battery_after=battery_after,
+            if proposed:
+                yield clock
+                ramp_arrivals += 1
+                if truck_route is None:
+                    truck_route = build_route(spec, spec.w_hat_default)
+                outcome = run_ramp_exchange(
+                    len(transcripts) + 1,
+                    ledgers[station_id],
+                    spec.id,
+                    station_id,
+                    clock,
+                    truck_route,
+                    i,
+                    battery,
+                    deadline - clock,
                 )
-            )
-            time = a.start + a.duration + d
-            battery = battery_after - p_bar * d
-        seg = route.segment_times[ramp]
-        reach(spec, ramp + 1, time + seg, battery - p_bar * seg)
+                transcripts.append(outcome.transcript)
+                if outcome.rescue_charge is not None:
+                    rescue_count += 1
+                if outcome.solution.status != "optimal" and outcome.assignment is None:
+                    trips[spec.id] = _trip(spec, deadline, visits, None, None, i + 1)
+                    return
+                quote, a = outcome.quote, outcome.assignment
+                del outcome  # its plan is not kept until the next exchange
+            elif plan[i] == 0.0:
+                a = None  # drives past
+            else:
+                # queue on arrival behind whoever booked first
+                yield clock + d
+                ledger = ledgers[station_id]
+                quote = ledger.estimate_wait(clock + d)
+                a = ledger.commit(quote, spec.id, plan[i])
+            if a is not None:
+                rate = charging_rate(station_specs[station_id], params)
+                battery_before = battery - p_bar * d
+                battery_after = min(battery_before + rate * a.duration, params.e_full)
+                visits.append(
+                    VisitRecord(
+                        station=station_id,
+                        ramp=i + 1,
+                        t_arrival=a.arrival,
+                        quoted_wait=quote.wait,
+                        realized_wait=a.wait,
+                        charge_time=a.duration,
+                        battery_before=battery_before,
+                        battery_after=battery_after,
+                    )
+                )
+                clock = a.start + a.duration + d
+                battery = battery_after - p_bar * d
+            seg = route.segment_times[i + 1]
+            clock += seg
+            battery -= p_bar * seg
+        trips[spec.id] = _trip(spec, deadline, visits, clock, battery)
+
+    # (time, truck id, trip) of each truck's next event; a truck has at most
+    # one, so (time, truck id) orders the heap totally
+    heap: list[tuple[float, str, Iterator[float]]] = []
+    for spec in scenario.trucks:
+        run = trip(spec)
+        time = next(run, None)
+        if time is not None:
+            heapq.heappush(heap, (time, spec.id, run))
+    while heap:
+        _, truck_id, run = heapq.heappop(heap)
+        time = next(run, None)
+        if time is not None:
+            heapq.heappush(heap, (time, truck_id, run))
 
     return RunResult(
         metrics=_build_metrics(
@@ -549,7 +538,7 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
 # -- post-run auditing --------------------------------------------------------
 
 
-def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[str]:
+def audit_run(scenario: Scenario, result: RunResult) -> list[str]:
     """Check every cross-cutting invariant of a finished run.
 
     Replays each non-stranded truck's battery from the scenario and its
@@ -558,7 +547,10 @@ def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[
     recorded batteries; checks every ledger's internal consistency; checks
     that realized waits equal quoted waits; and, for the proposed strategy,
     that there is exactly one four-message exchange per ramp arrival.
-    Returns one message per violation; empty means the run is sound.
+    Battery checks allow a truck 1e-6 kWh, or 1e-12 of the largest energy
+    its trip handles (its capacity, or the drain of driving every segment
+    and every detour both ways) when that is more. Returns one message per
+    violation; empty means the run is sound.
     """
     out: list[str] = []
     trucks = {t.id: t for t in scenario.trucks}
@@ -579,6 +571,9 @@ def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[
             continue
         p = spec.params
         route = spec.route
+        driving = ordered_sum(route.segment_times)
+        scale = max(p.e_full, p.p_bar * (driving + 2.0 * ordered_sum(route.detour_times)))
+        tol = max(1e-6, 1e-12 * scale)
         by_ramp = {v.ramp: v for v in trip.visits}
         e = spec.e_initial - p.p_bar * route.segment_times[0]
         detour_minutes = 0.0
@@ -614,7 +609,7 @@ def audit_run(scenario: Scenario, result: RunResult, tol: float = 1e-6) -> list[
         conserved = (
             spec.e_initial
             + trip.total_energy
-            - p.p_bar * (ordered_sum(route.segment_times) + detour_minutes)
+            - p.p_bar * (driving + detour_minutes)
         )
         if abs(conserved - trip.residual_battery) > tol:
             out.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .model import MAX_PORT_COUNT, decode_record, encode_record
+from .model import MAX_PORT_COUNT, decode_record
 
 __all__ = [
     "Assignment",
@@ -99,15 +99,11 @@ class PortLedger:
         arrival, floored at zero; ties between equally early ports go to the
         lowest port index.
         """
-        best_port = 0
-        best_avail = self.available_times[0]
-        for c in range(1, len(self.available_times)):
-            if self.available_times[c] < best_avail:
-                best_avail = self.available_times[c]
-                best_port = c
+        times = self.available_times
+        best = min(times)
         return WaitQuote(
-            wait=max(best_avail - t_arrival, 0.0),
-            port=best_port,
+            wait=max(best - t_arrival, 0.0),
+            port=times.index(best),
             arrival=t_arrival,
             ledger_version=self.version,
         )
@@ -198,15 +194,12 @@ class PortLedger:
             assignments=tuple(self.assignments),
         )
 
-    def export(self) -> dict[str, Any]:
-        """Ledger state as plain JSON-serializable data."""
-        return encode_record(self.state())
-
     @classmethod
     def from_export(cls, doc: Any, name: str = "") -> "PortLedger":
-        """The inverse of `export`. A malformed ``doc``, or a ledger that
-        disagrees with its own assignment log, raises ValueError naming the
-        field, under ``name`` when the caller gives one."""
+        """A ledger from its JSON record, the inverse of
+        ``encode_record(ledger.state())``. A malformed ``doc``, or a ledger
+        that disagrees with its own assignment log, raises ValueError naming
+        the field, under ``name`` when the caller gives one."""
         state = decode_record(_LedgerState, doc, "ledger", name)
         # the shape first: `audit` indexes the port list by each booked port
         n = state.port_count

@@ -13,8 +13,8 @@ from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import ChargeDecision, StationSpec
 from fleetcharge.planner import (
     PlannerInput,
-    anticipated_overtime,
     compute_energy_trajectory,
+    evaluate_plan_cost,
     solve_charging_problem,
 )
 from fleetcharge.reports import write_run_outputs
@@ -454,7 +454,7 @@ def test_criterion_8_worked_examples():
         assumed_waits=(),
         remaining_time=60.0,
     )
-    overtime = anticipated_overtime(overtime_case, (ChargeDecision(True, 20.0),))
+    overtime = evaluate_plan_cost(overtime_case, (ChargeDecision(True, 20.0),))[1]
     if abs(overtime - 10.0) > 1e-9:
         problems.append(f"overtime gave {overtime!r}, expected 10.0")
 

@@ -155,12 +155,13 @@ def test_route_beyond_planner_limit_exits_two(tmp_path, capsys):
     assert f"{n} ramps exceeds" in capsys.readouterr().err
 
 
-def _run_golden(tmp_dir, route_edits=(), sets=(), strategy="both") -> int:
+def _run_golden(tmp_dir, route_edits=(), sets=(), strategy="both", value=1e308) -> int:
     """``run`` of the golden scenario with each ``(truck, field, index)``
-    of ``route_edits`` set to 1e308 and ``--set`` given each of ``sets``."""
+    of ``route_edits`` set to ``value`` and ``--set`` given each of
+    ``sets``."""
     doc = json.loads(GOLDEN_SCENARIO.read_text())
     for truck, field, i in route_edits:
-        doc["trucks"][truck]["route"][field][i] = 1e308
+        doc["trucks"][truck]["route"][field][i] = value
     path = Path(tmp_dir) / "scenario.json"
     path.write_text(json.dumps(doc))
     argv = ["run", "--scenario", str(path), "--strategy", strategy, "--out", str(Path(tmp_dir) / "r")]
@@ -225,6 +226,14 @@ _ROUTE_SLOTS = [
 def test_run_of_extreme_values_exits_zero_or_two(sets, route_edits):
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_golden(tmp, route_edits, sets) in (0, 2)
+
+
+# t001 charges for 3.66e299 minutes to drive a 1e300-minute segment on a
+# 1.7e308 kWh pack; its battery replay is off by far more than 1e-6 kWh, but
+# by less than 1e-12 of the energy its trip handles, which the audit allows
+def test_audit_tolerance_scales_with_the_energy_a_trip_handles(tmp_path, capsys):
+    assert _run_golden(tmp_path, [(0, "segment_times", 1)], ["e_full=1.7e308"], value=1e300) == 0
+    assert "audit failure" not in capsys.readouterr().err
 
 
 def test_stranded_fleet_still_exits_zero(tmp_path):

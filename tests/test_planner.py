@@ -14,7 +14,6 @@ from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
     RouteTooLongError,
-    anticipated_overtime,
     check_feasibility,
     compute_energy_trajectory,
     evaluate_plan_cost,
@@ -105,9 +104,9 @@ def test_overtime_worked_example():
         remaining_time=160.0,
     )
     plan = (ChargeDecision(True, 30.0),)
-    assert anticipated_overtime(inp, plan) == pytest.approx(10.0, abs=1e-9)
+    assert evaluate_plan_cost(inp, plan)[1] == pytest.approx(10.0, abs=1e-9)
     # skipping the stop leaves only the driving time
-    assert anticipated_overtime(inp, _skip(1)) == pytest.approx(-60.0, abs=1e-9)
+    assert evaluate_plan_cost(inp, _skip(1))[1] == pytest.approx(-60.0, abs=1e-9)
 
 
 def test_cost_components_add_up():

@@ -2,12 +2,13 @@
 
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import Scenario, ordered_sum
+from fleetcharge.model import Scenario, encode_record, load_scenario, ordered_sum
 from fleetcharge.simulation import (
     RunMetrics,
     audit_run,
@@ -18,6 +19,8 @@ from fleetcharge.simulation import (
 )
 
 from conftest import make_params, make_scenario, make_station, make_truck
+
+GOLDEN_SCENARIO = Path(__file__).parent / "goldens" / "scenario.json"
 
 
 def _contention_scenario() -> Scenario:
@@ -59,6 +62,41 @@ def test_second_truck_waits_exactly_the_overlap():
     assert second.arrival_time == pytest.approx(
         37.0 + v2.realized_wait + v2.charge_time + 2.0 + 60.0, abs=1e-9
     )
+
+
+# (time, truck id) orders simultaneous events, whatever the scenario order
+@pytest.mark.parametrize("order", [("t002", "t001"), ("t001", "t002")], ids="-".join)
+@pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
+def test_simultaneous_arrivals_are_served_in_truck_id_order(runner, order):
+    (t1, _) = _contention_scenario().trucks
+    twins = {"t001": t1, "t002": replace(t1, id="t002")}
+    sc = make_scenario(
+        stations=(make_station("s01", port_count=1),),
+        trucks=tuple(twins[tid] for tid in order),
+        label="twins",
+    )
+    result = runner(sc)
+    trips = {t.truck_id: t for t in result.metrics.per_truck}
+    assert [t.truck_id for t in result.metrics.per_truck] == list(order)
+    assert trips["t001"].visits[0].realized_wait == 0.0
+    assert trips["t002"].visits[0].realized_wait > 0.0
+    assert trips["t001"].visits[0].t_arrival == trips["t002"].visits[0].t_arrival
+    assert audit_run(sc, result) == []
+
+
+def test_audit_reports_a_battery_off_by_a_hundred_thousandth_of_a_kwh():
+    sc = load_scenario(GOLDEN_SCENARIO)
+    result = run_proposed(sc)
+    assert audit_run(sc, result) == []
+    i, trip = next((i, t) for i, t in enumerate(result.metrics.per_truck) if t.visits)
+    nudged = replace(trip.visits[0], battery_before=trip.visits[0].battery_before + 1e-5)
+    per_truck = list(result.metrics.per_truck)
+    per_truck[i] = replace(trip, visits=(nudged,) + trip.visits[1:])
+    tampered = replace(result, metrics=replace(result.metrics, per_truck=tuple(per_truck)))
+    # the charged energy moves with battery_before, so the balance is off too
+    replay, balance = audit_run(sc, tampered)
+    assert replay.startswith(f"truck {trip.truck_id} at {nudged.station}: recorded battery_before")
+    assert balance.startswith(f"truck {trip.truck_id}: energy balance off by 0.0000100")
 
 
 def test_charge_tops_up_to_reserve_at_destination():
@@ -110,7 +148,7 @@ def test_private_stations_make_strategies_coincide():
     for m in (base.metrics, prop.metrics):
         assert m.totals.total_waiting_minutes == 0.0
         assert all(v.realized_wait == 0.0 for t in m.per_truck for v in t.visits)
-    b, p = base.metrics.to_dict(), prop.metrics.to_dict()
+    b, p = encode_record(base.metrics), encode_record(prop.metrics)
     assert b["per_truck"] == p["per_truck"]
     assert b["per_station"] == p["per_station"]
     assert b["totals"] == p["totals"]
@@ -229,12 +267,12 @@ def test_runs_are_deterministic():
     sc = _congested_scenario()
     a = run_proposed(sc)
     b = run_proposed(sc)
-    assert a.metrics.to_dict() == b.metrics.to_dict()
+    assert encode_record(a.metrics) == encode_record(b.metrics)
     assert [l for t in a.transcripts for l in t.wire_lines()] == [
         l for t in b.transcripts for l in t.wire_lines()
     ]
-    assert {s: l.export() for s, l in a.ledgers.items()} == {
-        s: l.export() for s, l in b.ledgers.items()
+    assert {s: encode_record(l.state()) for s, l in a.ledgers.items()} == {
+        s: encode_record(l.state()) for s, l in b.ledgers.items()
     }
 
 
@@ -296,13 +334,13 @@ def test_stranded_trucks_park_and_are_counted():
 )
 def test_metrics_round_trip_through_json(scenario, runner):
     m = runner(scenario()).metrics
-    doc = json.loads(json.dumps(m.to_dict()))
+    doc = json.loads(json.dumps(encode_record(m)))
     assert metrics_from_dict(doc) == m
 
 
 def test_metrics_fields_are_the_file_keys():
     m = run_proposed(_congested_scenario()).metrics
-    assert [f.name for f in fields(RunMetrics)] == list(m.to_dict())
+    assert [f.name for f in fields(RunMetrics)] == list(encode_record(m))
     t = m.totals
     assert (m.total_waiting_minutes, m.deadline_violation_count, m.stranded_count) == (
         t.total_waiting_minutes,
@@ -315,7 +353,7 @@ def test_metrics_fields_are_the_file_keys():
 @pytest.mark.parametrize("field", ["arrival_time", "deadline_violation", "residual_battery"])
 @pytest.mark.parametrize("scenario, value", [(_congested_scenario, None), (_doomed_scenario, 0.0)])
 def test_metrics_reader_rejects_a_trip_that_contradicts_its_stranded_flag(scenario, value, field):
-    doc = run_proposed(scenario()).metrics.to_dict()
+    doc = encode_record(run_proposed(scenario()).metrics)
     doc["per_truck"][-1][field] = value
     i = len(doc["per_truck"]) - 1
     with pytest.raises(ValueError, match=rf"^per_truck\[{i}\]: {field} must be null exactly when stranded$"):
@@ -323,7 +361,7 @@ def test_metrics_reader_rejects_a_trip_that_contradicts_its_stranded_flag(scenar
 
 
 def test_metrics_reader_does_not_coerce_strings():
-    doc = run_proposed(_congested_scenario()).metrics.to_dict()
+    doc = encode_record(run_proposed(_congested_scenario()).metrics)
     doc["per_truck"][0]["visits"][0]["t_arrival"] = "1.5"
     with pytest.raises(ValueError, match=r"^per_truck\[0\]\.visits\[0\]: t_arrival must be a finite"):
         metrics_from_dict(doc)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetcharge.model import encode_record
 from fleetcharge.station import PortLedger, StaleQuoteError
 
 
@@ -104,7 +105,7 @@ def test_export_rebuilds_identical_schedule():
     ledger = PortLedger(2)
     for i, (arrival, duration) in enumerate([(0.0, 30.0), (2.0, 10.0), (4.0, 25.0)]):
         ledger.commit(ledger.estimate_wait(arrival), f"t{i:03d}", duration)
-    clone = PortLedger.from_export(ledger.export())
+    clone = PortLedger.from_export(encode_record(ledger.state()))
     assert clone.audit() == []
     assert clone.available_times == ledger.available_times
     assert clone.version == ledger.version
@@ -115,7 +116,7 @@ def test_export_rebuilds_identical_schedule():
 def test_import_rejects_a_mistyped_assignment():
     ledger = PortLedger(1)
     ledger.commit(ledger.estimate_wait(0.0), "t001", 30.0)
-    doc = ledger.export()
+    doc = encode_record(ledger.state())
     doc["assignments"][0]["port"] = "0"
     with pytest.raises(ValueError, match=r"^assignments\[0\]: port must be an integer$"):
         PortLedger.from_export(doc)
@@ -171,6 +172,6 @@ def test_random_histories_replay_from_export(port_count, events):
     ledger = PortLedger(port_count)
     for i, (arrival, duration) in enumerate(events):
         ledger.commit(ledger.estimate_wait(arrival), f"t{i:03d}", duration)
-    clone = PortLedger.from_export(ledger.export())
+    clone = PortLedger.from_export(encode_record(ledger.state()))
     assert clone.audit() == []
     assert clone.available_times == ledger.available_times
