@@ -10,77 +10,82 @@ The package has three layers:
   reservation exchange (:mod:`fleetcharge.protocol`);
 * a deterministic discrete-event engine plays whole fleets through either
   that en-route strategy or an offline plan-once baseline
-  (:mod:`fleetcharge.simulation`).
+  (:mod:`fleetcharge.simulation`). What a finished run is (its records,
+  their comparison and its files) lives in :mod:`fleetcharge.reports`.
+
+``import fleetcharge`` loads no layer. Each public name below is imported
+from its home module on first use, and so is each submodule named as an
+attribute, so a program that only reports on a finished run never loads
+the planner or the engine.
 
 Everything is seedable and replayable: same scenario, same outputs, byte
 for byte.
 """
 
-from .model import (
-    ChargeDecision,
-    ChargingPlan,
-    Route,
-    Scenario,
-    StationSpec,
-    TruckParams,
-    TruckSpec,
-    charging_rate,
-    electricity_price_per_minute,
-    load_scenario,
-    dump_scenario,
-    scenario_from_json,
-    scenario_to_json,
-    validate_scenario,
-)
-from .station import PortLedger, StaleQuoteError, WaitQuote
-from .planner import (
-    PlannerInput,
-    PlannerSolution,
-    RouteTooLongError,
-    TruckRoute,
-    check_feasibility,
-    compute_energy_trajectory,
-    evaluate_plan_cost,
-    solve_charging_problem,
-)
-from .protocol import ExchangeTranscript, run_ramp_exchange
-from .simulation import audit_run, compare, run_offline_baseline, run_proposed
-from .generator import ScenarioTemplate, generate_scenario
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChargeDecision",
-    "ChargingPlan",
-    "Route",
-    "Scenario",
-    "StationSpec",
-    "TruckParams",
-    "TruckSpec",
-    "charging_rate",
-    "electricity_price_per_minute",
-    "load_scenario",
-    "dump_scenario",
-    "scenario_from_json",
-    "scenario_to_json",
-    "validate_scenario",
-    "PortLedger",
-    "StaleQuoteError",
-    "WaitQuote",
-    "PlannerInput",
-    "PlannerSolution",
-    "RouteTooLongError",
-    "TruckRoute",
-    "check_feasibility",
-    "compute_energy_trajectory",
-    "evaluate_plan_cost",
-    "solve_charging_problem",
-    "ExchangeTranscript",
-    "run_ramp_exchange",
-    "audit_run",
-    "compare",
-    "run_offline_baseline",
-    "run_proposed",
-    "ScenarioTemplate",
-    "generate_scenario",
-]
+# public name -> the module that defines it
+_HOME = {
+    **dict.fromkeys(
+        (
+            "ChargeDecision",
+            "ChargingPlan",
+            "Route",
+            "Scenario",
+            "StationSpec",
+            "TruckParams",
+            "TruckSpec",
+            "charging_rate",
+            "electricity_price_per_minute",
+            "load_scenario",
+            "dump_scenario",
+            "scenario_from_json",
+            "scenario_to_json",
+            "validate_scenario",
+        ),
+        "model",
+    ),
+    **dict.fromkeys(("PortLedger", "StaleQuoteError", "WaitQuote"), "station"),
+    **dict.fromkeys(
+        (
+            "PlannerInput",
+            "PlannerSolution",
+            "RouteTooLongError",
+            "TruckRoute",
+            "check_feasibility",
+            "compute_energy_trajectory",
+            "evaluate_plan_cost",
+            "solve_charging_problem",
+        ),
+        "planner",
+    ),
+    **dict.fromkeys(("ExchangeTranscript", "run_ramp_exchange"), "protocol"),
+    "audit_run": "simulation",
+    "compare": "reports",
+    "run_offline_baseline": "simulation",
+    "run_proposed": "simulation",
+    **dict.fromkeys(("ScenarioTemplate", "generate_scenario"), "generator"),
+}
+# every module above, and the two that export no name here
+_SUBMODULES = frozenset((*_HOME.values(), "cli", "lp"))
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    """A public name or submodule, imported on first access (PEP 562) and
+    then kept in the package's globals, so it is looked up only once."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

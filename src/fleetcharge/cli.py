@@ -18,7 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, get_type_hints
 
-from .generator import ScenarioTemplate, generate_scenario
+# model and reports serve every command; each handler imports the other
+# layers it uses, so `report` and `compare` load neither planner nor engine
 from .model import (
     Scenario,
     ScenarioFormatError,
@@ -29,14 +30,12 @@ from .model import (
     scenario_from_json,
     validate_scenario,
 )
-from .planner import planner_input_from_dict, solution_to_dict, solve_charging_problem
-from .reports import write_comparison_csv, write_report_csvs, write_run_outputs
-from .simulation import (
-    audit_run,
+from .reports import (
     compare,
     metrics_from_dict,
-    run_offline_baseline,
-    run_proposed,
+    write_comparison_csv,
+    write_report_csvs,
+    write_run_outputs,
 )
 
 EXIT_OK = 0
@@ -155,6 +154,8 @@ def _apply_overrides(scenario: Scenario, ov: dict[str, float]) -> Scenario:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import ScenarioTemplate, generate_scenario
+
     doc: dict[str, Any] = {}
     if args.template:
         doc = _read_json(args.template, "template")
@@ -181,6 +182,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .simulation import audit_run, run_offline_baseline, run_proposed
+
     try:
         overrides = _parse_run_overrides(args.set)
     except ValueError as exc:
@@ -270,6 +273,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .planner import planner_input_from_dict, solution_to_dict, solve_charging_problem
+
     doc = _read_json(args.input, "input")
     try:
         inp = planner_input_from_dict(doc)

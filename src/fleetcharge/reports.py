@@ -1,4 +1,10 @@
-"""Run artifacts on disk.
+"""What a finished run is: its records, their comparison, and its files.
+
+The records (`VisitRecord`, `TripRecord`, `StationTotals`, `RunTotals`,
+`RunMetrics`) are what the engine in :mod:`fleetcharge.simulation` fills
+in; `compare` diffs two of them. This module imports no engine code, so
+the ``report`` and ``compare`` commands load neither the planner nor the
+simulation.
 
 A run directory holds machine-precision records (metrics.json,
 transcript.jsonl, ledgers.json) next to human-oriented CSVs rounded to
@@ -11,25 +17,248 @@ from __future__ import annotations
 import csv
 import functools
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .model import _record_fields, record_json
-from .simulation import (
-    ComparisonReport,
-    RunResult,
-    StationTotals,
-    TruckDelta,
-    VisitRecord,
-    metrics_from_dict,
-)
+from .model import _record_fields, decode_record, ordered_sum, record_json
 from .station import PortLedger, _LedgerState
 
+if TYPE_CHECKING:
+    from .simulation import RunResult
+
 __all__ = [
+    "VisitRecord",
+    "TripRecord",
+    "StationTotals",
+    "RunTotals",
+    "RunMetrics",
+    "TruckDelta",
+    "StationDelta",
+    "ComparisonReport",
+    "compare",
+    "metrics_from_dict",
     "write_run_outputs",
     "write_comparison_csv",
     "write_report_csvs",
 ]
+
+
+@dataclass(frozen=True, slots=True)
+class VisitRecord:
+    """One executed charging stop. ``t_arrival`` is the time the slot was
+    booked for: the anticipated station arrival under the proposed strategy
+    (which equals the physical arrival, travel being deterministic), the
+    physical arrival under the baseline. Batteries are kWh at the station,
+    before and after charging."""
+
+    station: str
+    ramp: int
+    t_arrival: float
+    quoted_wait: float
+    realized_wait: float
+    charge_time: float
+    battery_before: float
+    battery_after: float
+
+    @property
+    def energy(self) -> float:
+        return self.battery_after - self.battery_before
+
+
+@dataclass(frozen=True, slots=True)
+class TripRecord:
+    """One truck's whole trip. ``arrival_time``, ``residual_battery`` and
+    ``deadline_violation`` are None exactly when the truck stranded;
+    ``stranded_at_ramp`` is 0 for a truck that could not even leave its
+    origin (offline baseline with an infeasible plan)."""
+
+    truck_id: str
+    stranded: bool
+    stranded_at_ramp: int | None
+    depart_time: float
+    deadline: float
+    reserve_battery: float
+    arrival_time: float | None
+    deadline_violation: float | None
+    residual_battery: float | None
+    visits: tuple[VisitRecord, ...]
+
+    @property
+    def total_wait(self) -> float:
+        return ordered_sum(v.realized_wait for v in self.visits)
+
+    @property
+    def total_charge_time(self) -> float:
+        return ordered_sum(v.charge_time for v in self.visits)
+
+    @property
+    def total_energy(self) -> float:
+        return ordered_sum(v.energy for v in self.visits)
+
+
+@dataclass(frozen=True, slots=True)
+class StationTotals:
+    station: str
+    visits: int
+    waiting_minutes: float
+    charging_minutes: float
+    mean_wait: float
+    energy_delivered_kwh: float
+
+
+@dataclass(frozen=True, slots=True)
+class RunTotals:
+    """Fleet aggregates, computed from the trip records they summarize, so
+    the sums match their constituents exactly."""
+
+    trucks: int
+    stranded: int
+    deadline_violations: int
+    rescue_charges: int
+    total_waiting_minutes: float
+    total_waiting_hours: float
+    total_charging_minutes: float
+    total_energy_delivered_kwh: float
+
+
+@dataclass(frozen=True, slots=True)
+class RunMetrics:
+    """What a run measured; its fields are the keys of metrics.json."""
+
+    label: str
+    strategy: str
+    totals: RunTotals
+    per_truck: tuple[TripRecord, ...]
+    per_station: tuple[StationTotals, ...]
+
+    # the three totals perfbench/run.py reports by these names
+    @property
+    def total_waiting_minutes(self) -> float:
+        return self.totals.total_waiting_minutes
+
+    @property
+    def deadline_violation_count(self) -> int:
+        return self.totals.deadline_violations
+
+    @property
+    def stranded_count(self) -> int:
+        return self.totals.stranded
+
+
+def metrics_from_dict(doc: Any) -> RunMetrics:
+    """Rebuild run metrics from their dictionary form (inverse of
+    ``encode_record``). A malformed ``doc``, or a trip whose arrival
+    fields disagree with its ``stranded`` flag, raises ValueError naming
+    the field."""
+    metrics = decode_record(RunMetrics, doc, "metrics")
+    for i, trip in enumerate(metrics.per_truck):
+        for name in ("arrival_time", "deadline_violation", "residual_battery"):
+            if (getattr(trip, name) is None) != trip.stranded:
+                raise ValueError(f"per_truck[{i}]: {name} must be null exactly when stranded")
+    return metrics
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class TruckDelta:
+    truck_id: str
+    wait_baseline: float
+    wait_proposed: float
+    wait_delta: float
+    charge_baseline: float
+    charge_proposed: float
+    violation_baseline: float | None
+    violation_proposed: float | None
+
+
+@dataclass(frozen=True, slots=True)
+class StationDelta:
+    station: str
+    wait_baseline: float
+    wait_proposed: float
+    wait_delta: float
+    charge_baseline: float
+    charge_proposed: float
+
+
+@dataclass(frozen=True, slots=True)
+class ComparisonReport:
+    label: str
+    trucks: tuple[TruckDelta, ...]
+    stations: tuple[StationDelta, ...]
+    wait_baseline: float
+    wait_proposed: float
+    wait_reduction_pct: float
+    violations_baseline: int
+    violations_proposed: int
+    stranded_baseline: int
+    stranded_proposed: int
+
+
+def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
+    """Per-truck and per-station waiting deltas between two runs of the
+    same scenario, plus the total-wait reduction percentage."""
+    if baseline.label != proposed.label:
+        raise ValueError(
+            f"cannot compare runs of different scenarios: "
+            f"{baseline.label!r} vs {proposed.label!r}"
+        )
+    prop_by_truck = {t.truck_id: t for t in proposed.per_truck}
+    base_ids = [t.truck_id for t in baseline.per_truck]
+    if set(base_ids) != set(prop_by_truck):
+        raise ValueError("cannot compare runs with different truck sets")
+    truck_rows = []
+    for bt in baseline.per_truck:
+        pt = prop_by_truck[bt.truck_id]
+        truck_rows.append(
+            TruckDelta(
+                truck_id=bt.truck_id,
+                wait_baseline=bt.total_wait,
+                wait_proposed=pt.total_wait,
+                wait_delta=pt.total_wait - bt.total_wait,
+                charge_baseline=bt.total_charge_time,
+                charge_proposed=pt.total_charge_time,
+                violation_baseline=bt.deadline_violation,
+                violation_proposed=pt.deadline_violation,
+            )
+        )
+    prop_by_station = {s.station: s for s in proposed.per_station}
+    if {s.station for s in baseline.per_station} != set(prop_by_station):
+        raise ValueError("cannot compare runs with different station sets")
+    station_rows = []
+    for bs in baseline.per_station:
+        ps = prop_by_station[bs.station]
+        station_rows.append(
+            StationDelta(
+                station=bs.station,
+                wait_baseline=bs.waiting_minutes,
+                wait_proposed=ps.waiting_minutes,
+                wait_delta=ps.waiting_minutes - bs.waiting_minutes,
+                charge_baseline=bs.charging_minutes,
+                charge_proposed=ps.charging_minutes,
+            )
+        )
+    wait_base = baseline.totals.total_waiting_minutes
+    wait_prop = proposed.totals.total_waiting_minutes
+    reduction = 100.0 * (wait_base - wait_prop) / wait_base if wait_base > 0 else 0.0
+    return ComparisonReport(
+        label=baseline.label,
+        trucks=tuple(truck_rows),
+        stations=tuple(station_rows),
+        wait_baseline=wait_base,
+        wait_proposed=wait_prop,
+        wait_reduction_pct=reduction,
+        violations_baseline=baseline.totals.deadline_violations,
+        violations_proposed=proposed.totals.deadline_violations,
+        stranded_baseline=baseline.totals.stranded,
+        stranded_proposed=proposed.totals.stranded,
+    )
+
+
+# -- run files ----------------------------------------------------------------
 
 
 def _fmt(x: float) -> str:

@@ -23,6 +23,10 @@ record, the detour and the next segment. The loop resumes trips in
 pending event, so a scenario replays byte-identically. A trip that ends
 stores its own record. All clocks are continuous minutes; no rounding
 happens inside the engine.
+
+The run records the engine fills in, and `compare`, live in
+:mod:`fleetcharge.reports`, which imports no engine code; they are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -30,18 +34,22 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any
 
-from .model import (
-    Scenario,
-    TruckSpec,
-    charging_rate,
-    decode_record,
-    ordered_sum,
-    validate_scenario,
-)
+from .model import Scenario, TruckSpec, charging_rate, ordered_sum, validate_scenario
 from .planner import TruckRoute, solve_charging_problem
 from .protocol import ExchangeTranscript, run_ramp_exchange
+from .reports import (
+    ComparisonReport,
+    RunMetrics,
+    RunTotals,
+    StationDelta,
+    StationTotals,
+    TripRecord,
+    TruckDelta,
+    VisitRecord,
+    compare,
+    metrics_from_dict,
+)
 from .station import PortLedger
 
 __all__ = [
@@ -60,120 +68,6 @@ __all__ = [
     "audit_run",
     "metrics_from_dict",
 ]
-
-@dataclass(frozen=True, slots=True)
-class VisitRecord:
-    """One executed charging stop. ``t_arrival`` is the time the slot was
-    booked for: the anticipated station arrival under the proposed strategy
-    (which equals the physical arrival, travel being deterministic), the
-    physical arrival under the baseline. Batteries are kWh at the station,
-    before and after charging."""
-
-    station: str
-    ramp: int
-    t_arrival: float
-    quoted_wait: float
-    realized_wait: float
-    charge_time: float
-    battery_before: float
-    battery_after: float
-
-    @property
-    def energy(self) -> float:
-        return self.battery_after - self.battery_before
-
-
-@dataclass(frozen=True, slots=True)
-class TripRecord:
-    """One truck's whole trip. ``arrival_time``, ``residual_battery`` and
-    ``deadline_violation`` are None exactly when the truck stranded;
-    ``stranded_at_ramp`` is 0 for a truck that could not even leave its
-    origin (offline baseline with an infeasible plan)."""
-
-    truck_id: str
-    stranded: bool
-    stranded_at_ramp: int | None
-    depart_time: float
-    deadline: float
-    reserve_battery: float
-    arrival_time: float | None
-    deadline_violation: float | None
-    residual_battery: float | None
-    visits: tuple[VisitRecord, ...]
-
-    @property
-    def total_wait(self) -> float:
-        return ordered_sum(v.realized_wait for v in self.visits)
-
-    @property
-    def total_charge_time(self) -> float:
-        return ordered_sum(v.charge_time for v in self.visits)
-
-    @property
-    def total_energy(self) -> float:
-        return ordered_sum(v.energy for v in self.visits)
-
-
-@dataclass(frozen=True, slots=True)
-class StationTotals:
-    station: str
-    visits: int
-    waiting_minutes: float
-    charging_minutes: float
-    mean_wait: float
-    energy_delivered_kwh: float
-
-
-@dataclass(frozen=True, slots=True)
-class RunTotals:
-    """Fleet aggregates, computed from the trip records they summarize, so
-    the sums match their constituents exactly."""
-
-    trucks: int
-    stranded: int
-    deadline_violations: int
-    rescue_charges: int
-    total_waiting_minutes: float
-    total_waiting_hours: float
-    total_charging_minutes: float
-    total_energy_delivered_kwh: float
-
-
-@dataclass(frozen=True, slots=True)
-class RunMetrics:
-    """What a run measured; its fields are the keys of metrics.json."""
-
-    label: str
-    strategy: str
-    totals: RunTotals
-    per_truck: tuple[TripRecord, ...]
-    per_station: tuple[StationTotals, ...]
-
-    # the three totals perfbench/run.py reports by these names
-    @property
-    def total_waiting_minutes(self) -> float:
-        return self.totals.total_waiting_minutes
-
-    @property
-    def deadline_violation_count(self) -> int:
-        return self.totals.deadline_violations
-
-    @property
-    def stranded_count(self) -> int:
-        return self.totals.stranded
-
-
-def metrics_from_dict(doc: Any) -> RunMetrics:
-    """Rebuild run metrics from their dictionary form (inverse of
-    ``encode_record``). A malformed ``doc``, or a trip whose arrival
-    fields disagree with its ``stranded`` flag, raises ValueError naming
-    the field."""
-    metrics = decode_record(RunMetrics, doc, "metrics")
-    for i, trip in enumerate(metrics.per_truck):
-        for name in ("arrival_time", "deadline_violation", "residual_battery"):
-            if (getattr(trip, name) is None) != trip.stranded:
-                raise ValueError(f"per_truck[{i}]: {name} must be null exactly when stranded")
-    return metrics
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,29 +113,28 @@ def _trip(
 def _build_metrics(
     scenario: Scenario, strategy: str, trips: tuple[TripRecord, ...], rescue_count: int
 ) -> RunMetrics:
-    station_rows: list[StationTotals] = []
-    for s in scenario.stations:
-        count = 0
-        waiting = 0.0
-        charging = 0.0
-        energy = 0.0
-        for trip in trips:
-            for v in trip.visits:
-                if v.station == s.id:
-                    count += 1
-                    waiting += v.realized_wait
-                    charging += v.charge_time
-                    energy += v.energy
-        station_rows.append(
-            StationTotals(
-                station=s.id,
-                visits=count,
-                waiting_minutes=waiting,
-                charging_minutes=charging,
-                mean_wait=waiting / count if count else 0.0,
-                energy_delivered_kwh=energy,
-            )
+    # one pass: each station's sums take its visits in trip order, then
+    # visit order, so every float is added in the same order as a
+    # per-station filter over the trips would add it
+    sums = {s.id: [0, 0.0, 0.0, 0.0] for s in scenario.stations}
+    for trip in trips:
+        for v in trip.visits:
+            row = sums[v.station]
+            row[0] += 1
+            row[1] += v.realized_wait
+            row[2] += v.charge_time
+            row[3] += v.energy
+    station_rows = tuple(
+        StationTotals(
+            station=station,
+            visits=count,
+            waiting_minutes=waiting,
+            charging_minutes=charging,
+            mean_wait=waiting / count if count else 0.0,
+            energy_delivered_kwh=energy,
         )
+        for station, (count, waiting, charging, energy) in sums.items()
+    )
 
     total_wait = ordered_sum(t.total_wait for t in trips)
     return RunMetrics(
@@ -260,7 +153,7 @@ def _build_metrics(
             total_energy_delivered_kwh=ordered_sum(t.total_energy for t in trips),
         ),
         per_truck=trips,
-        per_station=tuple(station_rows),
+        per_station=station_rows,
     )
 
 
@@ -434,105 +327,6 @@ def run_offline_baseline(
     ramp 0.
     """
     return _simulate(scenario, "offline", require_detour_margin_everywhere)
-
-
-# -- comparison ---------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class TruckDelta:
-    truck_id: str
-    wait_baseline: float
-    wait_proposed: float
-    wait_delta: float
-    charge_baseline: float
-    charge_proposed: float
-    violation_baseline: float | None
-    violation_proposed: float | None
-
-
-@dataclass(frozen=True, slots=True)
-class StationDelta:
-    station: str
-    wait_baseline: float
-    wait_proposed: float
-    wait_delta: float
-    charge_baseline: float
-    charge_proposed: float
-
-
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
-    label: str
-    trucks: tuple[TruckDelta, ...]
-    stations: tuple[StationDelta, ...]
-    wait_baseline: float
-    wait_proposed: float
-    wait_reduction_pct: float
-    violations_baseline: int
-    violations_proposed: int
-    stranded_baseline: int
-    stranded_proposed: int
-
-
-def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
-    """Per-truck and per-station waiting deltas between two runs of the
-    same scenario, plus the total-wait reduction percentage."""
-    if baseline.label != proposed.label:
-        raise ValueError(
-            f"cannot compare runs of different scenarios: "
-            f"{baseline.label!r} vs {proposed.label!r}"
-        )
-    prop_by_truck = {t.truck_id: t for t in proposed.per_truck}
-    base_ids = [t.truck_id for t in baseline.per_truck]
-    if set(base_ids) != set(prop_by_truck):
-        raise ValueError("cannot compare runs with different truck sets")
-    truck_rows = []
-    for bt in baseline.per_truck:
-        pt = prop_by_truck[bt.truck_id]
-        truck_rows.append(
-            TruckDelta(
-                truck_id=bt.truck_id,
-                wait_baseline=bt.total_wait,
-                wait_proposed=pt.total_wait,
-                wait_delta=pt.total_wait - bt.total_wait,
-                charge_baseline=bt.total_charge_time,
-                charge_proposed=pt.total_charge_time,
-                violation_baseline=bt.deadline_violation,
-                violation_proposed=pt.deadline_violation,
-            )
-        )
-    prop_by_station = {s.station: s for s in proposed.per_station}
-    if {s.station for s in baseline.per_station} != set(prop_by_station):
-        raise ValueError("cannot compare runs with different station sets")
-    station_rows = []
-    for bs in baseline.per_station:
-        ps = prop_by_station[bs.station]
-        station_rows.append(
-            StationDelta(
-                station=bs.station,
-                wait_baseline=bs.waiting_minutes,
-                wait_proposed=ps.waiting_minutes,
-                wait_delta=ps.waiting_minutes - bs.waiting_minutes,
-                charge_baseline=bs.charging_minutes,
-                charge_proposed=ps.charging_minutes,
-            )
-        )
-    wait_base = baseline.totals.total_waiting_minutes
-    wait_prop = proposed.totals.total_waiting_minutes
-    reduction = 100.0 * (wait_base - wait_prop) / wait_base if wait_base > 0 else 0.0
-    return ComparisonReport(
-        label=baseline.label,
-        trucks=tuple(truck_rows),
-        stations=tuple(station_rows),
-        wait_baseline=wait_base,
-        wait_proposed=wait_prop,
-        wait_reduction_pct=reduction,
-        violations_baseline=baseline.totals.deadline_violations,
-        violations_proposed=proposed.totals.deadline_violations,
-        stranded_baseline=baseline.totals.stranded,
-        stranded_proposed=proposed.totals.stranded,
-    )
 
 
 # -- post-run auditing --------------------------------------------------------

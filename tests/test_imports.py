@@ -1,0 +1,99 @@
+"""Each entry point loads only the layers it uses, and the package
+namespace resolves every public name on first use."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fleetcharge
+from fleetcharge import reports, simulation
+
+GOLDENS = Path(__file__).parent / "goldens"
+# the layers that plan, negotiate, generate or simulate
+ENGINE = {"generator", "lp", "planner", "protocol", "simulation"}
+LAYERS = sorted(p.stem for p in Path(fleetcharge.__file__).parent.glob("[!_]*.py"))
+
+
+def _fresh(code: str, cwd: Path) -> set[str]:
+    """Run ``code`` in a fresh interpreter; the fleetcharge submodules it
+    left loaded."""
+    probe = (
+        "\nimport sys\n"
+        "names = [m.partition('.')[2] for m in sys.modules if m.startswith('fleetcharge.')]\n"
+        "print('loaded:', *sorted(names))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + probe],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = [ln for ln in proc.stdout.splitlines() if ln.startswith("loaded:")]
+    return set(line.split()[1:])
+
+
+def _cli(args: list[str]) -> str:
+    return f"from fleetcharge.cli import main\nassert main({args!r}) == 0"
+
+
+def test_a_bare_import_loads_no_layer(tmp_path):
+    code = "import fleetcharge\nassert set(fleetcharge.__all__) <= set(dir(fleetcharge))"
+    assert _fresh(code, tmp_path) == set()
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_each_layer_is_an_attribute_after_a_bare_import(tmp_path, layer):
+    code = (
+        "import sys, fleetcharge\n"
+        f"assert fleetcharge.{layer} is sys.modules['fleetcharge.{layer}']"
+    )
+    assert layer in _fresh(code, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_report_and_compare_load_no_engine_layer(tmp_path, command):
+    shutil.copytree(GOLDENS / "run", tmp_path / "run")
+    args = {
+        "report": ["report", "run/proposed"],
+        "compare": ["compare", "run/offline", "run/proposed", "--out", "compare.csv"],
+    }[command]
+    loaded = _fresh(_cli(args), tmp_path)
+    assert "reports" in loaded
+    assert loaded & ENGINE == set()
+
+
+def test_run_loads_no_generator(tmp_path):
+    args = ["run", "--scenario", str(GOLDENS / "scenario.json"), "--out", "run"]
+    loaded = _fresh(_cli(args), tmp_path)
+    assert "simulation" in loaded
+    assert "generator" not in loaded
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in fleetcharge.__all__:
+        value = getattr(fleetcharge, name)
+        assert value.__module__.startswith("fleetcharge."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    namespace: dict = {}
+    exec("from fleetcharge import *", namespace)
+    assert {name: namespace[name] for name in fleetcharge.__all__} == {
+        name: getattr(fleetcharge, name) for name in fleetcharge.__all__
+    }
+
+
+def test_the_engine_re_exports_the_run_records():
+    moved = set(simulation.__all__) & set(reports.__all__)
+    assert "compare" in moved and "metrics_from_dict" in moved and "RunMetrics" in moved
+    for name in moved:
+        assert getattr(simulation, name) is getattr(reports, name), name
+
+
+def test_an_unknown_attribute_is_an_error_that_names_it():
+    with pytest.raises(AttributeError, match="'no_such_layer'"):
+        fleetcharge.no_such_layer

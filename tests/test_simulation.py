@@ -9,6 +9,7 @@ import pytest
 from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import Scenario, encode_record, load_scenario, ordered_sum
+from fleetcharge.reports import StationTotals
 from fleetcharge.simulation import (
     RunMetrics,
     audit_run,
@@ -231,6 +232,41 @@ def test_energy_balances_and_aggregates_are_sums():
             ]
             assert s.visits == len(visits)
             assert s.waiting_minutes == ordered_sum(v.realized_wait for v in visits)
+
+
+@pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
+def test_station_totals_are_per_station_filters_of_the_trips(runner):
+    sc = generate_scenario(
+        ScenarioTemplate(
+            label="many-stations",
+            truck_count=60,
+            station_count=8,
+            port_count_range=(1, 2),
+            stations_per_route_range=(2, 5),
+            segment_time_range=(20.0, 40.0),
+            depart_window=(480.0, 540.0),
+            e_initial_range=(200.0, 320.0),
+        ),
+        11,
+    )
+    m = runner(sc).metrics
+    expected = []
+    for s in sc.stations:
+        visits = [v for t in m.per_truck for v in t.visits if v.station == s.id]
+        waiting = ordered_sum(v.realized_wait for v in visits)
+        expected.append(
+            StationTotals(
+                station=s.id,
+                visits=len(visits),
+                waiting_minutes=waiting,
+                charging_minutes=ordered_sum(v.charge_time for v in visits),
+                mean_wait=waiting / len(visits) if visits else 0.0,
+                energy_delivered_kwh=ordered_sum(v.energy for v in visits),
+            )
+        )
+    assert sum(1 for row in expected if row.visits > 1) >= 4
+    assert any(row.waiting_minutes > 0 for row in expected)
+    assert m.per_station == tuple(expected)
 
 
 def test_one_exchange_per_ramp_arrival(monkeypatch):
