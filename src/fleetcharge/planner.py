@@ -112,6 +112,19 @@ class RouteTooLongError(ValueError):
     """More remaining stations than the exact enumeration supports."""
 
 
+def _check_ramp_values(
+    has_station: bool, battery: float, quoted_wait: float, remaining_time: float
+) -> None:
+    """`PlannerInput`'s and `TruckRoute.at`'s checks of the values that
+    change per ramp; only a ramp with a station ahead has a quote."""
+    if has_station and (not math.isfinite(quoted_wait) or quoted_wait < 0):
+        raise ValueError("quoted_wait must be a finite nonnegative number")
+    if not math.isfinite(battery):
+        raise ValueError("battery must be a finite number")
+    if not math.isfinite(remaining_time):
+        raise ValueError("remaining_time must be a finite number")
+
+
 @dataclass(frozen=True, slots=True)
 class PlannerInput:
     """Everything a truck knows when planning at a ramp.
@@ -162,12 +175,7 @@ class PlannerInput:
             for i, x in enumerate(getattr(self, name)):
                 if not math.isfinite(x) or x < 0:
                     raise ValueError(f"{name}[{i}] must be a finite nonnegative number")
-        if m > 0 and (not math.isfinite(self.quoted_wait) or self.quoted_wait < 0):
-            raise ValueError("quoted_wait must be a finite nonnegative number")
-        if not math.isfinite(self.battery):
-            raise ValueError("battery must be a finite number")
-        if not math.isfinite(self.remaining_time):
-            raise ValueError("remaining_time must be a finite number")
+        _check_ramp_values(m > 0, self.battery, self.quoted_wait, self.remaining_time)
 
     @property
     def station_count(self) -> int:
@@ -480,12 +488,7 @@ class TruckRoute:
         station i's live ``quoted_wait``, with ``remaining_time`` minutes
         left until the deadline. The three values get `PlannerInput`'s
         checks and messages."""
-        if i < self.station_count and (not math.isfinite(quoted_wait) or quoted_wait < 0):
-            raise ValueError("quoted_wait must be a finite nonnegative number")
-        if not math.isfinite(battery):
-            raise ValueError("battery must be a finite number")
-        if not math.isfinite(remaining_time):
-            raise ValueError("remaining_time must be a finite number")
+        _check_ramp_values(i < self.station_count, battery, quoted_wait, remaining_time)
         tail = object.__new__(_RouteTail)
         self._slice_into(tail, i, battery, quoted_wait, remaining_time)
         return tail

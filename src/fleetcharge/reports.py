@@ -369,7 +369,7 @@ def write_comparison_csv(report: ComparisonReport, path: str | Path) -> Path:
 
 def _ledgers_from_dict(docs: Any) -> dict[str, PortLedger]:
     if not isinstance(docs, dict):
-        raise TypeError("must hold a JSON object")
+        raise ValueError("must hold a JSON object")
     return {sid: PortLedger.from_export(doc, sid) for sid, doc in docs.items()}
 
 
@@ -378,7 +378,7 @@ def _read_run_file(path: Path, kind: str, decode: Callable[[Any], Any]) -> Any:
     to its fields, raises ValueError naming the file."""
     try:
         return decode(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path} is not a {kind} file: {exc}") from None
 
 

@@ -24,6 +24,9 @@ pending event, so a scenario replays byte-identically. A trip that ends
 stores its own record. All clocks are continuous minutes; no rounding
 happens inside the engine.
 
+The public runners raise ValueError on an invalid scenario; the event
+loop trusts its input, so ``run``, which validates once, drives it directly.
+
 The run records the engine fills in, and `compare`, live in
 :mod:`fleetcharge.reports`, which imports no engine code; they are
 re-exported here.
@@ -164,9 +167,8 @@ def _require_valid(scenario: Scenario) -> None:
 
 
 def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
-    """The event loop of both strategies ("proposed" or "offline");
-    ``strict`` is ``require_detour_margin_everywhere`` of every plan."""
-    _require_valid(scenario)
+    """The event loop of both strategies ("proposed" or "offline") over a
+    valid scenario; ``strict`` is ``require_detour_margin_everywhere``."""
     proposed = strategy == "proposed"
     station_specs = scenario.station_by_id()
     ledgers = {s.id: PortLedger(s.port_count) for s in scenario.stations}
@@ -309,8 +311,10 @@ def run_proposed(
     commit) and executes only the resulting current-station decision. A
     truck whose planning problem is infeasible and that cannot rescue
     itself by charging at the current station parks there and leaves the
-    simulation, which the metrics record as stranded.
+    simulation, which the metrics record as stranded. An invalid scenario
+    raises ValueError naming every problem.
     """
+    _require_valid(scenario)
     return _simulate(scenario, "proposed", require_detour_margin_everywhere)
 
 
@@ -324,8 +328,9 @@ def run_offline_baseline(
     charging durations. Stations are still shared: a truck queues on
     physical arrival behind whoever booked first. A truck whose problem is
     infeasible at the origin never departs and is recorded as stranded at
-    ramp 0.
+    ramp 0. An invalid scenario raises ValueError naming every problem.
     """
+    _require_valid(scenario)
     return _simulate(scenario, "offline", require_detour_margin_everywhere)
 
 

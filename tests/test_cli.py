@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcharge import cli
+from fleetcharge import cli, model, simulation
 from fleetcharge.cli import main
 from fleetcharge.model import MAX_ENUMERATED_STATIONS, MAX_PORT_COUNT, scenario_to_json
 
@@ -97,6 +97,21 @@ def test_both_matches_separate_single_strategy_runs(tmp_path, scenario_file):
             a = (both / strategy / name).read_bytes()
             b = (single / strategy / name).read_bytes()
             assert a == b, f"{strategy}/{name} differs between both and single runs"
+
+
+def test_run_both_validates_the_scenario_once(tmp_path, scenario_file, monkeypatch):
+    calls = []
+
+    def counted(scenario):
+        calls.append(scenario)
+        return model.validate_scenario(scenario)
+
+    # the CLI's own check and the one the public runners make
+    monkeypatch.setattr(cli, "validate_scenario", counted)
+    monkeypatch.setattr(simulation, "validate_scenario", counted)
+    argv = ["run", "--scenario", str(scenario_file), "--strategy", "both", "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_single_strategy_run_writes_no_comparison(tmp_path, scenario_file):

@@ -65,6 +65,15 @@ def test_second_truck_waits_exactly_the_overlap():
     )
 
 
+# the public runners check the scenario themselves; `run` checks it once
+# and drives the event loop directly
+@pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
+def test_runners_refuse_an_invalid_scenario(runner):
+    sc = make_scenario(trucks=(make_truck(params=make_params(e_safe=0.0)),))
+    with pytest.raises(ValueError, match=r"^invalid scenario: .*requires 0 < e_safe < e_full"):
+        runner(sc)
+
+
 # (time, truck id) orders simultaneous events, whatever the scenario order
 @pytest.mark.parametrize("order", [("t002", "t001"), ("t001", "t002")], ids="-".join)
 @pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
