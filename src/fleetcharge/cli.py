@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +33,7 @@ from .model import (
 )
 from .reports import (
     ComparisonReport,
+    _read_run_file,
     compare,
     metrics_from_dict,
     write_comparison_csv,
@@ -234,11 +236,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     metrics = []
     for run_dir in (args.baseline, args.proposed):
         path = Path(run_dir) / "metrics.json"
-        doc = _read_json(str(path), str(path))
         try:
-            metrics.append(metrics_from_dict(doc))
-        except ValueError as exc:
-            return _fail(EXIT_VALIDATION, f"{path} is not a metrics file: {exc}")
+            metrics.append(_read_run_file(path, "metrics", metrics_from_dict))
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot read {path}: {exc}")
+        except ValueError as exc:  # names the file
+            return _fail(EXIT_VALIDATION, str(exc))
     try:
         report = compare(metrics[0], metrics[1])
     except ValueError as exc:
@@ -273,6 +276,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except (TypeError, ValueError) as exc:
         return _fail(EXIT_VALIDATION, f"bad planning input: {exc}")
     solution = solve_charging_problem(inp)
+    if solution.plan is not None and not math.isfinite(solution.plan.anticipated_cost):
+        return _fail(
+            EXIT_VALIDATION,
+            f"bad planning input: the plan's anticipated_cost "
+            f"{solution.plan.anticipated_cost} is not finite",
+        )
     out_text = json.dumps(solution_to_dict(solution), indent=2, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(out_text)

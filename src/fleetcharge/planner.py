@@ -55,12 +55,14 @@ plus the tie tolerance, no pattern of this level or any later one can
 win, and the loop stops. Patterns of the levels it never reaches are never
 generated.
 
-Patterns with at most one stop never reach the simplex. The no-stop
-pattern's LP has a single variable, the overtime hinge, and is solved
-directly with the same floats the simplex would produce. A one-stop
-pattern's LP is solved in closed form: charge for the largest shortfall
-over the station's rate, with the simplex's phase-1 feasibility test.
-Only patterns with two or more stops reach `solve_lp`.
+No pattern's LP goes through a simplex. The no-stop pattern's LP has a
+single variable, the overtime hinge, and is solved directly with the
+floats a simplex would produce. A one-stop pattern's LP is solved in
+closed form: charge for the largest shortfall over the station's rate,
+with the simplex's phase-1 feasibility test. A pattern with two or more
+stops goes to `solve_lp`, the exact gas-station fill of `fleetcharge.lp`.
+Each solver returns the least total charging time among the cost-optimal
+durations, so reported plans are unique and replayable.
 """
 
 from __future__ import annotations
@@ -649,71 +651,46 @@ class _RouteTail:
         return lower + max(p.rho * overtime, 0.0)
 
     def lp(
-        self,
-        selected: Sequence[int],
-        *,
-        with_overtime: bool = True,
-        cost_cap: float | None = None,
-        minimize_total_time: bool = False,
-    ) -> LPResult:
-        """Solve the duration LP for one stop pattern with `solve_lp`.
+        self, selected: Sequence[int]
+    ) -> tuple[list[tuple[int, float]], list[float], list[float], list[float], float, float]:
+        """The duration LP of one stop pattern, as `solve_lp`'s arguments,
+        from one walk over the tail.
 
-        Variables are the charging durations of the selected stations (in
-        pattern order) plus, when ``with_overtime``, an epigraph variable
-        for the hinge max(rho * overtime, 0). ``cost_cap`` adds a row
-        bounding the variable part of the objective;
-        ``minimize_total_time`` swaps the objective for the sum of
-        durations (used to canonicalize among cost-equal optima). The
-        planner calls it for patterns with two or more stops; `no_stop`
-        and `one_stop` reproduce it for fewer, the rescue variant
-        (``with_overtime`` off, minimal time) included.
+        The walk accumulates the drain reaching each ramp (every segment
+        and planned detour before it). Each battery row (the ramps, every
+        one in strict margin mode and only the planned stops otherwise,
+        then the destination) becomes the number of stops before it and
+        its shortfall ``-(battery - drain - bound)``; each stop's cap is
+        its headroom ``e_full - battery + drain + detour drain``. The slack
+        is the time left after driving and the stops' fixed labor.
         """
         p = self.route.params
+        strict = self.route.strict
         battery = self.battery
-        rates = self.rates
-        picked = set(selected)
-        # cumulative driving consumption reaching each ramp (and the
-        # destination): entry l covers all segments and planned detours
-        # strictly before ramp l
-        drain = [0.0]
-        total = 0.0
-        for l, (_, drive, stop, _) in enumerate(self.ramps):
-            total += stop if l in picked else drive
-            drain.append(total)
-        m = len(rates)
-        hinge_col = [0.0] if with_overtime else []
-
-        a_ub: list[list[float]] = []
-        b_ub: list[float] = []
-        # reserve-plus-detour bound at ramps
-        for l in range(m):
-            if self.route.strict or l in picked:
-                a_ub.append([-rates[k] if k < l else 0.0 for k in selected] + hinge_col)
-                b_ub.append(battery - drain[l] - self.ramps[l][0])
-        # reserve bound at the destination
-        a_ub.append([-rates[k] for k in selected] + hinge_col)
-        b_ub.append(battery - drain[m] - p.e_safe)
-        # capacity bound at each planned stop
         headroom = p.e_full - battery
-        for l in selected:
-            a_ub.append([rates[k] if k <= l else 0.0 for k in selected] + hinge_col)
-            b_ub.append(headroom + drain[l] + self.detour_drain[l])
-
-        if with_overtime:
-            # z >= rho * (fixed_minutes + sum of durations - budget)
-            fixed_minutes = self.seg_total + ordered_sum(self.labor[l] for l in selected)
-            a_ub.append([p.rho] * len(selected) + [-1.0])
-            b_ub.append(p.rho * (self.remaining_time - fixed_minutes))
-
-        cost_row = [self.minute_cost[l] for l in selected] + ([1.0] if with_overtime else [])
-        if cost_cap is not None:
-            a_ub.append(cost_row)
-            b_ub.append(cost_cap)
-        if minimize_total_time:
-            objective = [1.0] * len(selected) + hinge_col
-        else:
-            objective = cost_row
-        return solve_lp(objective, a_ub, b_ub)
+        picked = set(selected)
+        rows: list[tuple[int, float]] = []
+        caps: list[float] = []
+        drain = 0.0
+        for l, (floor, drive, stop, _) in enumerate(self.ramps):
+            planned = l in picked
+            if strict or planned:
+                rows.append((len(caps), -1.0 * (battery - drain - floor)))
+            if planned:
+                caps.append(headroom + drain + self.detour_drain[l])
+                drain += stop
+            else:
+                drain += drive
+        rows.append((len(caps), -1.0 * (battery - drain - p.e_safe)))
+        slack = self.remaining_time - (self.seg_total + ordered_sum(self.labor[l] for l in selected))
+        return (
+            rows,
+            caps,
+            [self.rates[l] for l in selected],
+            [self.minute_cost[l] for l in selected],
+            p.rho,
+            slack,
+        )
 
     def solve(self, selected: Sequence[int]) -> LPResult:
         """The duration LP of one stop pattern: solved directly for at most
@@ -722,18 +699,18 @@ class _RouteTail:
             return self.no_stop()
         if len(selected) == 1:
             return self.one_stop(selected[0])
-        return self.lp(selected)
+        return solve_lp(*self.lp(selected))
 
     def no_stop(self) -> LPResult:
-        """``solve_lp``'s result on ``self.lp(())``, without the simplex.
+        """The no-stop pattern's duration LP, solved directly: exactly
+        ``solve_lp(*self.lp(()))``, and what a simplex returns on it.
 
-        With no stops the only variable is the overtime hinge z. The ramp
-        rows (strict margin mode only) and the destination row have all-zero
-        coefficients, so Bland's phase 1 leaves every one of them with a
-        negative right-hand side on its artificial variable and the pattern
-        is infeasible when their shortfalls, summed in row order, exceed the
-        phase-1 tolerance. Otherwise z is the overtime row's shortfall, or 0.
-        Every right-hand side is the same float expression ``lp`` builds.
+        With no stops the only variable is the overtime hinge z. No charge
+        lifts the ramp rows (strict margin mode only) or the destination
+        row, so the pattern is infeasible when their shortfalls, summed in
+        row order, exceed the phase-1 tolerance. Otherwise z is the
+        overtime row's shortfall, or 0. Every shortfall is the same float
+        expression ``lp`` builds.
         """
         p = self.route.params
         strict = self.route.strict
@@ -755,8 +732,10 @@ class _RouteTail:
         z = -1.0 * b_overtime if b_overtime < 0 else 0.0
         return LPResult(status="optimal", x=(z,), objective=z)
 
-    def one_stop(self, k: int, *, with_overtime: bool = True) -> LPResult:
-        """``solve_lp``'s result on ``self.lp((k,))``, in closed form.
+    def one_stop(self, k: int) -> LPResult:
+        """The duration LP of pattern ``(k,)`` in closed form: what a
+        simplex returns on it, and ``solve_lp(*self.lp((k,)))``, to within
+        rounding.
 
         The duration t at station k lifts every later battery row (the
         later ramps in strict margin mode, then the destination) by
@@ -804,8 +783,6 @@ class _RouteTail:
         if residual > 1e-7:
             return LPResult(status="infeasible", x=None, objective=None)
         t = largest / self.rates[k]
-        if not with_overtime:
-            return LPResult(status="optimal", x=(t,), objective=t)
         b_overtime = p.rho * (self.remaining_time - (self.seg_total + self.labor[k]))
         z = max(p.rho * t - b_overtime, 0.0)
         return LPResult(status="optimal", x=(t, z), objective=self.minute_cost[k] * t + z)
@@ -828,17 +805,15 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
     Returns 'infeasible' at once when no pattern passes the charge-to-full
     test. Otherwise enumerates stop patterns level by level, fewest stops
     first, solves the duration LP for each surviving pattern, and keeps the
-    cheapest; cost ties within 1e-9 keep the earlier pattern. The loop stops
-    at the first level whose level bound exceeds the best cost plus that
-    tolerance. The bound is taken only once some pattern has been solved,
-    and not for the last level, a single pattern that its own bound covers.
-    ``patterns_considered`` counts the patterns visited. A winner with two
-    or more stops then has its durations canonicalized by a second LP
-    minimizing total charging time among cost-optimal durations, so
-    reported plans are unique and replayable; a one-stop winner's
-    closed-form duration is already that minimum. ``lp_solves`` counts the
-    `solve_lp` calls, so patterns with at most one stop, solved directly,
-    add none.
+    cheapest; cost ties within 1e-9 keep the earlier pattern. The first
+    feasible pattern is the incumbent even when its cost overflows to
+    ``inf`` (or to NaN, which counts as ``inf``), so a feasible tail is
+    never reported infeasible. The loop stops at the first level whose
+    level bound exceeds the best cost plus that tolerance. The bound is
+    taken only once some pattern has been solved, and not for the last
+    level, a single pattern that its own bound covers.
+    ``patterns_considered`` counts the patterns visited, and ``lp_solves``
+    the `solve_lp` calls, one per solved pattern with two or more stops.
     """
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     route = tail.route
@@ -846,7 +821,6 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
         return PlannerSolution(status="infeasible", plan=None, patterns_considered=0, lp_solves=0)
     m = len(tail.rates)
     best_cost = math.inf
-    best_const = 0.0
     best_selected: tuple[int, ...] | None = None
     best_x: tuple[float, ...] = ()
     lp_solves = 0
@@ -865,9 +839,9 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
             if result.status != "optimal":
                 continue
             cost = result.objective + bounds[1]
-            if cost < best_cost - _COST_TIE_TOL:
-                best_cost = cost
-                best_const = bounds[1]
+            if best_selected is None or cost < best_cost - _COST_TIE_TOL:
+                # NaN, from an overtime term of inf - inf, counts as inf
+                best_cost = cost if cost == cost else math.inf
                 best_selected = selected
                 best_x = result.x
 
@@ -877,16 +851,8 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
         )
 
     durations = [0.0] * m
-    chosen = best_x
-    if len(best_selected) > 1:
-        # canonical durations: minimal total charging time at optimal cost
-        cap = best_cost - best_const + _COST_TIE_TOL
-        lp_solves += 1
-        canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
-        if canonical.status == "optimal":
-            chosen = canonical.x
     for i, l in enumerate(best_selected):
-        durations[l] = chosen[i]
+        durations[l] = best_x[i]
     decisions = tuple(
         ChargeDecision(
             charge=l in best_selected,
@@ -915,7 +881,7 @@ def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     if not tail.rates:
         return None
-    result = tail.one_stop(0, with_overtime=False)
+    result = tail.one_stop(0)
     if result.status != "optimal":
         return None
     return result.x[0]

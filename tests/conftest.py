@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fleetcharge import planner
 from fleetcharge.generator import ScenarioTemplate, _truck_params
-from fleetcharge.lp import LPResult, solve_lp
+from fleetcharge.lp import solve_lp
 from fleetcharge.model import (
     Route,
     Scenario,
@@ -21,6 +21,8 @@ from fleetcharge.model import (
     electricity_price_per_minute,
 )
 from fleetcharge.planner import PlannerInput, _RouteTail
+
+import reference_lp
 
 # the reference truck, station and mission values
 DEFAULTS = ScenarioTemplate()
@@ -129,21 +131,22 @@ def waits_of(inp: PlannerInput) -> tuple[float, ...]:
     return (inp.quoted_wait,) + inp.assumed_waits if inp.stations else ()
 
 
-def assignment_lp(inp: PlannerInput, selected, **options) -> LPResult:
+def assignment_lp(inp: PlannerInput, selected, **options):
     """The duration LP of one stop pattern, solved by the simplex: the
-    reference for the planner's direct solvers. ``options`` are those of
-    `_RouteTail.lp`."""
-    return _RouteTail(inp).lp(selected, **options)
+    reference for the planner's solvers. ``options`` are those of
+    `reference_lp.duration_program`."""
+    return reference_lp.duration_lp(_RouteTail(inp), selected, **options)
 
 
 def counting_solve_lp():
     """``(calls, patch)``: while ``patch`` is active, the planner's
-    `solve_lp` calls are recorded in ``calls``."""
+    `solve_lp` calls are recorded in ``calls``, each as its pattern's
+    number of stops."""
     calls = []
 
-    def counting(c, a_ub, b_ub):
-        calls.append(len(c))
-        return solve_lp(c, a_ub, b_ub)
+    def counting(rows, caps, *rest):
+        calls.append(len(caps))
+        return solve_lp(rows, caps, *rest)
 
     return calls, mock.patch.object(planner, "solve_lp", counting)
 

@@ -1,9 +1,11 @@
 """Reference LP solver: the numpy dense-tableau simplex the package used
-before its plain-Python rewrite, kept verbatim below this docstring.
+before its plain-Python rewrite (Bland's rule, a 1e-7 phase-1 test), kept
+verbatim, and `duration_lp`, the dense duration LP of one stop pattern the
+planner built for it before the package solved those LPs without a
+simplex.
 
-Tests require the package solver to return the same status, bitwise-equal
-``x`` and an objective within 1e-12 relative on every duration LP the
-planner builds.
+Tests check the package's direct solvers (`no_stop`, `one_stop` and
+`fleetcharge.lp.solve_lp`) against this simplex on that LP.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPResult", "solve_lp"]
+from fleetcharge.model import ordered_sum
+
+__all__ = ["LPResult", "duration_lp", "solve_lp"]
 
 _TOL = 1e-9
 _MAX_PIVOTS = 20000
@@ -144,3 +148,77 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     # basic values can pick up harmless -1e-15 noise from elimination
     np.clip(x, 0.0, None, out=x)
     return LPResult(status="optimal", x=x, objective=float(c @ x))
+
+
+def duration_lp(tail, selected, **options) -> LPResult:
+    """The duration LP of one stop pattern of a planner `_RouteTail`,
+    solved by the simplex; ``options`` are `duration_program`'s."""
+    return solve_lp(*duration_program(tail, selected, **options))
+
+
+def duration_program(
+    tail,
+    selected,
+    *,
+    with_overtime: bool = True,
+    cost_cap: float | None = None,
+    minimize_total_time: bool = False,
+) -> tuple[list[float], list[list[float]], list[float]]:
+    """The dense duration LP of one stop pattern of a planner `_RouteTail`,
+    as ``(c, a_ub, b_ub)`` for ``min c.x, a_ub x <= b_ub, x >= 0``.
+
+    Variables are the charging durations of the selected stations (in
+    pattern order) plus, when ``with_overtime``, an epigraph variable for
+    the hinge max(rho * overtime, 0). ``cost_cap`` adds a row bounding the
+    variable part of the objective; ``minimize_total_time`` swaps the
+    objective for the sum of durations. With both, the LP is the canonical
+    one: the least total time among durations within the cap of the
+    optimum. Without the hinge and with the least time, it is the rescue
+    charge's LP.
+    """
+    p = tail.route.params
+    battery = tail.battery
+    rates = tail.rates
+    picked = set(selected)
+    # cumulative driving consumption reaching each ramp (and the
+    # destination): entry l covers all segments and planned detours
+    # strictly before ramp l
+    drain = [0.0]
+    total = 0.0
+    for l, (_, drive, stop, _) in enumerate(tail.ramps):
+        total += stop if l in picked else drive
+        drain.append(total)
+    m = len(rates)
+    hinge_col = [0.0] if with_overtime else []
+
+    a_ub: list[list[float]] = []
+    b_ub: list[float] = []
+    # reserve-plus-detour bound at ramps
+    for l in range(m):
+        if tail.route.strict or l in picked:
+            a_ub.append([-rates[k] if k < l else 0.0 for k in selected] + hinge_col)
+            b_ub.append(battery - drain[l] - tail.ramps[l][0])
+    # reserve bound at the destination
+    a_ub.append([-rates[k] for k in selected] + hinge_col)
+    b_ub.append(battery - drain[m] - p.e_safe)
+    # capacity bound at each planned stop
+    headroom = p.e_full - battery
+    for l in selected:
+        a_ub.append([rates[k] if k <= l else 0.0 for k in selected] + hinge_col)
+        b_ub.append(headroom + drain[l] + tail.detour_drain[l])
+
+    if with_overtime:
+        # z >= rho * (fixed_minutes + sum of durations - budget)
+        fixed_minutes = tail.seg_total + ordered_sum(tail.labor[l] for l in selected)
+        a_ub.append([p.rho] * len(selected) + [-1.0])
+        b_ub.append(p.rho * (tail.remaining_time - fixed_minutes))
+
+    cost_row = [tail.minute_cost[l] for l in selected] + ([1.0] if with_overtime else [])
+    if cost_cap is not None:
+        a_ub.append(cost_row)
+        b_ub.append(cost_cap)
+    if minimize_total_time:
+        objective = [1.0] * len(selected) + hinge_col
+    else:
+        objective = cost_row
+    return objective, a_ub, b_ub

@@ -95,8 +95,8 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
         if result.status != "optimal":
             continue
         cost = float(result.objective) + _pattern_constant_cost(inp, selected)
-        if cost < best_cost - _COST_TIE_TOL:
-            best_cost = cost
+        if best_selected is None or cost < best_cost - _COST_TIE_TOL:
+            best_cost = cost if cost == cost else math.inf
             best_selected = selected
             best_x = result.x
 
@@ -106,16 +106,9 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
         )
         return solution, level_best
 
-    chosen = best_x
-    if len(best_selected) > 1:
-        cap = best_cost - _pattern_constant_cost(inp, best_selected) + _COST_TIE_TOL
-        lp_solves += 1
-        canonical = tail.lp(best_selected, cost_cap=cap, minimize_total_time=True)
-        if canonical.status == "optimal":
-            chosen = canonical.x
     durations = [0.0] * m
     for i, l in enumerate(best_selected):
-        durations[l] = max(float(chosen[i]), 0.0)
+        durations[l] = best_x[i]
     decisions = tuple(
         ChargeDecision(
             charge=l in best_selected,

@@ -573,6 +573,29 @@ def test_plan_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == PLAN_OUTPUT.read_text()
 
 
+def test_plan_refuses_a_cost_that_overflows(tmp_path, capsys):
+    # the only pattern is feasible, but its overtime costs rho * 85.82 min
+    payload = _plan_payload()
+    payload["params"]["rho"] = 1e308
+    payload["remaining_time"] = -5
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    assert main(["plan", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "anticipated_cost inf is not finite" in captured.err
+
+
+def test_a_run_whose_plan_costs_overflow_strands_no_truck(tmp_path):
+    # every stop's labor cost overflows to inf; each truck still takes a
+    # feasible plan, so none strands and none needs a rescue charge
+    argv = ["run", "--scenario", str(GOLDEN_SCENARIO), "--set", "kappa=1e308", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for strategy in ("offline", "proposed"):
+        totals = json.loads((tmp_path / strategy / "metrics.json").read_text())["totals"]
+        assert (totals["stranded"], totals["rescue_charges"]) == (0, 0), strategy
+
+
 def test_plan_defaults_the_optional_waits(tmp_path):
     # the fixture spells out the defaults: no live quote and no assumed waits
     payload = _plan_payload()

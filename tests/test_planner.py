@@ -208,6 +208,26 @@ def test_infeasible_when_even_full_charging_cannot_finish():
     assert sol.plan is None
 
 
+def test_an_overtime_cost_of_inf_minus_inf_does_not_block_a_finite_plan():
+    # rho = 1e308 overflows both rho * minutes and rho * slack for the
+    # 4-minute charge at station 1, visited first, whose LP objective is
+    # then NaN; it counts as inf, so the 0.4-minute charge at station 0,
+    # which needs no detour, still wins
+    p = make_params(rho=1e308)
+    inp = make_planner_input(
+        segment_times=(10.0, (400.0 - p.e_safe + 2.0) / p.p_bar - 10.0),
+        detour_times=(0.0, 5.0),
+        battery=400.0,
+        assumed_waits=(0.0,),
+        remaining_time=10_000.0,
+        params=p,
+        require_detour_margin_everywhere=False,
+    )
+    sol = solve_charging_problem(inp)
+    assert [d.charge for d in sol.plan.decisions] == [True, False]
+    assert math.isfinite(sol.plan.anticipated_cost)
+
+
 def test_empty_route_is_trivially_optimal():
     inp = make_planner_input(
         stations=(),

@@ -1,7 +1,7 @@
 """One-stop patterns are solved in closed form: the solver agrees with the
 simplex on the one-stop duration LP (status exactly, objective and duration
 to within rounding), and whole runs agree with a planner that sends every
-one-stop pattern through the simplex."""
+pattern with stops through the simplex."""
 
 import json
 import re
@@ -25,7 +25,9 @@ from fleetcharge.planner import (
 )
 from fleetcharge.reports import write_run_outputs
 
+import reference_lp
 from conftest import (
+    assignment_lp,
     counting_solve_lp,
     make_params,
     make_planner_input,
@@ -45,21 +47,23 @@ def _assert_matches_simplex(inp, k: int) -> LPResult:
     canonical LP (duration), and the rescue variant at k = 0."""
     tail = _RouteTail(inp)
     mine = tail.one_stop(k)
-    search = tail.lp((k,))
+    search = reference_lp.duration_lp(tail, (k,))
     assert mine.status == search.status
     if search.status == "optimal":
         assert _close(mine.objective, search.objective)
-        canonical = tail.lp(
-            (k,), cost_cap=search.objective + _COST_TIE_TOL, minimize_total_time=True
+        canonical = reference_lp.duration_lp(
+            tail, (k,), cost_cap=search.objective + _COST_TIE_TOL, minimize_total_time=True
         )
         assert canonical.status == "optimal"
         assert _close(mine.x[0], canonical.x[0])
     if k == 0:
-        rescue = tail.one_stop(0, with_overtime=False)
-        reference = tail.lp((0,), with_overtime=False, minimize_total_time=True)
-        assert rescue.status == reference.status
+        # the rescue charge is the duration, whatever the deadline
+        reference = reference_lp.duration_lp(
+            tail, (0,), with_overtime=False, minimize_total_time=True
+        )
+        assert mine.status == reference.status
         if reference.status == "optimal":
-            assert _close(rescue.x[0], reference.x[0])
+            assert _close(mine.x[0], reference.x[0])
     return mine
 
 
@@ -224,11 +228,11 @@ def test_rescue_charge_is_the_closed_form_without_the_simplex():
     with patch:
         t = minimal_rescue_charge(inp)
     assert calls == []
-    reference = _RouteTail(inp).lp((0,), with_overtime=False, minimize_total_time=True)
+    reference = assignment_lp(inp, (0,), with_overtime=False, minimize_total_time=True)
     assert _close(t, reference.x[0])
     # the station's own ramp is short beyond the tolerance: nothing helps
     short = replace(inp, battery=inp.params.e_safe + inp.params.p_bar * 5.0 - 2e-7)
-    assert _RouteTail(short).lp((0,), with_overtime=False).status == "infeasible"
+    assert assignment_lp(short, (0,), with_overtime=False).status == "infeasible"
     assert minimal_rescue_charge(short) is None
 
 
@@ -250,20 +254,23 @@ def test_a_one_stop_winner_solves_no_lp():
 # -- whole runs against a simplex-only planner --------------------------------
 
 
-def _simplex_one_stop(self, k, *, with_overtime=True):
-    """One-stop patterns through the simplex, as the planner solved them
-    before the closed form: the rescue LP, or the search LP with the
-    canonical LP's durations."""
-    if not with_overtime:
-        return self.lp((k,), with_overtime=False, minimize_total_time=True)
-    search = self.lp((k,))
+def _simplex_solve(self, selected):
+    """Every pattern with stops through the simplex, as the planner solved
+    them before its closed forms: the search LP's objective with the
+    canonical LP's durations, the least total time within 1e-9 of the
+    optimum. The no-stop solver already returns the simplex's floats."""
+    if not selected:
+        return self.no_stop()
+    search = reference_lp.duration_lp(self, selected)
     if search.status != "optimal":
         return search
     cap = search.objective + _COST_TIE_TOL
-    canonical = self.lp((k,), cost_cap=cap, minimize_total_time=True)
+    canonical = reference_lp.duration_lp(self, selected, cost_cap=cap, minimize_total_time=True)
     if canonical.status != "optimal":
         return search
-    return LPResult(status="optimal", x=canonical.x, objective=search.objective)
+    return LPResult(
+        status="optimal", x=tuple(float(v) for v in canonical.x), objective=search.objective
+    )
 
 
 GATE_TEMPLATES = {
@@ -294,13 +301,37 @@ GATE_TEMPLATES = {
         stations_per_route_range=(2, 4),
         e_initial_range=(220.0, 320.0),
     ),
+    # long routes with one price and one power: every multi-stop LP has a
+    # face of cost-equal optima, and 478 plans pick a multi-stop winner
+    "long_route": ScenarioTemplate(
+        label="long_route",
+        truck_count=48,
+        station_count=24,
+        stations_per_route_range=(10, 16),
+        segment_time_range=(30.0, 50.0),
+        extra_time_budget=480.0,
+    ),
+    # non-uniform prices and powers on 6-8-station routes: 114 multi-stop
+    # winners
+    "non_uniform_long": ScenarioTemplate(
+        label="non_uniform_long",
+        truck_count=24,
+        station_count=12,
+        port_power_range=(150.0, 400.0),
+        price_range=(0.2, 0.6),
+        stations_per_route_range=(6, 8),
+        segment_time_range=(30.0, 50.0),
+        extra_time_budget=480.0,
+    ),
 }
+GATE_SEEDS = {"long_route": 7}
+MULTI_STOP_TEMPLATES = ("long_route", "non_uniform_long")
 
 
 def _gate_scenario(name):
     if name == "golden":
         return load_scenario(str(GOLDENS / "scenario.json"))
-    return generate_scenario(GATE_TEMPLATES[name], 5)
+    return generate_scenario(GATE_TEMPLATES[name], GATE_SEEDS.get(name, 5))
 
 
 def _printed_numbers_agree(a: str, b: str, where) -> None:
@@ -357,7 +388,7 @@ def test_whole_runs_match_the_simplex_planner(name, tmp_path):
         }
 
     closed = run_all("closed")
-    with mock.patch.object(_RouteTail, "one_stop", _simplex_one_stop):
+    with mock.patch.object(_RouteTail, "solve", _simplex_solve):
         simplex = run_all("simplex")
     assert list(closed) == list(simplex) and len(closed) == 20
     for rel, path in closed.items():
@@ -367,4 +398,6 @@ def test_whole_runs_match_the_simplex_planner(name, tmp_path):
             )
         else:
             _printed_numbers_agree(path.read_text(), simplex[rel].read_text(), rel)
-    assert calls["closed"] < calls["simplex"]
+    assert calls["simplex"] == 0
+    if name in MULTI_STOP_TEMPLATES:
+        assert calls["closed"] > 0
