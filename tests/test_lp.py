@@ -25,13 +25,13 @@ def _cost(tail, selected, x) -> tuple[float, float]:
 
 def _assert_matches_the_simplex(tail, selected):
     mine = solve_lp(*tail.lp(selected))
-    search = reference_lp.duration_lp(tail, selected)
+    c, a_ub, b_ub = reference_lp.duration_program(tail, selected)
+    search = reference_lp.solve_lp(c, a_ub, b_ub)
     assert mine.status == search.status, selected
     if search.status != "optimal":
         return mine
     ref = search.objective
     assert abs(mine.objective - ref) <= 1e-9 * max(abs(ref), 1.0), selected
-    c, a_ub, b_ub = reference_lp.duration_program(tail, selected)
     highs = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     assert highs.status == 0
     assert mine.objective == pytest.approx(highs.fun, rel=1e-7, abs=1e-7)
