@@ -176,7 +176,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     problems = validate_scenario(scenario)
     if problems:
         return _fail(EXIT_USAGE, "\n".join(f"bad template: {p}" for p in problems))
-    dump_scenario(scenario, args.out)
+    try:
+        dump_scenario(scenario, args.out)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc}")
     print(
         f"wrote {args.out}: {len(scenario.trucks)} trucks, "
         f"{len(scenario.stations)} stations, seed {args.seed}"
@@ -218,7 +221,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             for v in violations:
                 print(f"audit failure ({strategy}): {v}", file=sys.stderr)
             return EXIT_INTERNAL
-        write_run_outputs(result, out / strategy)
+        try:
+            write_run_outputs(result, out / strategy)
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot write {out / strategy}: {exc}")
         results[strategy] = result
         m = result.metrics
         print(
@@ -228,7 +234,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if args.strategy == "both":
         report = compare(results["offline"].metrics, results["proposed"].metrics)
-        _print_wait_reduction(report, write_comparison_csv(report, out / "compare.csv"))
+        path = out / "compare.csv"
+        try:
+            write_comparison_csv(report, path)
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot write {path}: {exc}")
+        _print_wait_reduction(report, path)
     return EXIT_OK
 
 
@@ -246,7 +257,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         report = compare(metrics[0], metrics[1])
     except ValueError as exc:
         return _fail(EXIT_VALIDATION, str(exc))
-    _print_wait_reduction(report, write_comparison_csv(report, args.out))
+    try:
+        path = write_comparison_csv(report, args.out)
+    except OSError as exc:
+        return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc}")
+    _print_wait_reduction(report, path)
     return EXIT_OK
 
 
@@ -284,7 +299,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     out_text = json.dumps(solution_to_dict(solution), indent=2, allow_nan=False) + "\n"
     if args.out:
-        Path(args.out).write_text(out_text)
+        try:
+            Path(args.out).write_text(out_text)
+        except OSError as exc:
+            return _fail(EXIT_USAGE, f"cannot write {args.out}: {exc}")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(out_text)

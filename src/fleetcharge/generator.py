@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, get_origin
 
 from .model import (
@@ -25,6 +24,7 @@ from .model import (
     _record_fields,
     decode_record,
     ordered_sum,
+    record,
 )
 from .planner import PlannerInput, has_feasible_pattern
 
@@ -46,7 +46,7 @@ def _floor01(x: float) -> float:
     return math.floor(x * 10.0 + 1e-9) / 10.0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScenarioTemplate:
     """Ranges and fixed parameters for scenario sampling. Ranges are
     inclusive (lo, hi) pairs; integer ranges use integer endpoints. The

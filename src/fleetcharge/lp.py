@@ -35,11 +35,10 @@ the slack exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .model import ordered_sum
+from .model import ordered_sum, record
 
 __all__ = ["LPResult", "solve_lp"]
 
@@ -47,7 +46,7 @@ _FEASIBILITY_TOL = 1e-7
 _KEY_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LPResult:
     """status is 'optimal' or 'infeasible'; x (the durations in pattern
     order, then the overtime hinge z) and objective are populated only
@@ -87,7 +86,7 @@ def solve_lp(
         if short > lifted[before - 1]:
             lifted[before - 1] = short
     if residual > _FEASIBILITY_TOL:
-        return LPResult(status="infeasible", x=None, objective=None)
+        return LPResult("infeasible", None, None)
     need = list(accumulate(lifted, max))
 
     def fill(lam: float) -> list[float]:
@@ -143,4 +142,4 @@ def solve_lp(
             t = [b + theta * (a - b) for a, b in zip(left, right)]
     z = max(rho * ordered_sum(t) - rho * slack, 0.0)
     objective = ordered_sum(c * minutes for c, minutes in zip(minute_costs, t)) + z
-    return LPResult(status="optimal", x=(*t, z), objective=objective)
+    return LPResult("optimal", (*t, z), objective)

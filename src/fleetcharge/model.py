@@ -71,7 +71,45 @@ class ScenarioFormatError(ValueError):
     """A scenario document is structurally unreadable (bad JSON shape or types)."""
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls: type) -> type:
+    """Make ``cls`` a record: an immutable slotted value type.
+
+    ``dataclass(frozen=True, slots=True)`` gives the class its equality,
+    hash, repr, ``__match_args__``, ``fields()`` and ``replace()``, and
+    refuses assignment and deletion after construction with
+    FrozenInstanceError. Its ``__init__`` would write each field through
+    ``object.__setattr__``; the one compiled here takes the same
+    parameters (the fields in declaration order, with their defaults),
+    writes each field through its slot's descriptor and then calls
+    ``__post_init__`` when the class has one. One ramp exchange builds
+    about a dozen records, so their ``__init__`` is a large share of what
+    an exchange costs.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = []
+    defaults = []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"record field {cls.__name__}.{f.name} has a default_factory")
+        names.append(f.name)
+        if f.default is not MISSING:
+            defaults.append(f.default)
+    # each slot's member descriptor writes past the frozen __setattr__
+    setters = {f"_s{i}": getattr(cls, name).__set__ for i, name in enumerate(names)}
+    body = "".join(f"\n    _s{i}(self, {name})" for i, name in enumerate(names))
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace: dict[str, Any] = {}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@record
 class TruckParams:
     """Physical and economic parameters of one truck.
 
@@ -94,7 +132,7 @@ class TruckParams:
     rho: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StationSpec:
     """A charging site: identical ports, one electricity tariff.
 
@@ -108,7 +146,7 @@ class StationSpec:
     electricity_price_energy: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Route:
     """A truck's fixed route: ramps splitting the main road into segments.
 
@@ -130,7 +168,7 @@ class Route:
     station_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TruckSpec:
     """One truck's mission: parameters, route, initial conditions.
 
@@ -153,7 +191,7 @@ class TruckSpec:
         return self.depart_time + ordered_sum(self.route.segment_times) + self.extra_time_budget
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChargeDecision:
     """Whether and for how long to charge at one station (minutes)."""
 
@@ -161,7 +199,7 @@ class ChargeDecision:
     duration: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChargingPlan:
     """A plan over the remaining stations of a route.
 
@@ -174,7 +212,7 @@ class ChargingPlan:
     anticipated_overtime: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Scenario:
     """A complete simulation input: stations, trucks, and provenance."""
 
@@ -395,15 +433,15 @@ _SCALARS = {
 
 
 @functools.cache
-def _record_fields(cls: type) -> tuple[tuple[str, Any, bool, bool], ...]:
-    """``(name, type, required, holds records)`` per field of a dataclass,
-    resolved once per class."""
+def _record_fields(cls: type) -> tuple[tuple[str, Any, Any, bool], ...]:
+    """``(name, type, default, holds records)`` per field of a record,
+    resolved once per class; the default of a required field is
+    ``MISSING``."""
     hints = typing.get_type_hints(cls)
     plan = []
     for f in fields(cls):
         tp = hints[f.name]
-        required = f.default is MISSING and f.default_factory is MISSING
-        plan.append((f.name, tp, required, any(map(is_dataclass, (tp, *typing.get_args(tp))))))
+        plan.append((f.name, tp, f.default, any(map(is_dataclass, (tp, *typing.get_args(tp))))))
     return tuple(plan)
 
 
@@ -439,25 +477,30 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
 
         return scalar
     if is_dataclass(tp):
-        plan = [(name, _decoder(ftp), req) for name, ftp, req, _ in _record_fields(tp)]
+        plan = [(name, _decoder(ftp), default) for name, ftp, default, _ in _record_fields(tp)]
 
         def record(doc: Any) -> Any:
             if not isinstance(doc, dict):
                 raise _Bad("must be an object", True)
-            kwargs = {}
-            for key, dec, required in plan:
+            args = []
+            found = 0
+            for key, dec, default in plan:
                 if key in doc:
                     try:
-                        kwargs[key] = dec(doc[key])
+                        args.append(dec(doc[key]))
                     except _Bad as exc:
                         exc.steps.append(key)
                         raise
-                elif required:
+                    found += 1
+                elif default is MISSING:
                     raise _Bad(f"missing field '{key}'", True)
-            if len(doc) > len(kwargs):  # some key is not a field
-                extra = next(key for key in doc if key not in kwargs)
+                else:
+                    args.append(default)
+            if len(doc) > found:  # some key is not a field
+                names = {key for key, _, _ in plan}
+                extra = next(key for key in doc if key not in names)
                 raise _Bad(f"unexpected field '{extra}'", True)
-            return tp(**kwargs)
+            return tp(*args)
 
         return record
     args = typing.get_args(tp)

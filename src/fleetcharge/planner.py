@@ -68,7 +68,6 @@ durations, so reported plans are unique and replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Iterable, Sequence
 
@@ -86,6 +85,7 @@ from .model import (
     decode_record,
     encode_record,
     ordered_sum,
+    record,
 )
 
 __all__ = [
@@ -127,7 +127,7 @@ def _check_ramp_values(
         raise ValueError("remaining_time must be a finite number")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PlannerInput:
     """Everything a truck knows when planning at a ramp.
 
@@ -184,7 +184,7 @@ class PlannerInput:
         return len(self.stations)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PlannerSolution:
     """status 'optimal' carries a plan; 'infeasible' means no stop pattern
     admits durations that keep the battery above its bounds."""
@@ -727,10 +727,10 @@ class _RouteTail:
         if b < 0:
             shortfall += -1.0 * b
         if shortfall > 1e-7:
-            return LPResult(status="infeasible", x=None, objective=None)
+            return LPResult("infeasible", None, None)
         b_overtime = float(p.rho * (self.remaining_time - self.seg_total))
         z = -1.0 * b_overtime if b_overtime < 0 else 0.0
-        return LPResult(status="optimal", x=(z,), objective=z)
+        return LPResult("optimal", (z,), z)
 
     def one_stop(self, k: int) -> LPResult:
         """The duration LP of pattern ``(k,)`` in closed form: what a
@@ -781,11 +781,11 @@ class _RouteTail:
                 if short > headroom:
                     residual += short - headroom
         if residual > 1e-7:
-            return LPResult(status="infeasible", x=None, objective=None)
+            return LPResult("infeasible", None, None)
         t = largest / self.rates[k]
         b_overtime = p.rho * (self.remaining_time - (self.seg_total + self.labor[k]))
         z = max(p.rho * t - b_overtime, 0.0)
-        return LPResult(status="optimal", x=(t, z), objective=self.minute_cost[k] * t + z)
+        return LPResult("optimal", (t, z), self.minute_cost[k] * t + z)
 
 
 def _level_patterns(m: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -818,7 +818,7 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     route = tail.route
     if not _feasible(route.strict, tail.battery, route.params.e_safe, tail.ramps):
-        return PlannerSolution(status="infeasible", plan=None, patterns_considered=0, lp_solves=0)
+        return PlannerSolution("infeasible", None, 0, 0)
     m = len(tail.rates)
     best_cost = math.inf
     best_selected: tuple[int, ...] | None = None
@@ -846,27 +846,16 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
                 best_x = result.x
 
     if best_selected is None:
-        return PlannerSolution(
-            status="infeasible", plan=None, patterns_considered=considered, lp_solves=lp_solves
-        )
+        return PlannerSolution("infeasible", None, considered, lp_solves)
 
-    durations = [0.0] * m
-    for i, l in enumerate(best_selected):
-        durations[l] = best_x[i]
-    decisions = tuple(
-        ChargeDecision(
-            charge=l in best_selected,
-            duration=durations[l] if l in best_selected else 0.0,
-        )
-        for l in range(m)
-    )
+    # records are immutable, so every skipped station shares one decision
+    plan_decisions = [ChargeDecision(False, 0.0)] * m
+    for l, duration in zip(best_selected, best_x):
+        plan_decisions[l] = ChargeDecision(True, duration)
+    decisions = tuple(plan_decisions)
     cost, overtime = tail.cost(decisions)
-    plan = ChargingPlan(
-        decisions=decisions, anticipated_cost=cost, anticipated_overtime=overtime
-    )
-    return PlannerSolution(
-        status="optimal", plan=plan, patterns_considered=considered, lp_solves=lp_solves
-    )
+    plan = ChargingPlan(decisions, cost, overtime)
+    return PlannerSolution("optimal", plan, considered, lp_solves)
 
 
 def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:

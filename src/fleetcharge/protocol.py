@@ -23,11 +23,10 @@ places.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
-from typing import Union
+from typing import Any, Callable, Union
 
-from .model import _is_finite_number, _record_fields, decode_record
+from .model import _is_finite_number, _record_fields, decode_record, record
 from .planner import (
     PlannerSolution,
     TruckRoute,
@@ -60,7 +59,7 @@ def _check_time(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ArrivalAnnouncement:
     """Truck to station: anticipated station arrival time, minutes."""
 
@@ -72,7 +71,7 @@ class ArrivalAnnouncement:
         _check_time("t_arrival", self.t_arrival)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WaitingEstimate:
     """Station to truck: anticipated wait at the announced arrival, minutes."""
 
@@ -84,7 +83,7 @@ class WaitingEstimate:
         _check_time("wait", self.wait)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ChargingCommitment:
     """Truck to station: planned charging time in minutes (0 = skip)."""
 
@@ -96,7 +95,7 @@ class ChargingCommitment:
         _check_time("charge_time", self.charge_time)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ack:
     """Station to truck: the commitment is recorded."""
 
@@ -122,26 +121,36 @@ _MESSAGE_TYPES: dict[str, type] = {
     "commit": ChargingCommitment,
     "ack": Ack,
 }
-# per class: the line's opening, then (field, '"field":', is a time) per field
-_WIRE = {
-    cls: (
-        f'{{"type":"{tag}"',
-        tuple((name, f',"{name}":', tp is float) for name, tp, _, _ in _record_fields(cls)),
+
+
+def _wire_writer(tag: str, cls: type) -> Callable[[Message], str]:
+    """The function that writes a ``cls`` message as its wire line. It is
+    compiled once per class, so a line costs one ``%`` format: the type
+    tag and every key are constants of its template, and each field is
+    written by `_fmt_minutes` when it is a time and quoted as json quotes
+    a string otherwise."""
+    plan = [(name, tp is float) for name, tp, _, _ in _record_fields(cls)]
+    line = f'{{"type":"{tag}"' + "".join(f',"{name}":%s' for name, _ in plan) + "}"
+    values = "".join(f"{'_minutes' if is_time else '_quote'}(m.{name}), " for name, is_time in plan)
+    namespace: dict[str, Any] = {}
+    exec(
+        f"def write(m): return _line % ({values})",
+        {"_line": line, "_minutes": _fmt_minutes, "_quote": _quote},
+        namespace,
     )
-    for tag, cls in _MESSAGE_TYPES.items()
-}
+    return namespace["write"]
+
+
+_WIRE = {cls: _wire_writer(tag, cls) for tag, cls in _MESSAGE_TYPES.items()}
 
 
 def encode_message(message: Message) -> str:
     """One canonical JSON line (no trailing newline)."""
     try:
-        line, wire_fields = _WIRE[type(message)]
+        write = _WIRE[type(message)]
     except KeyError:
         raise TypeError(f"not a message: {message!r}") from None
-    for name, key, is_time in wire_fields:
-        value = getattr(message, name)
-        line += key + (_fmt_minutes(value) if is_time else _quote(value))
-    return line + "}"
+    return write(message)
 
 
 def decode_message(line: str) -> Message:
@@ -171,7 +180,7 @@ def decode_message(line: str) -> Message:
         raise MessageDecodeError(f"{kind}: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExchangeTranscript:
     """A completed exchange: its four messages in protocol order and the
     ledger versions bracketing the commit."""
@@ -185,7 +194,7 @@ class ExchangeTranscript:
         return [encode_message(m) for m in self.messages]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExchangeOutcome:
     """Everything the engine needs after an exchange: the transcript, the
     planner's full solution for the route tail planned against the live
@@ -229,9 +238,10 @@ def run_ramp_exchange(
     to retry.
     """
     t_arrival = clock + route.detour_time(index)
-    arrival = ArrivalAnnouncement(truck=truck_id, station=station_id, t_arrival=t_arrival)
+    # records are built positionally, in field order, on this hot path
+    arrival = ArrivalAnnouncement(truck_id, station_id, t_arrival)
     quote = ledger.estimate_wait(t_arrival)
-    estimate = WaitingEstimate(station=station_id, truck=truck_id, wait=quote.wait)
+    estimate = WaitingEstimate(station_id, truck_id, quote.wait)
     tail = route.at(index, battery, quote.wait, remaining_time)
     solution = solve_charging_problem(tail)
     rescue_charge: float | None = None
@@ -242,21 +252,10 @@ def run_ramp_exchange(
         rescue_charge = minimal_rescue_charge(tail)
         charge_time = rescue_charge if rescue_charge is not None else 0.0
     version_before = ledger.version
-    commitment = ChargingCommitment(
-        truck=truck_id, station=station_id, charge_time=charge_time
-    )
+    commitment = ChargingCommitment(truck_id, station_id, charge_time)
     assignment = ledger.commit(quote, truck_id, charge_time)
-    ack = Ack(station=station_id, truck=truck_id)
+    ack = Ack(station_id, truck_id)
     transcript = ExchangeTranscript(
-        sequence_no=sequence_no,
-        messages=(arrival, estimate, commitment, ack),
-        ledger_version_before=version_before,
-        ledger_version_after=ledger.version,
+        sequence_no, (arrival, estimate, commitment, ack), version_before, ledger.version
     )
-    return ExchangeOutcome(
-        transcript=transcript,
-        solution=solution,
-        quote=quote,
-        assignment=assignment,
-        rescue_charge=rescue_charge,
-    )
+    return ExchangeOutcome(transcript, solution, quote, assignment, rescue_charge)

@@ -17,11 +17,10 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from .model import _record_fields, decode_record, ordered_sum, record_json
+from .model import _record_fields, decode_record, ordered_sum, record, record_json
 from .station import PortLedger, _LedgerState
 
 if TYPE_CHECKING:
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VisitRecord:
     """One executed charging stop. ``t_arrival`` is the time the slot was
     booked for: the anticipated station arrival under the proposed strategy
@@ -66,7 +65,7 @@ class VisitRecord:
         return self.battery_after - self.battery_before
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TripRecord:
     """One truck's whole trip. ``arrival_time``, ``residual_battery`` and
     ``deadline_violation`` are None exactly when the truck stranded;
@@ -97,8 +96,10 @@ class TripRecord:
         return ordered_sum(v.energy for v in self.visits)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StationTotals:
+    """One station's sums over a run's visits, in trip then visit order."""
+
     station: str
     visits: int
     waiting_minutes: float
@@ -107,7 +108,7 @@ class StationTotals:
     energy_delivered_kwh: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunTotals:
     """Fleet aggregates, computed from the trip records they summarize, so
     the sums match their constituents exactly."""
@@ -122,7 +123,7 @@ class RunTotals:
     total_energy_delivered_kwh: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunMetrics:
     """What a run measured; its fields are the keys of metrics.json."""
 
@@ -162,8 +163,10 @@ def metrics_from_dict(doc: Any) -> RunMetrics:
 # -- comparison ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TruckDelta:
+    """One truck's wait and charging minutes in both runs of a comparison."""
+
     truck_id: str
     wait_baseline: float
     wait_proposed: float
@@ -174,8 +177,10 @@ class TruckDelta:
     violation_proposed: float | None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StationDelta:
+    """One station's wait and charging minutes in both runs of a comparison."""
+
     station: str
     wait_baseline: float
     wait_proposed: float
@@ -184,8 +189,11 @@ class StationDelta:
     charge_proposed: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ComparisonReport:
+    """Two runs of one scenario compared: per truck, per station and in
+    total."""
+
     label: str
     trucks: tuple[TruckDelta, ...]
     stations: tuple[StationDelta, ...]

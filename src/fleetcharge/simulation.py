@@ -36,9 +36,15 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .model import Scenario, TruckSpec, charging_rate, ordered_sum, validate_scenario
+from .model import (
+    Scenario,
+    TruckSpec,
+    charging_rate,
+    ordered_sum,
+    record,
+    validate_scenario,
+)
 from .planner import TruckRoute, solve_charging_problem
 from .protocol import ExchangeTranscript, run_ramp_exchange
 from .reports import (
@@ -73,7 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunResult:
     """A completed run: metrics, the exchange transcripts (empty for the
     baseline, whose planning is local), the final ledgers, and the count of
@@ -97,19 +103,18 @@ def _trip(
 ) -> TripRecord:
     """The record of a finished trip; no arrival time means stranded.
     ``deadline`` is ``spec.deadline``, which sums the whole route."""
+    stranded = arrival_time is None
     return TripRecord(
-        truck_id=spec.id,
-        visits=tuple(visits),
-        depart_time=spec.depart_time,
-        deadline=deadline,
-        reserve_battery=spec.params.e_safe,
-        arrival_time=arrival_time,
-        residual_battery=residual,
-        deadline_violation=(
-            None if arrival_time is None else max(arrival_time - deadline, 0.0)
-        ),
-        stranded=arrival_time is None,
-        stranded_at_ramp=stranded_at_ramp,
+        spec.id,
+        stranded,
+        stranded_at_ramp,
+        spec.depart_time,
+        deadline,
+        spec.params.e_safe,
+        arrival_time,
+        None if stranded else max(arrival_time - deadline, 0.0),  # deadline_violation
+        residual,
+        tuple(visits),
     )
 
 
@@ -260,14 +265,14 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
                 battery_after = min(battery_before + rate * a.duration, params.e_full)
                 visits.append(
                     VisitRecord(
-                        station=station_id,
-                        ramp=i + 1,
-                        t_arrival=a.arrival,
-                        quoted_wait=quote.wait,
-                        realized_wait=a.wait,
-                        charge_time=a.duration,
-                        battery_before=battery_before,
-                        battery_after=battery_after,
+                        station_id,
+                        i + 1,  # ramp
+                        a.arrival,
+                        quote.wait,
+                        a.wait,  # realized
+                        a.duration,
+                        battery_before,
+                        battery_after,
                     )
                 )
                 clock = a.start + a.duration + d

@@ -19,10 +19,9 @@ commit against a quote whose version is no longer current raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .model import MAX_PORT_COUNT, decode_record
+from .model import MAX_PORT_COUNT, decode_record, record
 
 __all__ = [
     "Assignment",
@@ -36,7 +35,7 @@ class StaleQuoteError(RuntimeError):
     """The ledger changed between quote and commit; the quote is void."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WaitQuote:
     """A wait estimate bound to the ledger state it was computed against.
 
@@ -54,7 +53,7 @@ class WaitQuote:
     ledger_version: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assignment:
     """One booked charging slot, ending at ``start + duration``.
 
@@ -101,12 +100,8 @@ class PortLedger:
         """
         times = self.available_times
         best = min(times)
-        return WaitQuote(
-            wait=max(best - t_arrival, 0.0),
-            port=times.index(best),
-            arrival=t_arrival,
-            ledger_version=self.version,
-        )
+        # wait, port, arrival, ledger_version
+        return WaitQuote(max(best - t_arrival, 0.0), times.index(best), t_arrival, self.version)
 
     def commit(self, quote: WaitQuote, truck: str, charge_time: float) -> Assignment | None:
         """Book the quoted slot for ``charge_time`` minutes.
@@ -125,13 +120,9 @@ class PortLedger:
             )
         if charge_time == 0:
             return None
+        # truck, port, arrival, wait, start, duration
         assignment = Assignment(
-            truck=truck,
-            port=quote.port,
-            arrival=quote.arrival,
-            wait=quote.wait,
-            start=quote.arrival + quote.wait,
-            duration=charge_time,
+            truck, quote.port, quote.arrival, quote.wait, quote.arrival + quote.wait, charge_time
         )
         self.assignments.append(assignment)
         self.available_times[quote.port] = assignment.start + assignment.duration
@@ -224,7 +215,7 @@ class PortLedger:
         return ledger
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _LedgerState:
     """The JSON form of a `PortLedger`, one object per station in
     ledgers.json."""

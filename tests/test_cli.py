@@ -611,6 +611,39 @@ def test_plan_defaults_the_optional_waits(tmp_path):
     assert json.loads(plans[1])["status"] == "optimal"
 
 
+GOLDEN_RUN = ROOT / "tests" / "goldens" / "run"
+
+
+# (argv, the path the error names): {file} is a regular file, so nothing
+# can be written under it, and {tmp}/r/compare.csv is a directory
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["generate", "--out", "{file}/s.json"], "{file}/s.json"),
+        (["run", "--scenario", str(GOLDEN_SCENARIO), "--out", "{file}"], "{file}/offline"),
+        (
+            ["run", "--scenario", str(GOLDEN_SCENARIO), "--strategy", "proposed", "--out", "{file}/r"],
+            "{file}/r/proposed",
+        ),
+        (["run", "--scenario", str(GOLDEN_SCENARIO), "--out", "{tmp}/r"], "{tmp}/r/compare.csv"),
+        (
+            ["compare", str(GOLDEN_RUN / "offline"), str(GOLDEN_RUN / "proposed"), "--out", "{file}/c.csv"],
+            "{file}/c.csv",
+        ),
+        (["plan", "--input", str(PLAN_INPUT), "--out", "{file}/p.json"], "{file}/p.json"),
+    ],
+    ids=["generate", "run", "run-one-strategy", "run-compare-csv", "compare", "plan"],
+)
+def test_an_output_path_that_cannot_be_written_exits_one(tmp_path, capsys, argv, path):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "r" / "compare.csv").mkdir(parents=True)
+    names = {"file": tmp_path / "file", "tmp": tmp_path}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {path.format(**names)}: "), err
+    assert "Traceback" not in err
+
+
 def test_plan_rejects_bad_input(tmp_path, capsys):
     missing = _plan_payload()
     del missing["battery"]

@@ -19,6 +19,7 @@ from fleetcharge.model import (
     scenario_from_json,
     scenario_to_json,
 )
+from fleetcharge.planner import planner_input_from_dict
 from fleetcharge.protocol import decode_message
 from fleetcharge.simulation import (
     RunMetrics,
@@ -31,6 +32,7 @@ from fleetcharge.station import Assignment, PortLedger, _LedgerState
 from conftest import make_scenario, make_station, make_truck
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _golden(name):
@@ -47,6 +49,10 @@ def _metrics(mutate):
     doc = _golden("run/proposed/metrics.json")
     mutate(doc)
     return lambda: metrics_from_dict(doc)
+
+
+def _plan_input():
+    return json.loads((FIXTURES / "plan_input.json").read_text())
 
 
 def _ledger(mutate, name=""):
@@ -128,6 +134,26 @@ _ERRORS = {
         lambda: decode_message('{"type":"commit","truck":"t","station":"s","charge_time":-1}'),
         "commit: charge_time must be finite and nonnegative, got -1",
     ),
+    # of two keys that are not fields, the first in the document is named,
+    # whatever the field order and whichever defaulted fields are absent
+    "two-unexpected-fields": (
+        lambda: ScenarioTemplate.from_dict({"label": "x", "zeta": 1, "alpha": 2}),
+        "template: unexpected field 'zeta'",
+    ),
+    "two-unexpected-fields-nested": (
+        _metrics(lambda d: d["totals"].update(zeta=0, alpha=0)),
+        "totals: unexpected field 'zeta'",
+    ),
+    "two-unexpected-fields-planner-input": (
+        lambda: planner_input_from_dict({**_plan_input(), "zeta": 1, "alpha": 2}),
+        "planner input: unexpected field 'zeta'",
+    ),
+    "planner-input-missing-field": (
+        lambda: planner_input_from_dict(
+            {k: v for k, v in _plan_input().items() if k != "remaining_time"}
+        ),
+        "planner input: missing field 'remaining_time'",
+    ),
 }
 
 
@@ -136,6 +162,22 @@ def test_decode_errors_name_their_path(decode, message):
     with pytest.raises(ValueError) as info:
         decode()
     assert str(info.value) == message
+
+
+def test_absent_defaulted_fields_take_their_defaults():
+    assert ScenarioTemplate.from_dict({}) == ScenarioTemplate()
+    # a field after the absent ones still lands in its own place
+    assert ScenarioTemplate.from_dict({"rho": 3.0, "label": "x"}) == ScenarioTemplate(
+        label="x", rho=3.0
+    )
+    doc = _plan_input()
+    assert "require_detour_margin_everywhere" not in doc
+    assert planner_input_from_dict(doc).require_detour_margin_everywhere is True
+    relaxed = planner_input_from_dict({**doc, "require_detour_margin_everywhere": False})
+    assert relaxed.require_detour_margin_everywhere is False
+    # the planner input's own defaults: no live quote and no assumed waits
+    bare = planner_input_from_dict({k: v for k, v in doc.items() if "wait" not in k})
+    assert (bare.quoted_wait, bare.assumed_waits) == (0.0, ())
 
 
 # -- the writer ----------------------------------------------------------------
