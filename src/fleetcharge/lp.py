@@ -7,17 +7,15 @@ before it, and a stop may hold no more than the headroom it reaches with.
 The overtime hinge ``z >= rho * (minutes - slack)`` prices the charging
 minutes beyond the slack left after driving and the stops' fixed labor.
 That is a min-cost flow on a path, the structure of the gas-station
-problem (Khuller, Malekian and Mestre, *To Fill or not to Fill*, 2007),
-and `solve_lp` solves it in three steps:
+problem (Khuller, Malekian and Mestre, *To Fill or not to Fill*, 2007).
 
-* Feasibility, the simplex's phase 1 in closed form for a battery within
-  capacity: each shortfall row's excess over the cap of its last
-  preceding stop (over 0 when no stop precedes it), summed in row order. The pattern is infeasible when the
-  sum exceeds 1e-7. Caps never decrease along a pattern (each exceeds the
-  one before by the drain between the two stops), so the stops before a
-  row can lift it by at most the last one's cap.
-* Lower bounds: the energy bought up to each stop is at least the largest
-  shortfall of the rows that stop and its predecessors lift.
+The planner's walk over a pattern's battery rows (`planner._RouteTail.walk`)
+judges feasibility, the simplex's phase 1 in closed form, and reduces the
+rows to two bounds per stop: the energy bought up to the stop is at least
+its need, the largest shortfall of the rows it and its predecessors lift,
+and at most its cap. `solve_lp` takes those bounds of a feasible pattern
+and finds the durations:
+
 * A forward fill at a price ``lam`` per minute: each stop buys up to the
   need before the next stop whose key ``(minute_cost + lam) / rate`` is no
   worse, or everything still needed when there is none, and never past
@@ -25,24 +23,21 @@ and `solve_lp` solves it in three steps:
   a port power apart can cost the same per kWh, up to rounding); ties go
   to the faster stop, then to the later one. That fill is the least-time
   optimum among the cost-optimal durations at ``lam``.
-
-``lam`` = 0 when that fill's minutes fit the slack, and ``lam`` = rho when
-even the rho-keyed fill overruns it. Otherwise the minutes cross the slack
-at a breakpoint, a ``lam`` where two keys tie. The durations are then the
-convex combination of the fills on either side of it whose minutes use
-the slack exactly.
+* ``lam`` = 0 when that fill's minutes fit the slack, and ``lam`` = rho
+  when even the rho-keyed fill overruns it. Otherwise the minutes cross
+  the slack at a breakpoint, a ``lam`` where two keys tie. The durations
+  are then the convex combination of the fills on either side of it
+  whose minutes use the slack exactly.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 from .model import ordered_sum, record
 
 __all__ = ["LPResult", "solve_lp"]
 
-_FEASIBILITY_TOL = 1e-7
 _KEY_TOL = 1e-12
 
 
@@ -50,7 +45,8 @@ _KEY_TOL = 1e-12
 class LPResult:
     """status is 'optimal' or 'infeasible'; x (the durations in pattern
     order, then the overtime hinge z) and objective are populated only
-    when status is 'optimal'."""
+    when status is 'optimal'. `solve_lp` is given feasible patterns only,
+    so 'infeasible' is the planner's verdict on a pattern's walk."""
 
     status: str
     x: tuple[float, ...] | None
@@ -58,7 +54,7 @@ class LPResult:
 
 
 def solve_lp(
-    rows: Sequence[tuple[int, float]],
+    need: Sequence[float],
     caps: Sequence[float],
     rates: Sequence[float],
     minute_costs: Sequence[float],
@@ -68,26 +64,11 @@ def solve_lp(
     """Minimize ``sum(minute_costs[i] * t[i]) + z`` over charging minutes
     ``t >= 0`` and the hinge ``z >= max(rho * (sum(t) - slack), 0)``.
 
-    ``rows`` are the battery rows in row order, each as the number of
-    stops before it and its shortfall: the energy those stops must buy.
-    ``caps[i]`` is the most energy stops 0..i may buy together, and stop i
-    charges ``rates[i]`` kWh per minute.
+    Stops 0..i must buy at least ``need[i]`` and may buy at most
+    ``caps[i]`` together, and stop i charges ``rates[i]`` kWh per minute.
+    Both bounds never decrease with i.
     """
     k = len(caps)
-    residual = 0.0
-    lifted = [0.0] * k
-    for before, short in rows:
-        if before == 0:
-            if short > 0:
-                residual += short
-            continue
-        if short > caps[before - 1]:
-            residual += short - caps[before - 1]
-        if short > lifted[before - 1]:
-            lifted[before - 1] = short
-    if residual > _FEASIBILITY_TOL:
-        return LPResult("infeasible", None, None)
-    need = list(accumulate(lifted, max))
 
     def fill(lam: float) -> list[float]:
         """The charging minutes of the forward fill at price ``lam``."""

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Iterable
 
@@ -75,9 +75,13 @@ def record(cls: type) -> type:
     """Make ``cls`` a record: an immutable slotted value type.
 
     ``dataclass(frozen=True, slots=True)`` gives the class its equality,
-    hash, repr, ``__match_args__``, ``fields()`` and ``replace()``, and
-    refuses assignment and deletion after construction with
-    FrozenInstanceError. Its ``__init__`` would write each field through
+    hash, repr, ``__match_args__``, ``fields()`` and ``replace()``.
+    Assigning or deleting any attribute after construction raises
+    FrozenInstanceError, from a ``__setattr__`` and ``__delattr__``
+    installed here: on CPython 3.10 and 3.11 the frozen dataclass's own
+    pair raises TypeError for a name that is not a field, because it calls
+    ``super()`` on the class that ``slots=True`` replaced. The
+    dataclass's ``__init__`` would write each field through
     ``object.__setattr__``; the one compiled here takes the same
     parameters (the fields in declaration order, with their defaults),
     writes each field through its slot's descriptor and then calls
@@ -106,7 +110,17 @@ def record(cls: type) -> type:
     init.__module__ = cls.__module__
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
+
+
+def _frozen_setattr(self: Any, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @record

@@ -55,14 +55,16 @@ plus the tie tolerance, no pattern of this level or any later one can
 win, and the loop stops. Patterns of the levels it never reaches are never
 generated.
 
-No pattern's LP goes through a simplex. The no-stop pattern's LP has a
-single variable, the overtime hinge, and is solved directly with the
-floats a simplex would produce. A one-stop pattern's LP is solved in
-closed form: charge for the largest shortfall over the station's rate,
-with the simplex's phase-1 feasibility test. A pattern with two or more
-stops goes to `solve_lp`, the exact gas-station fill of `fleetcharge.lp`.
-Each solver returns the least total charging time among the cost-optimal
-durations, so reported plans are unique and replayable.
+No pattern's LP goes through a simplex. One walk over a pattern's
+battery rows gives the simplex's phase-1 residual, which the 1e-7
+tolerance judges for every pattern size, and each stop's need and cap:
+the least and the most energy it and the stops before it buy. The
+no-stop pattern's only variable is then the overtime hinge, a one-stop
+pattern charges its need, up to its cap, over the station's rate, and a
+pattern with two or more stops goes to `solve_lp`, the exact gas-station
+fill of `fleetcharge.lp`. Each returns the least total charging time
+among the cost-optimal durations, so reported plans are unique and
+replayable.
 """
 
 from __future__ import annotations
@@ -105,6 +107,10 @@ __all__ = [
 ]
 
 _COST_TIE_TOL = 1e-9
+# the phase-1 tolerance: a pattern is infeasible when its rows' summed
+# excess over what its stops may buy is larger
+_FEASIBILITY_TOL = 1e-7
+_INFEASIBLE = LPResult("infeasible", None, None)
 # how far a charge-to-full trajectory may dip below a bound and still be
 # left for the LP to judge; energy needs are lowered by the same margin
 _ENERGY_MARGIN = 1e-7
@@ -115,14 +121,17 @@ class RouteTooLongError(ValueError):
 
 
 def _check_ramp_values(
-    has_station: bool, battery: float, quoted_wait: float, remaining_time: float
+    has_station: bool, battery: float, e_full: float, quoted_wait: float, remaining_time: float
 ) -> None:
     """`PlannerInput`'s and `TruckRoute.at`'s checks of the values that
-    change per ramp; only a ramp with a station ahead has a quote."""
+    change per ramp; only a ramp with a station ahead has a quote. A
+    battery above capacity is refused like a scenario's ``e_initial``."""
     if has_station and (not math.isfinite(quoted_wait) or quoted_wait < 0):
         raise ValueError("quoted_wait must be a finite nonnegative number")
     if not math.isfinite(battery):
         raise ValueError("battery must be a finite number")
+    if battery > e_full:
+        raise ValueError(f"battery {battery} exceeds battery capacity {e_full}")
     if not math.isfinite(remaining_time):
         raise ValueError("remaining_time must be a finite number")
 
@@ -177,7 +186,9 @@ class PlannerInput:
             for i, x in enumerate(getattr(self, name)):
                 if not math.isfinite(x) or x < 0:
                     raise ValueError(f"{name}[{i}] must be a finite nonnegative number")
-        _check_ramp_values(m > 0, self.battery, self.quoted_wait, self.remaining_time)
+        _check_ramp_values(
+            m > 0, self.battery, self.params.e_full, self.quoted_wait, self.remaining_time
+        )
 
     @property
     def station_count(self) -> int:
@@ -490,7 +501,9 @@ class TruckRoute:
         station i's live ``quoted_wait``, with ``remaining_time`` minutes
         left until the deadline. The three values get `PlannerInput`'s
         checks and messages."""
-        _check_ramp_values(i < self.station_count, battery, quoted_wait, remaining_time)
+        _check_ramp_values(
+            i < self.station_count, battery, self.params.e_full, quoted_wait, remaining_time
+        )
         tail = object.__new__(_RouteTail)
         self._slice_into(tail, i, battery, quoted_wait, remaining_time)
         return tail
@@ -523,9 +536,8 @@ class TruckRoute:
 class _RouteTail:
     """A truck's route from one ramp on: the slices of its `TruckRoute`,
     the battery, the live quote and the remaining time, and the
-    per-pattern computations that share them: the cost lower bound and the
-    duration LP, solved directly for at most one stop and built for
-    `solve_lp` otherwise.
+    per-pattern computations that share them: the cost lower bound, and
+    the duration LP from one walk over the pattern's battery rows.
 
     ``_RouteTail(inp)`` is the tail of a one-off route built from a planner
     input, at its first ramp; `TruckRoute.at` makes the others.
@@ -650,142 +662,92 @@ class _RouteTail:
         overtime = self.seg_total - self.remaining_time + fixed + need / max(self.rates)
         return lower + max(p.rho * overtime, 0.0)
 
-    def lp(
-        self, selected: Sequence[int]
-    ) -> tuple[list[tuple[int, float]], list[float], list[float], list[float], float, float]:
-        """The duration LP of one stop pattern, as `solve_lp`'s arguments,
-        from one walk over the tail.
+    def walk(self, selected: Sequence[int]) -> tuple[float, list[float], list[float], float]:
+        """The duration LP of one stop pattern, from one walk over the
+        tail's battery rows: ``(residual, need, caps, slack)``.
 
         The walk accumulates the drain reaching each ramp (every segment
-        and planned detour before it). Each battery row (the ramps, every
-        one in strict margin mode and only the planned stops otherwise,
-        then the destination) becomes the number of stops before it and
-        its shortfall ``-(battery - drain - bound)``; each stop's cap is
-        its headroom ``e_full - battery + drain + detour drain``. The slack
-        is the time left after driving and the stops' fixed labor.
+        and planned detour before it). A battery row is a ramp (every one
+        in strict margin mode, only the planned stops otherwise) or the
+        destination, and its shortfall ``-(battery - drain - bound)`` is
+        the energy the stops before it must buy. Stop i's cap, its headroom
+        ``e_full - battery + drain + detour drain``, is the most energy
+        stops 0..i may buy together. Caps never decrease along a pattern
+        (each exceeds the one before by the drain between the two stops),
+        so the stops before a row can lift it by at most the last one's
+        cap. The walk returns:
+
+        * ``residual``, the simplex's phase-1 optimum: each row's excess
+          over the cap of its last preceding stop (over 0 when no stop
+          precedes it), summed in row order;
+        * ``need[i]``, the least energy stops 0..i must buy: the largest
+          shortfall of the rows that stop i and its predecessors lift;
+        * ``caps[i]``;
+        * ``slack``, the minutes left before the deadline after driving
+          and the stops' fixed labor.
         """
         p = self.route.params
         strict = self.route.strict
         battery = self.battery
         headroom = p.e_full - battery
-        picked = set(selected)
-        rows: list[tuple[int, float]] = []
+        detour_drain, labor = self.detour_drain, self.labor
+        residual = 0.0
+        need: list[float] = []
         caps: list[float] = []
+        cap = 0.0  # the stops before the first buy nothing
+        lifted = 0.0  # the largest shortfall of the rows the stops so far lift
         drain = 0.0
+        fixed = 0  # the stops' labor, summed as `ordered_sum` does
         for l, (floor, drive, stop, _) in enumerate(self.ramps):
-            planned = l in picked
+            planned = l in selected
             if strict or planned:
-                rows.append((len(caps), -1.0 * (battery - drain - floor)))
+                short = -1.0 * (battery - drain - floor)
+                if short > cap:
+                    residual += short - cap
+                if caps and short > lifted:
+                    lifted = short
             if planned:
-                caps.append(headroom + drain + self.detour_drain[l])
+                if caps:
+                    need.append(lifted)
+                cap = headroom + drain + detour_drain[l]
+                caps.append(cap)
+                fixed += labor[l]
                 drain += stop
             else:
                 drain += drive
-        rows.append((len(caps), -1.0 * (battery - drain - p.e_safe)))
-        slack = self.remaining_time - (self.seg_total + ordered_sum(self.labor[l] for l in selected))
-        return (
-            rows,
-            caps,
-            [self.rates[l] for l in selected],
-            [self.minute_cost[l] for l in selected],
-            p.rho,
-            slack,
-        )
+        short = -1.0 * (battery - drain - p.e_safe)  # the destination's row
+        if short > cap:
+            residual += short - cap
+        if caps:
+            need.append(max(lifted, short))
+        return residual, need, caps, self.remaining_time - (self.seg_total + fixed)
 
     def solve(self, selected: Sequence[int]) -> LPResult:
-        """The duration LP of one stop pattern: solved directly for at most
-        one stop, by `solve_lp` for more."""
+        """The duration LP of one stop pattern.
+
+        The pattern is infeasible when the walk's residual exceeds the
+        1e-7 phase-1 tolerance. Otherwise the only variable of the no-stop
+        pattern is the overtime hinge. The objective is nondecreasing in a
+        single stop's duration, so one stop charges its need, up to its
+        cap, over its rate. Two or more stops go to `solve_lp`. Both closed
+        forms return what `solve_lp` returns on the walk's output.
+        """
+        residual, need, caps, slack = self.walk(selected)
+        if residual > _FEASIBILITY_TOL:
+            return _INFEASIBLE
+        rho = self.route.params.rho
         if not selected:
-            return self.no_stop()
+            b_overtime = rho * slack
+            z = -1.0 * b_overtime if b_overtime < 0 else 0.0
+            return LPResult("optimal", (z,), z)
         if len(selected) == 1:
-            return self.one_stop(selected[0])
-        return solve_lp(*self.lp(selected))
-
-    def no_stop(self) -> LPResult:
-        """The no-stop pattern's duration LP, solved directly: exactly
-        ``solve_lp(*self.lp(()))``, and what a simplex returns on it.
-
-        With no stops the only variable is the overtime hinge z. No charge
-        lifts the ramp rows (strict margin mode only) or the destination
-        row, so the pattern is infeasible when their shortfalls, summed in
-        row order, exceed the phase-1 tolerance. Otherwise z is the
-        overtime row's shortfall, or 0. Every shortfall is the same float
-        expression ``lp`` builds.
-        """
-        p = self.route.params
-        strict = self.route.strict
-        battery = self.battery
-        shortfall = 0.0
-        drain = 0.0
-        for floor, drive, _, _ in self.ramps:
-            if strict:
-                b = battery - drain - floor
-                if b < 0:
-                    shortfall += -1.0 * b
-            drain += drive
-        b = battery - drain - p.e_safe
-        if b < 0:
-            shortfall += -1.0 * b
-        if shortfall > 1e-7:
-            return LPResult("infeasible", None, None)
-        b_overtime = float(p.rho * (self.remaining_time - self.seg_total))
-        z = -1.0 * b_overtime if b_overtime < 0 else 0.0
-        return LPResult("optimal", (z,), z)
-
-    def one_stop(self, k: int) -> LPResult:
-        """The duration LP of pattern ``(k,)`` in closed form: what a
-        simplex returns on it, and ``solve_lp(*self.lp((k,)))``, to within
-        rounding.
-
-        The duration t at station k lifts every later battery row (the
-        later ramps in strict margin mode, then the destination) by
-        ``rate * t``, lifts no earlier row, and the capacity row caps
-        ``rate * t`` at the headroom. The objective is nondecreasing in t,
-        so the optimum, and the least total time among optima, is the
-        smallest t that lifts every row: the largest shortfall over the
-        rate, or 0.
-
-        Feasibility is the simplex's phase 1, whose optimum is the residual
-        left at that t: the shortfalls of the rows t cannot lift (ramp k,
-        and the earlier ramps in strict mode), summed in row order, plus
-        each lifted row's excess over the headroom (or, for a battery above
-        capacity, the capacity row's own shortfall). The pattern is
-        infeasible when the residual exceeds the phase-1 tolerance. Within
-        the tolerance the simplex, too, meets the lifted rows and lets the
-        capacity row give. The result agrees with the simplex's to within
-        rounding, not bit for bit.
-        """
-        p = self.route.params
-        strict = self.route.strict
-        battery = self.battery
-        residual = 0.0
-        lifted: list[float] = []
-        drain = 0.0
-        headroom = 0.0
-        for l, (floor, drive, stop, _) in enumerate(self.ramps):
-            if strict or l == k:
-                b = battery - drain - floor
-                if l > k:
-                    lifted.append(-1.0 * b)
-                elif b < 0:
-                    residual += -1.0 * b
-            if l == k:
-                headroom = p.e_full - battery + drain + self.detour_drain[k]
-            drain += stop if l == k else drive
-        lifted.append(-1.0 * (battery - drain - p.e_safe))
-        largest = max(0.0, *lifted)
-        if headroom < 0:
-            residual += largest - headroom
-        else:
-            for short in lifted:
-                if short > headroom:
-                    residual += short - headroom
-        if residual > 1e-7:
-            return LPResult("infeasible", None, None)
-        t = largest / self.rates[k]
-        b_overtime = p.rho * (self.remaining_time - (self.seg_total + self.labor[k]))
-        z = max(p.rho * t - b_overtime, 0.0)
-        return LPResult("optimal", (t, z), self.minute_cost[k] * t + z)
+            k = selected[0]
+            t = min(need[0], caps[0]) / self.rates[k]
+            z = max(rho * t - rho * slack, 0.0)
+            return LPResult("optimal", (t, z), self.minute_cost[k] * t + z)
+        rates = [self.rates[l] for l in selected]
+        costs = [self.minute_cost[l] for l in selected]
+        return solve_lp(need, caps, rates, costs, rho, slack)
 
 
 def _level_patterns(m: int, k: int) -> Iterable[tuple[int, ...]]:
@@ -813,7 +775,7 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
     taken only once some pattern has been solved, and not for the last
     level, a single pattern that its own bound covers.
     ``patterns_considered`` counts the patterns visited, and ``lp_solves``
-    the `solve_lp` calls, one per solved pattern with two or more stops.
+    the `solve_lp` calls, one per feasible pattern with two or more stops.
     """
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     route = tail.route
@@ -833,11 +795,11 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
             bounds = tail.bound(selected)
             if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
                 continue
-            if len(selected) > 1:
-                lp_solves += 1
             result = tail.solve(selected)
             if result.status != "optimal":
                 continue
+            if len(selected) > 1:
+                lp_solves += 1
             cost = result.objective + bounds[1]
             if best_selected is None or cost < best_cost - _COST_TIE_TOL:
                 # NaN, from an overtime term of inf - inf, counts as inf
@@ -870,7 +832,7 @@ def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     if not tail.rates:
         return None
-    result = tail.one_stop(0)
+    result = tail.solve((0,))
     if result.status != "optimal":
         return None
     return result.x[0]
@@ -886,8 +848,7 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     raises ValueError naming it; ``quoted_wait`` and ``assumed_waits``
     default to no live quote and no assumed waits. Truck parameters and
     stations then get the same checks as in a scenario, and any violation
-    raises ValueError naming every problem found. A battery above capacity
-    is rejected like a scenario's ``e_initial``.
+    raises ValueError naming every problem found.
     """
     inp = decode_record(
         PlannerInput, {"quoted_wait": 0.0, "assumed_waits": [], **doc}, "planner input"
@@ -896,10 +857,6 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     _check_params("planner input", inp.params, problems)
     for s in inp.stations:
         _check_station(f"station {s.id}", s, problems)
-    if inp.battery > inp.params.e_full:
-        problems.append(
-            f"planner input: battery {inp.battery} exceeds battery capacity {inp.params.e_full}"
-        )
     if problems:
         raise ValueError("; ".join(problems))
     return inp

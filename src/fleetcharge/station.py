@@ -19,6 +19,7 @@ commit against a quote whose version is no longer current raises
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .model import MAX_PORT_COUNT, decode_record, record
@@ -109,10 +110,11 @@ class PortLedger:
         A positive duration appends an assignment starting at
         ``quote.arrival + quote.wait`` on the quoted port, advances that
         port's availability to the assignment's end, and bumps the version.
-        A zero duration leaves the ledger untouched and returns None.
+        A zero duration leaves the ledger untouched and returns None; a
+        negative, infinite or NaN one raises ValueError.
         """
-        if charge_time < 0:
-            raise ValueError(f"charge_time must be nonnegative, got {charge_time}")
+        if not 0 <= charge_time < math.inf:
+            raise ValueError(f"charge_time must be finite and nonnegative, got {charge_time}")
         if quote.ledger_version != self.version:
             raise StaleQuoteError(
                 f"quote computed at ledger version {quote.ledger_version}, "

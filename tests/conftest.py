@@ -144,9 +144,9 @@ def counting_solve_lp():
     number of stops."""
     calls = []
 
-    def counting(rows, caps, *rest):
+    def counting(need, caps, *rest):
         calls.append(len(caps))
-        return solve_lp(rows, caps, *rest)
+        return solve_lp(need, caps, *rest)
 
     return calls, mock.patch.object(planner, "solve_lp", counting)
 

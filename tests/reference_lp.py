@@ -4,8 +4,9 @@ verbatim, and `duration_lp`, the dense duration LP of one stop pattern the
 planner built for it before the package solved those LPs without a
 simplex.
 
-Tests check the package's direct solvers (`no_stop`, `one_stop` and
-`fleetcharge.lp.solve_lp`) against this simplex on that LP.
+Tests check the package's direct solvers (`_RouteTail.solve`, its closed
+forms for at most one stop and `fleetcharge.lp.solve_lp` for more)
+against this simplex on that LP.
 """
 
 from __future__ import annotations

@@ -89,11 +89,11 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
             continue
         if not max_charge_feasible(inp, frozenset(selected)):
             continue
-        if len(selected) > 1:
-            lp_solves += 1
         result = tail.solve(selected)
         if result.status != "optimal":
             continue
+        if len(selected) > 1:
+            lp_solves += 1
         cost = float(result.objective) + _pattern_constant_cost(inp, selected)
         if best_selected is None or cost < best_cost - _COST_TIE_TOL:
             best_cost = cost if cost == cost else math.inf

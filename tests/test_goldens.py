@@ -67,6 +67,26 @@ def test_run_and_report_reproduce_golden_outputs(tmp_path):
         assert fresh == frozen, f"{rel} drifted from the committed golden"
 
 
+def test_relaxed_margin_run_reproduces_its_golden(tmp_path):
+    # relaxed mode bounds the battery only at planned stops. The strict
+    # golden's scenario plans the same in both modes; this one, with
+    # longer detours, differs from its strict run in 10 of the 11 files
+    relaxed = GOLDENS / "relaxed"
+    scenario = tmp_path / "scenario.json"
+    template = str(GOLDENS / "template.json")
+    detours = "detour_time_range=[12.0,30.0]"
+    argv = ["generate", "--template", template, "--set", detours, "--seed", "3"]
+    assert main([*argv, "--out", str(scenario)]) == 0
+    assert scenario.read_bytes() == (relaxed / "scenario.json").read_bytes()
+    run_dir = tmp_path / "run"
+    argv = ["run", "--scenario", str(scenario), "--strategy", "both", "--relax-detour-margin"]
+    assert main([*argv, "--out", str(run_dir)]) == 0
+    for rel in RUN_FILES:
+        fresh = (run_dir / rel).read_bytes()
+        frozen = (relaxed / "run" / rel).read_bytes()
+        assert fresh == frozen, f"{rel} drifted from the committed relaxed golden"
+
+
 def test_golden_run_shows_the_headline_effect():
     # the seeded example preserves the qualitative result: live quotes cut
     # total waiting by well over half while energy delivered stays equal

@@ -1,5 +1,5 @@
-"""The no-stop pattern is solved without the simplex: the direct solver
-returns exactly what `solve_lp` returns on that pattern's LP, and
+"""The no-stop pattern is solved without the simplex: its closed form
+returns exactly what the simplex returns on that pattern's LP, and
 `lp_solves` still counts every `solve_lp` call the planner makes."""
 
 import pytest
@@ -18,7 +18,7 @@ from conftest import (
 
 
 def _assert_same_result(inp):
-    direct = _RouteTail(inp).no_stop()
+    direct = _RouteTail(inp).solve(())
     simplex = assignment_lp(inp, ())
     assert direct.status == simplex.status
     if simplex.status == "optimal":

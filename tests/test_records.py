@@ -1,7 +1,7 @@
 """Every record keeps the semantics of a frozen slotted dataclass: no
-assignment after construction, no instance dict, equal records whether
-built by position or by keyword, and the stock repr, replace and
-``__post_init__`` checks."""
+assignment or deletion of any name after construction, no instance
+dict, equal records whether built by position or by keyword, and the
+stock repr, replace and ``__post_init__`` checks."""
 
 import dataclasses
 import importlib
@@ -99,6 +99,11 @@ def test_a_record_cannot_be_changed_after_construction(cls):
             setattr(obj, f.name, getattr(obj, f.name))
         with pytest.raises(FrozenInstanceError):
             delattr(obj, f.name)
+    # a name that is not a field is refused the same way on every Python
+    with pytest.raises(FrozenInstanceError):
+        obj.not_a_field = 1
+    with pytest.raises(FrozenInstanceError):
+        del obj.not_a_field
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)

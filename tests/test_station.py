@@ -1,5 +1,7 @@
 """Port ledger: FCFS quoting, commit atomicity, audit, replay."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,11 +41,17 @@ def test_zero_duration_commit_changes_nothing():
     assert ledger.assignments == []
 
 
-def test_negative_duration_is_rejected():
+@pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_a_duration_that_is_not_finite_and_nonnegative_is_rejected(duration):
     ledger = PortLedger(1)
     quote = ledger.estimate_wait(10.0)
-    with pytest.raises(ValueError):
-        ledger.commit(quote, "t001", -1.0)
+    with pytest.raises(ValueError, match="charge_time must be finite and nonnegative"):
+        ledger.commit(quote, "t001", duration)
+    # the refused commit must not have touched anything
+    assert ledger.version == 0
+    assert ledger.available_times == [0.0]
+    assert ledger.assignments == []
+    assert ledger.audit() == []
 
 
 def test_stale_quote_is_rejected():
