@@ -121,6 +121,6 @@ def solve_lp(
             over, under = ordered_sum(left), ordered_sum(right)
             theta = (slack - under) / (over - under)
             t = [b + theta * (a - b) for a, b in zip(left, right)]
-    z = max(rho * ordered_sum(t) - rho * slack, 0.0)
+    z = max(rho * (ordered_sum(t) - slack), 0.0)
     objective = ordered_sum(c * minutes for c, minutes in zip(minute_costs, t)) + z
     return LPResult("optimal", (*t, z), objective)

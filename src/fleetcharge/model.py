@@ -18,7 +18,6 @@ import math
 import sys
 import typing
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
-from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Iterable
 
 __all__ = [
@@ -403,20 +402,23 @@ def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
 # Every record's JSON form is its field list: an object with one key per
 # dataclass field in declaration order, tuples as lists and nested records
 # as objects. Every file and wire format is such a record, so this is the
-# only place a layout is written down. Decoding checks types only;
-# invariants are validation's job. A float field takes any finite JSON
-# number and keeps an integer literal an int, so round-trips do not rewrite
-# "160" as "160.0". A field with a default may be absent, and a key that is
-# not a field is an error, so a misspelt optional field is not silently
-# replaced by its default.
+# only place a layout is written down; every file is written as compact as
+# a wire line. Decoding checks types, and reports a record's own
+# __post_init__ refusal at the record's path; scenario invariants are
+# validation's job. A float field takes any finite JSON number and keeps an
+# integer literal an int, so round-trips do not rewrite "160" as "160.0". A
+# field with a default may be absent, and a key that is not a field is an
+# error, so a misspelt optional field is not silently replaced by its
+# default.
 
 
 class _Bad(Exception):
     """A decode failure. ``text`` is said of the failing value's key, or of
-    the value itself when ``of_object`` (a record that is not an object or
-    lacks or has a wrong key). ``steps`` are the value's keys and list
-    indices, innermost first, gathered while the failure unwinds, so that a
-    successful decode builds no path."""
+    the value itself when ``of_object`` (a record that is not an object,
+    lacks or has a wrong key, or fails its own ``__post_init__`` check).
+    ``steps`` are the value's keys and list indices, innermost first,
+    gathered while the failure unwinds, so that a successful decode builds
+    no path."""
 
     def __init__(self, text: str, of_object: bool = False) -> None:
         self.text = text
@@ -514,7 +516,10 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
                 names = {key for key, _, _ in plan}
                 extra = next(key for key in doc if key not in names)
                 raise _Bad(f"unexpected field '{extra}'", True)
-            return tp(*args)
+            try:
+                return tp(*args)
+            except ValueError as exc:  # the record's own __post_init__ check
+                raise _Bad(str(exc), True) from None
 
         return record
     args = typing.get_args(tp)
@@ -551,95 +556,21 @@ def decode_record(
         raise error(exc.message(root, name)) from None
 
 
-# -- JSON writer ---------------------------------------------------------------
-#
-# The canonical text of a record is json.dumps(encode_record(x), indent=2,
-# allow_nan=False). With an indent, json runs its pure-Python encoder over
-# the dict tree encode_record built, so the writer below produces the same
-# bytes from the record itself: each key and indent is a constant of the
-# record's writer, and a value of its field's exact scalar type is written
-# by the function json uses for it. Any other value (an int in a float
-# field, NaN, a bool, a list) goes through json.dumps alone, so its bytes
-# and its error are json's.
-
-
-def _dumps(value: Any, indent: str) -> str:
-    """json's own text of one value nested at ``indent``."""
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + indent)
-
-
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-
-
-@functools.cache
-def _writer(tp: Any, indent: str) -> Callable[[Any], str]:
-    """The function that writes a value of type ``tp`` (a scalar, a record,
-    ``tuple[X, ...]``, ``tuple[X, X]``, ``X | None`` or ``dict[str, X]``)
-    as json.dumps does on a line indented by ``indent``."""
-    if tp is float:
-        return lambda v: _float_repr(v) if type(v) is float and math.isfinite(v) else _dumps(v, indent)
-    if tp is int:
-        return lambda v: _int_repr(v) if type(v) is int else _dumps(v, indent)
-    if tp is str:
-        return lambda v: _quote(v) if type(v) is str else _dumps(v, indent)
-    if tp is bool:
-        return lambda v: ("true" if v else "false") if type(v) is bool else _dumps(v, indent)
-    inner = indent + "  "
-    close = f"\n{indent}"
-    if is_dataclass(tp):
-        plan = [(name, _writer(ftp, inner)) for name, ftp, _, _ in _record_fields(tp)]
-        template = (
-            "{" + ",".join(f"\n{inner}{_quote(name)}: %s" for name, _ in plan) + close + "}"
-        )
-
-        def record(obj: Any) -> str:
-            if type(obj) is not tp:
-                return _dumps(obj, indent)
-            return template % tuple([write(getattr(obj, name)) for name, write in plan])
-
-        return record
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is dict:
-        value_writer = _writer(args[1], inner)
-
-        def mapping(doc: Any) -> str:
-            if type(doc) is not dict:
-                return _dumps(doc, indent)
-            if not doc:
-                return "{}"
-            body = ",".join([f"\n{inner}{_quote(k)}: {value_writer(v)}" for k, v in doc.items()])
-            return "{" + body + close + "}"
-
-        return mapping
-    if typing.get_origin(tp) is not tuple:  # X | None
-        write = _writer(args[0], indent)
-        return lambda v: "null" if v is None else write(v)
-    write = _writer(args[0], inner)
-    sep = f",\n{inner}"
-
-    def items(value: Any) -> str:
-        if type(value) is not tuple:
-            return _dumps(value, indent)
-        if not value:
-            return "[]"
-        return f"[\n{inner}" + sep.join(map(write, value)) + close + "]"
-
-    return items
-
-
 def record_json(value: Any, tp: Any = None) -> str:
-    """The canonical JSON text of a record ``value``:
-    ``json.dumps(encode_record(value), indent=2, allow_nan=False) + "\\n"``,
-    byte for byte, written without building that dict. ``tp`` is the
+    """The JSON text of a record ``value``, compact as the wire transcript,
+    with a trailing newline; `decode_record` reads it back. ``tp`` is the
     value's type, by default its class; a ``dict[str, X]`` of records is
-    written as json writes the dict of their encodings."""
-    return _writer(type(value) if tp is None else tp, "")(value) + "\n"
+    written as the dict of their encodings."""
+    if typing.get_origin(tp) is dict:
+        doc = {k: encode_record(v) for k, v in value.items()}
+    else:
+        doc = encode_record(value)
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def scenario_to_json(scenario: Scenario) -> str:
-    """Serialize a scenario to its canonical JSON document (2-space indent,
-    field order, trailing newline), so serialize -> parse -> serialize is
+    """Serialize a scenario to its canonical JSON document (compact, field
+    order, trailing newline), so serialize -> parse -> serialize is
     byte-identical."""
     return record_json(scenario)
 

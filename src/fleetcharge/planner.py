@@ -743,7 +743,7 @@ class _RouteTail:
         if len(selected) == 1:
             k = selected[0]
             t = min(need[0], caps[0]) / self.rates[k]
-            z = max(rho * t - rho * slack, 0.0)
+            z = max(rho * (t - slack), 0.0)
             return LPResult("optimal", (t, z), self.minute_cost[k] * t + z)
         rates = [self.rates[l] for l in selected]
         costs = [self.minute_cost[l] for l in selected]
@@ -802,7 +802,7 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
                 lp_solves += 1
             cost = result.objective + bounds[1]
             if best_selected is None or cost < best_cost - _COST_TIE_TOL:
-                # NaN, from an overtime term of inf - inf, counts as inf
+                # a NaN cost counts as inf
                 best_cost = cost if cost == cost else math.inf
                 best_selected = selected
                 best_x = result.x

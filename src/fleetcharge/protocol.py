@@ -172,12 +172,7 @@ def decode_message(line: str) -> Message:
     cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise MessageDecodeError(f"unknown message type {kind!r}")
-    try:
-        return decode_record(cls, doc, kind, error=MessageDecodeError)
-    except MessageDecodeError:
-        raise
-    except ValueError as exc:  # a negative time
-        raise MessageDecodeError(f"{kind}: {exc}") from None
+    return decode_record(cls, doc, kind, error=MessageDecodeError)
 
 
 @record

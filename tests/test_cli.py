@@ -502,6 +502,11 @@ COMPARE = ["compare", "{tmp}/run/offline", "{tmp}/run/proposed", "--out", "{tmp}
             "in.json", ("require_detour_margin_everywere", False), ["plan", "--input", "{tmp}/in.json"], 2,
             id="plan-unknown-key",
         ),
+        # a value the input's own check refuses and one its type refuses
+        *(
+            pytest.param("in.json", ("quoted_wait", value), ["plan", "--input", "{tmp}/in.json"], 2, id=f"plan-{label}")
+            for value, label in ((-1.0, "negative-wait"), (None, "null-wait"))
+        ),
         # a trip that arrived has a residual battery
         pytest.param(
             "run/proposed/metrics.json", ("per_truck", 0, "residual_battery", None), REPORT, 2,
@@ -664,7 +669,6 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
         ("params", "e_full", "x", "params: e_full must be a finite number"),
         ("params", "p_bar", float("nan"), "params: p_bar must be a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
-        ("input", "battery", 5000, "battery 5000 exceeds battery capacity 624.0"),
         *(
             pytest.param(
                 "input", field, value, f"planner input: {text}", id=f"input-{field}-{label}"
@@ -674,6 +678,8 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
                 ("battery", 10**400, "huge", "battery must be a finite number"),
                 ("remaining_time", True, "bool", "remaining_time must be a finite number"),
                 ("quoted_wait", None, "null", "quoted_wait must be a finite number"),
+                ("quoted_wait", -1.0, "negative", "quoted_wait must be a finite nonnegative number"),
+                ("battery", 5000, "above-capacity", "battery 5000 exceeds battery capacity 624.0"),
                 ("segment_times", [10**400], "huge", "segment_times[0] must be a finite number"),
                 ("detour_times", [False], "bool", "detour_times[0] must be a finite number"),
                 ("assumed_waits", {}, "object", "assumed_waits must be a list"),

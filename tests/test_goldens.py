@@ -1,6 +1,7 @@
 """Byte-stability of every committed output file for one seeded run."""
 
 import json
+import shutil
 from pathlib import Path
 
 from fleetcharge.cli import main
@@ -85,6 +86,25 @@ def test_relaxed_margin_run_reproduces_its_golden(tmp_path):
         fresh = (run_dir / rel).read_bytes()
         frozen = (relaxed / "run" / rel).read_bytes()
         assert fresh == frozen, f"{rel} drifted from the committed relaxed golden"
+
+
+def test_a_run_written_with_indented_json_still_reads_back(tmp_path):
+    # run directories written before the JSON files were compact hold the
+    # same values indented by two spaces; report and compare read them
+    run_dir = tmp_path / "run"
+    shutil.copytree(GOLDENS / "run", run_dir)
+    for rel in ["compare.csv", *REPORT_FILES]:
+        (run_dir / rel).unlink()
+    for strategy in ("offline", "proposed"):
+        for name in ("metrics.json", "ledgers.json"):
+            path = run_dir / strategy / name
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+    assert main(["report", str(run_dir / "proposed")]) == 0
+    compare = ["compare", str(run_dir / "offline"), str(run_dir / "proposed")]
+    assert main([*compare, "--out", str(run_dir / "compare.csv")]) == 0
+    for rel in ["compare.csv", *REPORT_FILES]:
+        fresh = (run_dir / rel).read_bytes()
+        assert fresh == (GOLDENS / "run" / rel).read_bytes(), f"{rel} drifted from the committed golden"
 
 
 def test_golden_run_shows_the_headline_effect():

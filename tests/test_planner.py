@@ -14,6 +14,7 @@ from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
     RouteTooLongError,
+    _RouteTail,
     check_feasibility,
     compute_energy_trajectory,
     evaluate_plan_cost,
@@ -210,9 +211,9 @@ def test_infeasible_when_even_full_charging_cannot_finish():
 
 def test_an_overtime_cost_of_inf_minus_inf_does_not_block_a_finite_plan():
     # rho = 1e308 overflows both rho * minutes and rho * slack for the
-    # 4-minute charge at station 1, visited first, whose LP objective is
-    # then NaN; it counts as inf, so the 0.4-minute charge at station 0,
-    # which needs no detour, still wins
+    # 4-minute charge at station 1, so the hinge is priced as
+    # rho * (minutes - slack), which is 0 under a positive slack; the
+    # 0.4-minute charge at station 0, which needs no detour, still wins
     p = make_params(rho=1e308)
     inp = make_planner_input(
         segment_times=(10.0, (400.0 - p.e_safe + 2.0) / p.p_bar - 10.0),
@@ -226,6 +227,9 @@ def test_an_overtime_cost_of_inf_minus_inf_does_not_block_a_finite_plan():
     sol = solve_charging_problem(inp)
     assert [d.charge for d in sol.plan.decisions] == [True, False]
     assert math.isfinite(sol.plan.anticipated_cost)
+    only_station_1 = _RouteTail(inp).solve((1,))
+    assert math.isfinite(only_station_1.objective)
+    assert only_station_1.x[1] == 0.0
 
 
 def test_empty_route_is_trivially_optimal():
