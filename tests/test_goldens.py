@@ -88,6 +88,33 @@ def test_relaxed_margin_run_reproduces_its_golden(tmp_path):
         assert fresh == frozen, f"{rel} drifted from the committed relaxed golden"
 
 
+def test_long_route_run_reproduces_its_golden(tmp_path):
+    # routes of 10-14 stations: the only golden whose strict runs reach
+    # solve_lp, 54 times across offline and proposed
+    long = GOLDENS / "long"
+    scenario = tmp_path / "scenario.json"
+    template = str(GOLDENS / "template.json")
+    argv = ["generate", "--template", template, "--seed", "7"]
+    for setting in (
+        "truck_count=6",
+        "station_count=16",
+        "stations_per_route_range=[10,14]",
+        "segment_time_range=[30.0,50.0]",
+        "extra_time_budget=480.0",
+    ):
+        argv += ["--set", setting]
+    assert main([*argv, "--out", str(scenario)]) == 0
+    assert scenario.read_bytes() == (long / "scenario.json").read_bytes()
+    run_dir = tmp_path / "run"
+    argv = ["run", "--scenario", str(scenario), "--strategy", "both"]
+    assert main([*argv, "--out", str(run_dir)]) == 0
+    assert main(["report", str(run_dir / "proposed")]) == 0
+    for rel in RUN_FILES + REPORT_FILES:
+        fresh = (run_dir / rel).read_bytes()
+        frozen = (long / "run" / rel).read_bytes()
+        assert fresh == frozen, f"{rel} drifted from the committed long-route golden"
+
+
 def test_a_run_written_with_indented_json_still_reads_back(tmp_path):
     # run directories written before the JSON files were compact hold the
     # same values indented by two spaces; report and compare read them
