@@ -21,30 +21,30 @@ pattern is visited, one pass over the route decides whether any pattern is
 feasible at all. It keeps the highest battery level that any choice of
 stops so far can reach: at each ramp the truck drives past, or, when the
 level meets the bound there, refills to full. A tail with no feasible
-pattern is reported infeasible without enumerating anything. Three
-per-pattern prunings then skip most of the LPs, and none is heuristic:
+pattern is reported infeasible without enumerating anything.
 
-* a pattern whose charge-to-full trajectory already dips below a bound has
-  no feasible durations at all (charging to full is pointwise the highest
-  trajectory any durations can achieve);
-* a pattern whose fixed detour-and-wait labor cost alone exceeds the best
-  cost found so far cannot win, because every other objective term is
-  nonnegative;
-* a pattern cannot win when its fixed labor cost, plus the cheapest cost
-  of the energy it must buy and the overtime that buying it implies,
-  exceeds the best cost. On the pattern's
-  no-charge trajectory, the largest shortfall below any bound is energy
-  that every feasible choice of durations buys. Each kWh of it costs at
-  least the pattern's cheapest labor-plus-electricity per kWh and takes
-  at least the fastest station's minutes, and the overtime hinge is
-  nondecreasing in minutes, so no duration LP of the pattern beats the
-  bound.
+Each visited pattern is then walked once over its battery rows (see
+`_RouteTail.walk`), and that one walk decides it; none of the tests is
+heuristic:
 
-The last two are one test: the energy terms of the bound are nonnegative,
-so the bound prunes every pattern the fixed cost alone would. A pattern is
-skipped only when its bound exceeds the best cost plus the tie tolerance,
-while a solved pattern replaces the best only when it is cheaper by more
-than that tolerance, so pruning never changes which pattern wins.
+* a pattern whose phase-1 residual exceeds the 1e-7 tolerance has no
+  feasible durations, and its walk stops at the row that shows it;
+* a pattern cannot win when its fixed detour-and-wait labor cost, plus
+  the cheapest cost of the energy it must buy and the overtime that
+  buying it implies, exceeds the best cost found so far. The durations
+  solved from the walk buy at least its last need less the residual, so
+  at least that need less 1e-7. Each kWh of
+  it costs at least the pattern's cheapest labor-plus-electricity per
+  kWh and takes at least the fastest station's minutes, and the overtime
+  hinge is nondecreasing in minutes, so no duration LP of the pattern
+  beats the bound;
+* a pattern that survives both is solved from the same walk.
+
+The energy terms of the bound are nonnegative, so the bound prunes every
+pattern whose fixed cost alone exceeds the best. A pattern is skipped only
+when its bound exceeds the best cost plus the tie tolerance, while a
+solved pattern replaces the best only when it is cheaper by more than that
+tolerance, so pruning never changes which pattern wins.
 
 The same bound, taken over a whole level, ends the enumeration. Every
 pattern with k or more stops pays at least the k smallest stop labors,
@@ -55,23 +55,22 @@ plus the tie tolerance, no pattern of this level or any later one can
 win, and the loop stops. Patterns of the levels it never reaches are never
 generated.
 
-No pattern's LP goes through a simplex. One walk over a pattern's
-battery rows gives the simplex's phase-1 residual, which the 1e-7
-tolerance judges for every pattern size, and each stop's need and cap:
-the least and the most energy it and the stops before it buy. The
-no-stop pattern's only variable is then the overtime hinge, a one-stop
-pattern charges its need, up to its cap, over the station's rate, and a
-pattern with two or more stops goes to `solve_lp`, the exact gas-station
-fill of `fleetcharge.lp`. Each returns the least total charging time
-among the cost-optimal durations, so reported plans are unique and
-replayable.
+No pattern's LP goes through a simplex. The walk gives the simplex's
+phase-1 residual, which the 1e-7 tolerance judges for every pattern size,
+and each stop's need and cap: the least and the most energy it and the
+stops before it buy. The no-stop pattern's only variable is then the
+overtime hinge, a one-stop pattern charges its need, up to its cap, over
+the station's rate, and a pattern with two or more stops goes to
+`solve_lp`, the exact gas-station fill of `fleetcharge.lp`. Each returns
+the least total charging time among the cost-optimal durations, so
+reported plans are unique and replayable.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .lp import LPResult, solve_lp
 from .model import (
@@ -108,12 +107,11 @@ __all__ = [
 
 _COST_TIE_TOL = 1e-9
 # the phase-1 tolerance: a pattern is infeasible when its rows' summed
-# excess over what its stops may buy is larger
+# excess over what its stops may buy is larger. The same margin bounds how
+# far `_feasible`'s highest level may dip below a bound, and lowers the
+# energy needs of the cost bounds
 _FEASIBILITY_TOL = 1e-7
 _INFEASIBLE = LPResult("infeasible", None, None)
-# how far a charge-to-full trajectory may dip below a bound and still be
-# left for the LP to judge; energy needs are lowered by the same margin
-_ENERGY_MARGIN = 1e-7
 
 
 class RouteTooLongError(ValueError):
@@ -308,56 +306,11 @@ def _ramp_row(p: TruckParams, d: float, s: float) -> _Ramp:
     return (p.e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), p.e_full - p_bar * (d + s))
 
 
-def _pattern_need(
-    strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp]
-) -> Callable[[Sequence[int]], float | None]:
-    """The per-pattern energy walk over a route tail's ramp rows.
-
-    The returned function maps a stop pattern (ascending station indices)
-    to the energy, in kWh, that any feasible durations must buy, or to None
-    when the pattern has no feasible durations. One walk does both jobs:
-
-    * Feasibility: charging to full at every planned stop produces,
-      pointwise, the highest battery trajectory any durations can achieve,
-      so if that trajectory violates a bound the pattern has no feasible
-      durations at all. A small margin keeps borderline patterns alive for
-      the LP to judge.
-    * Need: the largest shortfall below an applicable bound on the
-      no-charge trajectory is energy that any feasible durations must buy.
-      It is lowered by the same margin, so a pattern the LP accepts within
-      its feasibility tolerance still buys at least that much.
-    """
-    eps = _ENERGY_MARGIN
-
-    def need_of(selected: Sequence[int]) -> float | None:
-        high = battery  # charge-to-full trajectory
-        low = battery  # no-charge trajectory
-        need = 0.0
-        for l, (floor, drive, stop, refilled) in enumerate(ramps):
-            planned = l in selected
-            if strict or planned:
-                if high < floor - eps:
-                    return None
-                if floor - low > need:
-                    need = floor - low
-            if planned:
-                high = refilled
-                low -= stop
-            else:
-                high -= drive
-                low -= drive
-        if high < e_safe - eps:
-            return None
-        if e_safe - low > need:
-            need = e_safe - low
-        return max(need - eps, 0.0)
-
-    return need_of
-
-
 def has_feasible_pattern(inp: PlannerInput) -> bool:
-    """Whether some stop pattern has feasible durations by the
-    charge-to-full test of `_pattern_need`, in one pass over the route."""
+    """Whether some stop pattern may have feasible durations, in one pass
+    over the route: whether charging to full at some choice of stops keeps
+    every bound within the 1e-7 margin. Charging to full is pointwise the
+    highest trajectory any durations of those stops achieve."""
     p = inp.params
     return _feasible(
         inp.require_detour_margin_everywhere,
@@ -377,7 +330,7 @@ def _feasible(strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp
     drives past or, when the level meets the bound there, stops and
     refills; in strict margin mode driving past needs the bound too.
     """
-    eps = _ENERGY_MARGIN
+    eps = _FEASIBILITY_TOL
     high = battery
     for floor, drive, _, refilled in ramps:
         if high >= floor - eps:
@@ -517,10 +470,9 @@ class TruckRoute:
         tail.battery = battery
         tail.quoted_wait = quoted_wait
         tail.remaining_time = remaining_time
-        tail.ramps = ramps = tuple(
+        tail.ramps = tuple(
             zip(c[o + _FLOOR :: n], c[o + _DRIVE :: n], c[o + _STOP :: n], c[o + _REFILLED :: n])
         )
-        tail.need_of = _pattern_need(self.strict, battery, self.params.e_safe, ramps)
         tail.rates = c[o + _RATE :: n]
         tail.minute_cost = c[o + _MINUTE_COST :: n]
         tail.cost_per_kwh = c[o + _COST_PER_KWH :: n]
@@ -536,8 +488,8 @@ class TruckRoute:
 class _RouteTail:
     """A truck's route from one ramp on: the slices of its `TruckRoute`,
     the battery, the live quote and the remaining time, and the
-    per-pattern computations that share them: the cost lower bound, and
-    the duration LP from one walk over the pattern's battery rows.
+    per-pattern computations that share them: one walk over the pattern's
+    battery rows, and the cost lower bound and the duration LP from it.
 
     ``_RouteTail(inp)`` is the tail of a one-off route built from a planner
     input, at its first ramp; `TruckRoute.at` makes the others.
@@ -550,7 +502,6 @@ class _RouteTail:
         "quoted_wait",
         "remaining_time",
         "ramps",
-        "need_of",
         "rates",
         "minute_cost",
         "cost_per_kwh",
@@ -603,20 +554,18 @@ class _RouteTail:
         overtime = spent - self.remaining_time
         return p.kappa * labor_minutes + energy_cost + max(p.rho * overtime, 0.0), overtime
 
-    def bound(self, selected: Sequence[int]) -> tuple[float, float] | None:
-        """``(lower_bound, constant_cost)`` of a stop pattern, or None when
-        the pattern has no feasible durations.
+    def bound(self, selected: Sequence[int], need: Sequence[float]) -> tuple[float, float]:
+        """``(lower_bound, constant_cost)`` of a feasible stop pattern whose
+        walk gave ``need``.
 
         ``constant_cost`` is the pattern's fixed detour-and-wait labor cost,
         summed in pattern order, because it is added to the LP optimum to
-        give the pattern's reported cost. ``lower_bound`` adds the cheapest
-        per-kWh cost of the pattern's energy need and the overtime hinge at
-        the fewest minutes that buy it; no duration LP of the pattern costs
-        less.
+        give the pattern's reported cost. ``lower_bound`` adds the energy
+        that any durations solved from the walk buy, at least the last need
+        less the residual and so less 1e-7, at the pattern's cheapest
+        per-kWh cost, and the overtime hinge at the fewest minutes that buy
+        it; no duration LP of the pattern costs less.
         """
-        need = self.need_of(selected)
-        if need is None:
-            return None
         rates, cost_per_kwh, labor = self.rates, self.cost_per_kwh, self.labor
         fixed = 0.0
         cheapest = math.inf
@@ -631,9 +580,10 @@ class _RouteTail:
         const = p.kappa * fixed
         overtime = self.seg_total - self.remaining_time + fixed
         lower = const
-        if selected and need > 0.0:
-            lower += cheapest * need
-            overtime += need / fastest
+        energy = need[-1] - _FEASIBILITY_TOL if selected else 0.0
+        if energy > 0.0:
+            lower += cheapest * energy
+            overtime += energy / fastest
         hinge = p.rho * overtime
         if hinge > 0.0:
             lower += hinge
@@ -655,16 +605,17 @@ class _RouteTail:
             - self.battery
             + ordered_sum([drive for _, drive, _, _ in self.ramps])
             + 2.0 * ordered_sum(sorted(self.detour_drain)[:k])
-            - _ENERGY_MARGIN
+            - _FEASIBILITY_TOL
         )
         need = max(shortfall, 0.0)
         lower = p.kappa * fixed + min(self.cost_per_kwh) * need
         overtime = self.seg_total - self.remaining_time + fixed + need / max(self.rates)
         return lower + max(p.rho * overtime, 0.0)
 
-    def walk(self, selected: Sequence[int]) -> tuple[float, list[float], list[float], float]:
+    def walk(self, selected: Sequence[int]) -> tuple[list[float], list[float], float] | None:
         """The duration LP of one stop pattern, from one walk over the
-        tail's battery rows: ``(residual, need, caps, slack)``.
+        tail's battery rows: ``(need, caps, slack)``, or None when the
+        pattern has no feasible durations.
 
         The walk accumulates the drain reaching each ramp (every segment
         and planned detour before it). A battery row is a ramp (every one
@@ -675,11 +626,15 @@ class _RouteTail:
         stops 0..i may buy together. Caps never decrease along a pattern
         (each exceeds the one before by the drain between the two stops),
         so the stops before a row can lift it by at most the last one's
-        cap. The walk returns:
+        cap.
 
-        * ``residual``, the simplex's phase-1 optimum: each row's excess
-          over the cap of its last preceding stop (over 0 when no stop
-          precedes it), summed in row order;
+        The walk sums, in row order, each row's excess over the cap of its
+        last preceding stop (over 0 when no stop precedes it): the
+        simplex's phase-1 optimum. The residual never decreases along the
+        walk, so the pattern is infeasible, and the walk stops, at the
+        first row that takes it past the 1e-7 tolerance. Otherwise the walk
+        returns:
+
         * ``need[i]``, the least energy stops 0..i must buy: the largest
           shortfall of the rows that stop i and its predecessors lift;
         * ``caps[i]``;
@@ -704,6 +659,8 @@ class _RouteTail:
                 short = -1.0 * (battery - drain - floor)
                 if short > cap:
                     residual += short - cap
+                    if residual > _FEASIBILITY_TOL:
+                        return None
                 if caps and short > lifted:
                     lifted = short
             if planned:
@@ -718,23 +675,32 @@ class _RouteTail:
         short = -1.0 * (battery - drain - p.e_safe)  # the destination's row
         if short > cap:
             residual += short - cap
+            if residual > _FEASIBILITY_TOL:
+                return None
         if caps:
             need.append(max(lifted, short))
-        return residual, need, caps, self.remaining_time - (self.seg_total + fixed)
+        return need, caps, self.remaining_time - (self.seg_total + fixed)
 
     def solve(self, selected: Sequence[int]) -> LPResult:
-        """The duration LP of one stop pattern.
-
-        The pattern is infeasible when the walk's residual exceeds the
-        1e-7 phase-1 tolerance. Otherwise the only variable of the no-stop
-        pattern is the overtime hinge. The objective is nondecreasing in a
-        single stop's duration, so one stop charges its need, up to its
-        cap, over its rate. Two or more stops go to `solve_lp`. Both closed
-        forms return what `solve_lp` returns on the walk's output.
-        """
-        residual, need, caps, slack = self.walk(selected)
-        if residual > _FEASIBILITY_TOL:
+        """The duration LP of one stop pattern: infeasible when its walk
+        is, else `finish` of the walk."""
+        walked = self.walk(selected)
+        if walked is None:
             return _INFEASIBLE
+        return self.finish(selected, *walked)
+
+    def finish(
+        self, selected: Sequence[int], need: list[float], caps: list[float], slack: float
+    ) -> LPResult:
+        """The optimal durations of a feasible stop pattern, from the
+        ``need``, ``caps`` and ``slack`` of its walk.
+
+        The only variable of the no-stop pattern is the overtime hinge. The
+        objective is nondecreasing in a single stop's duration, so one stop
+        charges its need, up to its cap, over its rate. Two or more stops go
+        to `solve_lp`. Both closed forms return what `solve_lp` returns on
+        the walk's output.
+        """
         rho = self.route.params.rho
         if not selected:
             b_overtime = rho * slack
@@ -766,7 +732,9 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
 
     Returns 'infeasible' at once when no pattern passes the charge-to-full
     test. Otherwise enumerates stop patterns level by level, fewest stops
-    first, solves the duration LP for each surviving pattern, and keeps the
+    first, walks each once, skips it when the walk's residual exceeds the
+    1e-7 tolerance or its bound exceeds the best cost, finishes the
+    duration LP of each other pattern from the same walk, and keeps the
     cheapest; cost ties within 1e-9 keep the earlier pattern. The first
     feasible pattern is the incumbent even when its cost overflows to
     ``inf`` (or to NaN, which counts as ``inf``), so a feasible tail is
@@ -792,15 +760,16 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
             break
         for selected in _level_patterns(m, k):
             considered += 1
-            bounds = tail.bound(selected)
-            if bounds is None or bounds[0] > best_cost + _COST_TIE_TOL:
+            walked = tail.walk(selected)
+            if walked is None:
                 continue
-            result = tail.solve(selected)
-            if result.status != "optimal":
+            lower, const = tail.bound(selected, walked[0])
+            if lower > best_cost + _COST_TIE_TOL:
                 continue
+            result = tail.finish(selected, *walked)
             if len(selected) > 1:
                 lp_solves += 1
-            cost = result.objective + bounds[1]
+            cost = result.objective + const
             if best_selected is None or cost < best_cost - _COST_TIE_TOL:
                 # a NaN cost counts as inf
                 best_cost = cost if cost == cost else math.inf
@@ -828,6 +797,16 @@ def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
     a ramp with a port available: buy just enough energy to stay safe, eat
     the overtime. Returns None when even that does not exist (the truck is
     stranded).
+
+    When `_feasible` passes on a tail that `solve_charging_problem` then
+    finds infeasible, this returns None by construction: no bound prunes
+    and no level cutoff is taken before some pattern is solved, so every
+    pattern was walked, ``(0,)`` among them, and each walk left a residual
+    above the tolerance. ``tail.solve((0,))`` is that same walk, so it
+    fails too. When `_feasible` fails, pattern ``(0,)``'s charge-to-full
+    trajectory dips below a bound by more than 1e-7, which in exact
+    arithmetic is a walk residual as large; the two compute it with
+    different float expressions.
     """
     tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
     if not tail.rates:

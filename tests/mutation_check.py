@@ -1,0 +1,149 @@
+"""Mutation check of the checkers: break one check at a time in a copy of
+the package, and require the tests that guard it to fail.
+
+Each mutant below is one source edit to a check of `audit_run`,
+`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, or to
+the walk's refusal of infeasible stop patterns, which
+`solve_charging_problem` skips: a violation message is no longer
+appended, a ValueError is no longer raised, or a refusal is dropped. The edit is applied to a temporary copy of
+`src/` and `tests/`, and the mutant's tests run there with pytest. A
+mutant is caught when they fail. The tests first run once on the
+unchanged copy, where they must pass.
+
+Run it from the repository root, with pytest and the test extras
+installed:
+
+    python tests/mutation_check.py
+
+It exits 0 when every mutant is caught, and 1 naming each one that is
+not. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+AUDIT_TESTS = ["tests/test_audit_messages.py"]
+PLANNER_TESTS = ["tests/test_planner.py", "tests/test_planner_pruning.py"]
+INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
+
+# (file under src/fleetcharge, the call to neutralize, the text it is the
+# last such call before, the tests that must fail)
+SILENCED = [
+    ("station.py", "out.append(", "nonpositive duration", AUDIT_TESTS),
+    ("station.py", "out.append(", "booked port {a.port}", AUDIT_TESTS),
+    ("station.py", "out.append(", "policy gives", AUDIT_TESTS),
+    ("station.py", "out.append(", "is not arrival + wait", AUDIT_TESTS),
+    ("station.py", "out.append(", "do not match replay", AUDIT_TESTS),
+    ("station.py", "out.append(", "does not match assignment count", AUDIT_TESTS),
+    ("simulation.py", "out.append(", 'f"ledger {station_id}: {msg}"', AUDIT_TESTS),
+    ("simulation.py", "out.append(", ': realized wait "', AUDIT_TESTS),
+    ("simulation.py", "out.append(", "below reserve-plus-detour bound", AUDIT_TESTS),
+    ("simulation.py", "out.append(", 'f"battery_before {visit', AUDIT_TESTS),
+    ("simulation.py", "out.append(", "recorded residual", AUDIT_TESTS),
+    ("simulation.py", "out.append(", "below reserve {p.e_safe}", AUDIT_TESTS),
+    ("simulation.py", "out.append(", "energy balance off", AUDIT_TESTS),
+    ("simulation.py", "out.append(", 'ramp arrivals"', AUDIT_TESTS),
+    ("simulation.py", "out.append(", "messages\")", AUDIT_TESTS),
+    ("planner.py", "out.append(", ": negative duration", PLANNER_TESTS),
+    ("planner.py", "out.append(", "skipped but duration", PLANNER_TESTS),
+    ("planner.py", "out.append(", "below reserve-plus-detour", PLANNER_TESTS),
+    ("planner.py", "out.append(", "kWh exceeds", PLANNER_TESTS),
+    ("planner.py", "out.append(", "destination: level", PLANNER_TESTS),
+    ("planner.py", "raise ValueError(", "quoted_wait must be", INPUT_TESTS),
+    ("planner.py", "raise ValueError(", "battery must be a finite", INPUT_TESTS),
+    ("planner.py", "raise ValueError(", "exceeds battery capacity", INPUT_TESTS),
+    ("planner.py", "raise ValueError(", "remaining_time must be", INPUT_TESTS),
+]
+
+# (file, text, replacement, tests): the walk's refusal of a stop pattern
+# whose phase-1 residual exceeds the tolerance, at a ramp and at the
+# destination; `solve_charging_problem` skips the patterns it refuses
+REFUSAL = "if residual > _FEASIBILITY_TOL:\n{0}return None\n"
+REPLACED = [
+    ("planner.py", REFUSAL.format(" " * 24), "pass\n", PLANNER_TESTS),
+    ("planner.py", REFUSAL.format(" " * 16), "pass\n", PLANNER_TESTS),
+]
+
+
+def _silence(source: str, call: str, anchor: str) -> str:
+    """``source`` with the last ``call`` before ``anchor`` turned into a
+    bare parenthesized expression, which does nothing."""
+    assert source.count(anchor) == 1, f"{anchor!r} occurs {source.count(anchor)} times"
+    start = source.rindex(call, 0, source.index(anchor))
+    return source[:start] + "(" + source[start + len(call) :]
+
+
+def _mutants():
+    for name, call, anchor, tests in SILENCED:
+        yield f"{name}: no {call.rstrip('(')} before {anchor!r}", name, (
+            lambda source, call=call, anchor=anchor: _silence(source, call, anchor)
+        ), tests
+    for name, text, replacement, tests in REPLACED:
+
+        def edit(source, text=text, replacement=replacement):
+            assert source.count(text) == 1, f"{text!r} occurs {source.count(text)} times"
+            return source.replace(text, replacement)
+
+        yield f"{name}: without {text.strip()!r}", name, edit, tests
+
+
+def _run(copy: Path, *argv: str) -> subprocess.CompletedProcess[str]:
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=copy, env=env, capture_output=True, text=True
+    )
+
+
+def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess[str]:
+    return _run(copy, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests)
+
+
+def main() -> int:
+    mutants = list(_mutants())
+    for _, name, edit, _ in mutants:  # every edit applies before any test runs
+        edit((ROOT / "src" / "fleetcharge" / name).read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "pyproject.toml", "README.md"):
+            if (ROOT / part).is_dir():
+                shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(ROOT / part, copy / part)
+        loaded = _run(copy, "-c", "import fleetcharge; print(fleetcharge.__file__)").stdout
+        if not Path(loaded.strip()).is_relative_to(copy):
+            print(f"the tests would import {loaded.strip()}, not the copy", file=sys.stderr)
+            return 1
+        every_test = sorted({t for *_, tests in mutants for t in tests})
+        clean = _pytest(copy, every_test)
+        if clean.returncode != 0:
+            print(clean.stdout[-2000:], "the tests fail on the unchanged package", file=sys.stderr)
+            return 1
+        survivors = []
+        for label, name, edit, tests in mutants:
+            path = copy / "src" / "fleetcharge" / name
+            original = path.read_text()
+            path.write_text(edit(original))
+            code = _pytest(copy, tests).returncode
+            path.write_text(original)
+            # 1: some test failed; anything else is an error of the run
+            caught = code == 1
+            print(f"{'caught' if caught else 'SURVIVED'} (pytest exit {code}): {label}")
+            if not caught:
+                survivors.append(label)
+    if survivors:
+        print(f"{len(survivors)} of {len(mutants)} mutants survived", file=sys.stderr)
+        return 1
+    print(f"all {len(mutants)} mutants caught")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

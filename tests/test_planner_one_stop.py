@@ -56,11 +56,12 @@ def _assert_matches_simplex(inp, k: int) -> LPResult:
     mine = tail.solve((k,))
     search = reference_lp.duration_lp(tail, (k,))
     assert mine.status == search.status
-    rate, cap = tail.rates[k], tail.walk((k,))[2][0]
+    rate = tail.rates[k]
 
     def assert_same_charge(reference_t) -> bool:
         """Whether the simplex bought past the cap, after checking the
         closed form's charge against it."""
+        cap = tail.walk((k,))[1][0]
         past_cap = reference_t * rate > cap
         assert _close(mine.x[0], cap / rate if past_cap else reference_t)
         return past_cap
@@ -274,20 +275,20 @@ def test_a_one_stop_winner_solves_no_lp():
 # -- whole runs against a simplex-only planner --------------------------------
 
 
-_closed_form_solve = _RouteTail.solve
+_closed_form_finish = _RouteTail.finish
 
 
-def _simplex_solve(self, selected):
-    """Every pattern with stops through the simplex, as the planner solved
-    them before its closed forms: the search LP's objective with the
-    canonical LP's durations, the least total time within 1e-9 of the
-    optimum. The no-stop closed form already returns the simplex's
+def _simplex_finish(self, selected, need, caps, slack):
+    """Every pattern with stops that the walk accepts through the simplex,
+    as the planner solved them before its closed forms: the search LP's
+    objective with the canonical LP's durations, the least total time
+    within 1e-9 of the optimum. The simplex must find each such pattern
+    feasible too. The no-stop closed form already returns the simplex's
     floats."""
     if not selected:
-        return _closed_form_solve(self, selected)
+        return _closed_form_finish(self, selected, need, caps, slack)
     search = reference_lp.duration_lp(self, selected)
-    if search.status != "optimal":
-        return search
+    assert search.status == "optimal", (selected, search)
     cap = search.objective + _COST_TIE_TOL
     canonical = reference_lp.duration_lp(self, selected, cost_cap=cap, minimize_total_time=True)
     if canonical.status != "optimal":
@@ -412,7 +413,9 @@ def test_whole_runs_match_the_simplex_planner(name, tmp_path):
         }
 
     closed = run_all("closed")
-    with mock.patch.object(_RouteTail, "solve", _simplex_solve):
+    # `finish` is every duration solve: the planner's loop, after its
+    # walk, and `solve`, which the rescue calls
+    with mock.patch.object(_RouteTail, "finish", _simplex_finish):
         simplex = run_all("simplex")
     assert list(closed) == list(simplex) and len(closed) == 20
     for rel, path in closed.items():

@@ -148,9 +148,9 @@ def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
         result = assignment_lp(inp, selected)
         if result.status != "optimal":
             continue
-        bounds = tail.bound(selected)
-        assert bounds is not None, f"pattern {selected} has an optimum but no bound"
-        lower, const = bounds
+        walked = tail.walk(selected)
+        assert walked is not None, f"pattern {selected} has an optimum but no bound"
+        lower, const = tail.bound(selected, walked[0])
         optimum = float(result.objective) + const
         assert lower <= optimum + 1e-9
         # the level bound is nondecreasing in k, so its own level suffices

@@ -166,6 +166,8 @@ def test_planner_input_is_checked_at_construction():
         PlannerInput(*args)
     with pytest.raises(ValueError, match="battery must be a finite number"):
         replace(inp, battery=math.nan)
+    with pytest.raises(ValueError, match="remaining_time must be a finite number"):
+        replace(inp, remaining_time=math.inf)
 
 
 def test_scenario_template_is_checked_at_construction():
