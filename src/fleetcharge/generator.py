@@ -38,12 +38,18 @@ def _snap01(x: float) -> float:
     return round(x, 1)
 
 
+def _tenths(x: float) -> float:
+    if not math.isfinite(x * 10.0):
+        raise ValueError(f"{x!r} is too large to snap to the 0.1 grid")
+    return x * 10.0
+
+
 def _ceil01(x: float) -> float:
-    return math.ceil(x * 10.0 - 1e-9) / 10.0
+    return math.ceil(_tenths(x) - 1e-9) / 10.0
 
 
 def _floor01(x: float) -> float:
-    return math.floor(x * 10.0 + 1e-9) / 10.0
+    return math.floor(_tenths(x) + 1e-9) / 10.0
 
 
 @record

@@ -29,15 +29,15 @@ heuristic:
 
 * a pattern whose phase-1 residual exceeds the 1e-7 tolerance has no
   feasible durations, and its walk stops at the row that shows it;
-* a pattern cannot win when its fixed detour-and-wait labor cost, plus
-  the cheapest cost of the energy it must buy and the overtime that
-  buying it implies, exceeds the best cost found so far. The durations
-  solved from the walk buy at least its last need less the residual, so
-  at least that need less 1e-7. Each kWh of
-  it costs at least the pattern's cheapest labor-plus-electricity per
-  kWh and takes at least the fastest station's minutes, and the overtime
-  hinge is nondecreasing in minutes, so no duration LP of the pattern
-  beats the bound;
+* otherwise the walk returns the pattern's cost lower bound: its fixed
+  detour-and-wait labor cost, plus the cheapest cost of the energy it
+  must buy and the overtime that buying it implies. The durations solved
+  from the walk buy at least its last need less the residual, so at
+  least that need less 1e-7. Each kWh of it costs at least the pattern's
+  cheapest labor-plus-electricity per kWh and takes at least the fastest
+  station's minutes, and the overtime hinge is nondecreasing in minutes,
+  so no duration LP of the pattern beats the bound. A pattern whose bound
+  exceeds the best cost found so far cannot win;
 * a pattern that survives both is solved from the same walk.
 
 The energy terms of the bound are nonnegative, so the bound prunes every
@@ -81,6 +81,7 @@ from .model import (
     TruckParams,
     _check_params,
     _check_station,
+    _full_charge_is_finite,
     _price_per_minute_at,
     charging_rate,
     decode_record,
@@ -225,12 +226,11 @@ def compute_energy_trajectory(
     if len(decisions) != m:
         raise ValueError(f"expected {m} decisions, got {len(decisions)}")
     p = inp.params
-    rates = _RouteTail(inp).rates
     levels = [inp.battery]
     e = inp.battery
     for l in range(m):
         dec = decisions[l]
-        charged = rates[l] * dec.duration if dec.charge else 0.0
+        charged = charging_rate(inp.stations[l], p) * dec.duration if dec.charge else 0.0
         detour = 2.0 * inp.detour_times[l] if dec.charge else 0.0
         e = e + charged - p.p_bar * (detour + inp.segment_times[l])
         levels.append(e)
@@ -255,7 +255,6 @@ def check_feasibility(
     p = inp.params
     out: list[str] = []
     levels = compute_energy_trajectory(inp, decisions)
-    rates = _RouteTail(inp).rates
     for l in range(m):
         dec = decisions[l]
         if dec.duration < -slack:
@@ -273,9 +272,10 @@ def check_feasibility(
         if dec.charge:
             at_station = levels[l] - p.p_bar * inp.detour_times[l]
             headroom = p.e_full - at_station
-            if rates[l] * dec.duration > headroom + slack:
+            charged = charging_rate(inp.stations[l], p) * dec.duration
+            if charged > headroom + slack:
                 out.append(
-                    f"station {l}: charge {rates[l] * dec.duration:.6f} kWh exceeds "
+                    f"station {l}: charge {charged:.6f} kWh exceeds "
                     f"headroom {headroom:.6f} kWh"
                 )
     if levels[m] < p.e_safe - slack:
@@ -489,7 +489,7 @@ class _RouteTail:
     """A truck's route from one ramp on: the slices of its `TruckRoute`,
     the battery, the live quote and the remaining time, and the
     per-pattern computations that share them: one walk over the pattern's
-    battery rows, and the cost lower bound and the duration LP from it.
+    battery rows, which gives its cost lower bound and its duration LP.
 
     ``_RouteTail(inp)`` is the tail of a one-off route built from a planner
     input, at its first ramp; `TruckRoute.at` makes the others.
@@ -554,49 +554,14 @@ class _RouteTail:
         overtime = spent - self.remaining_time
         return p.kappa * labor_minutes + energy_cost + max(p.rho * overtime, 0.0), overtime
 
-    def bound(self, selected: Sequence[int], need: Sequence[float]) -> tuple[float, float]:
-        """``(lower_bound, constant_cost)`` of a feasible stop pattern whose
-        walk gave ``need``.
-
-        ``constant_cost`` is the pattern's fixed detour-and-wait labor cost,
-        summed in pattern order, because it is added to the LP optimum to
-        give the pattern's reported cost. ``lower_bound`` adds the energy
-        that any durations solved from the walk buy, at least the last need
-        less the residual and so less 1e-7, at the pattern's cheapest
-        per-kWh cost, and the overtime hinge at the fewest minutes that buy
-        it; no duration LP of the pattern costs less.
-        """
-        rates, cost_per_kwh, labor = self.rates, self.cost_per_kwh, self.labor
-        fixed = 0.0
-        cheapest = math.inf
-        fastest = 0.0
-        for l in selected:
-            fixed += labor[l]
-            if cost_per_kwh[l] < cheapest:
-                cheapest = cost_per_kwh[l]
-            if rates[l] > fastest:
-                fastest = rates[l]
-        p = self.route.params
-        const = p.kappa * fixed
-        overtime = self.seg_total - self.remaining_time + fixed
-        lower = const
-        energy = need[-1] - _FEASIBILITY_TOL if selected else 0.0
-        if energy > 0.0:
-            lower += cheapest * energy
-            overtime += energy / fastest
-        hinge = p.rho * overtime
-        if hinge > 0.0:
-            lower += hinge
-        return lower, const
-
     def level_bound(self, k: int) -> float:
         """A lower bound on the cost of every pattern with k or more stops.
 
-        It is `bound` with each pattern quantity replaced by its least value
-        over those patterns: the k smallest stop labors, the shortfall at
-        the destination of the no-charge trajectory that takes the k
-        shortest detours, and the whole tail's cheapest per-kWh cost and
-        fastest rate. It never decreases with k.
+        It is `walk`'s bound with each pattern quantity replaced by its
+        least value over those patterns: the k smallest stop labors, the
+        shortfall at the destination of the no-charge trajectory that takes
+        the k shortest detours, and the whole tail's cheapest per-kWh cost
+        and fastest rate. It never decreases with k.
         """
         p = self.route.params
         fixed = ordered_sum(sorted(self.labor)[:k])
@@ -612,10 +577,12 @@ class _RouteTail:
         overtime = self.seg_total - self.remaining_time + fixed + need / max(self.rates)
         return lower + max(p.rho * overtime, 0.0)
 
-    def walk(self, selected: Sequence[int]) -> tuple[list[float], list[float], float] | None:
-        """The duration LP of one stop pattern, from one walk over the
-        tail's battery rows: ``(need, caps, slack)``, or None when the
-        pattern has no feasible durations.
+    def walk(
+        self, selected: Sequence[int]
+    ) -> tuple[list[float], list[float], float, float, float] | None:
+        """The duration LP of one stop pattern and its cost lower bound,
+        from one walk over the tail's battery rows: ``(need, caps, slack,
+        lower, const)``, or None when the pattern has no feasible durations.
 
         The walk accumulates the drain reaching each ramp (every segment
         and planned detour before it). A battery row is a ramp (every one
@@ -639,13 +606,17 @@ class _RouteTail:
           shortfall of the rows that stop i and its predecessors lift;
         * ``caps[i]``;
         * ``slack``, the minutes left before the deadline after driving
-          and the stops' fixed labor.
+          and the stops' fixed labor;
+        * ``lower``, the cost lower bound the module docstring derives, and
+          ``const``, the stops' fixed labor cost, which is added to the LP
+          optimum to give the pattern's reported cost.
         """
         p = self.route.params
         strict = self.route.strict
         battery = self.battery
         headroom = p.e_full - battery
         detour_drain, labor = self.detour_drain, self.labor
+        rates, cost_per_kwh = self.rates, self.cost_per_kwh
         residual = 0.0
         need: list[float] = []
         caps: list[float] = []
@@ -653,6 +624,8 @@ class _RouteTail:
         lifted = 0.0  # the largest shortfall of the rows the stops so far lift
         drain = 0.0
         fixed = 0  # the stops' labor, summed as `ordered_sum` does
+        cheapest = math.inf
+        fastest = 0.0
         for l, (floor, drive, stop, _) in enumerate(self.ramps):
             planned = l in selected
             if strict or planned:
@@ -669,6 +642,10 @@ class _RouteTail:
                 cap = headroom + drain + detour_drain[l]
                 caps.append(cap)
                 fixed += labor[l]
+                if cost_per_kwh[l] < cheapest:
+                    cheapest = cost_per_kwh[l]
+                if rates[l] > fastest:
+                    fastest = rates[l]
                 drain += stop
             else:
                 drain += drive
@@ -677,9 +654,20 @@ class _RouteTail:
             residual += short - cap
             if residual > _FEASIBILITY_TOL:
                 return None
+        const = p.kappa * fixed
+        lower = const
+        overtime = self.seg_total - self.remaining_time + fixed
         if caps:
-            need.append(max(lifted, short))
-        return need, caps, self.remaining_time - (self.seg_total + fixed)
+            last = max(lifted, short)
+            need.append(last)
+            energy = last - _FEASIBILITY_TOL
+            if energy > 0.0:
+                lower += cheapest * energy
+                overtime += energy / fastest
+        hinge = p.rho * overtime
+        if hinge > 0.0:
+            lower += hinge
+        return need, caps, self.remaining_time - (self.seg_total + fixed), lower, const
 
     def solve(self, selected: Sequence[int]) -> LPResult:
         """The duration LP of one stop pattern: infeasible when its walk
@@ -687,7 +675,7 @@ class _RouteTail:
         walked = self.walk(selected)
         if walked is None:
             return _INFEASIBLE
-        return self.finish(selected, *walked)
+        return self.finish(selected, *walked[:3])
 
     def finish(
         self, selected: Sequence[int], need: list[float], caps: list[float], slack: float
@@ -763,10 +751,10 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
             walked = tail.walk(selected)
             if walked is None:
                 continue
-            lower, const = tail.bound(selected, walked[0])
+            need, caps, slack, lower, const = walked
             if lower > best_cost + _COST_TIE_TOL:
                 continue
-            result = tail.finish(selected, *walked)
+            result = tail.finish(selected, need, caps, slack)
             if len(selected) > 1:
                 lp_solves += 1
             cost = result.objective + const
@@ -826,8 +814,8 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     The payload is decoded as the input's fields, so a mistyped field
     raises ValueError naming it; ``quoted_wait`` and ``assumed_waits``
     default to no live quote and no assumed waits. Truck parameters and
-    stations then get the same checks as in a scenario, and any violation
-    raises ValueError naming every problem found.
+    stations then get a scenario's checks, a finite full charge included,
+    and any violation raises ValueError naming every problem found.
     """
     inp = decode_record(
         PlannerInput, {"quoted_wait": 0.0, "assumed_waits": [], **doc}, "planner input"
@@ -836,6 +824,10 @@ def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     _check_params("planner input", inp.params, problems)
     for s in inp.stations:
         _check_station(f"station {s.id}", s, problems)
+    if not problems:
+        for s in inp.stations:
+            if not _full_charge_is_finite(s, inp.params):
+                problems.append(f"station {s.id}: a full charge does not take a finite time")
     if problems:
         raise ValueError("; ".join(problems))
     return inp

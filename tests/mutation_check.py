@@ -2,13 +2,14 @@
 the package, and require the tests that guard it to fail.
 
 Each mutant below is one source edit to a check of `audit_run`,
-`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, or to
+`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to
 the walk's refusal of infeasible stop patterns, which
-`solve_charging_problem` skips: a violation message is no longer
-appended, a ValueError is no longer raised, or a refusal is dropped. The edit is applied to a temporary copy of
-`src/` and `tests/`, and the mutant's tests run there with pytest. A
-mutant is caught when they fail. The tests first run once on the
-unchanged copy, where they must pass.
+`solve_charging_problem` skips, or to the cost bound the walk gives a
+pattern: a violation message is no longer appended, a ValueError is no
+longer raised, a refusal is dropped, or the bound is overstated. The
+edit is applied to a temporary copy of `src/` and `tests/`, and the
+mutant's tests run there with pytest. A mutant is caught when they fail.
+The tests first run once on the unchanged copy, where they must pass.
 
 Run it from the repository root, with pytest and the test extras
 installed:
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 AUDIT_TESTS = ["tests/test_audit_messages.py"]
 PLANNER_TESTS = ["tests/test_planner.py", "tests/test_planner_pruning.py"]
+PRUNING_TESTS = ["tests/test_planner_pruning.py"]
 INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
 
 # (file under src/fleetcharge, the call to neutralize, the text it is the
@@ -70,6 +72,17 @@ REFUSAL = "if residual > _FEASIBILITY_TOL:\n{0}return None\n"
 REPLACED = [
     ("planner.py", REFUSAL.format(" " * 24), "pass\n", PLANNER_TESTS),
     ("planner.py", REFUSAL.format(" " * 16), "pass\n", PLANNER_TESTS),
+    # the walk's cost bound, overstated: the energy bought without the
+    # 1e-7 margin, priced at the dearest stop, or bought at the slowest;
+    # a bound above a pattern's cost can prune the pattern that wins
+    ("planner.py", "energy = last - _FEASIBILITY_TOL\n", "energy = last\n", PRUNING_TESTS),
+    (
+        "planner.py",
+        "if cost_per_kwh[l] < cheapest:\n",
+        "if cost_per_kwh[l] > cheapest or cheapest == math.inf:\n",
+        PRUNING_TESTS,
+    ),
+    ("planner.py", "if rates[l] > fastest:\n", "if rates[l] < fastest or fastest == 0.0:\n", PRUNING_TESTS),
 ]
 
 
@@ -92,7 +105,7 @@ def _mutants():
             assert source.count(text) == 1, f"{text!r} occurs {source.count(text)} times"
             return source.replace(text, replacement)
 
-        yield f"{name}: without {text.strip()!r}", name, edit, tests
+        yield f"{name}: {text.strip()!r} -> {replacement.strip()!r}", name, edit, tests
 
 
 def _run(copy: Path, *argv: str) -> subprocess.CompletedProcess[str]:

@@ -6,7 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fleetcharge import cli, model, simulation
 from fleetcharge.cli import main
+from fleetcharge.generator import ScenarioTemplate
 from fleetcharge.model import MAX_ENUMERATED_STATIONS, MAX_PORT_COUNT, scenario_to_json
 
 from conftest import make_params, make_scenario, make_station, make_truck
@@ -25,6 +26,7 @@ PLAN_INPUT = ROOT / "tests" / "fixtures" / "plan_input.json"
 # its solution as `plan --out` writes it, which CI also diffs against
 PLAN_OUTPUT = ROOT / "tests" / "fixtures" / "plan_output.json"
 GOLDEN_SCENARIO = ROOT / "tests" / "goldens" / "scenario.json"
+GOLDEN_TEMPLATE = ROOT / "tests" / "goldens" / "template.json"
 
 RUN_FILES = (
     "metrics.json",
@@ -552,6 +554,19 @@ def test_generate_rejects_a_bad_template_with_exit_one(tmp_path, capsys, setting
     assert "bad template" in capsys.readouterr().err
 
 
+# the template is well formed, but an energy it samples is too large to
+# snap to the scenario's 0.1 grid
+@pytest.mark.parametrize(
+    "sets", [["e_safe=1.7e308"], ["e_full=1.7e308", "e_initial_range=[1e308,1.7e308]"]]
+)
+def test_generate_refuses_an_energy_off_the_grid_with_exit_one(tmp_path, capsys, sets):
+    out = tmp_path / "s.json"
+    assert main(["generate", "--out", str(out)] + [a for item in sets for a in ("--set", item)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "generation failed: " in err and "too large to snap to the 0.1 grid" in err
+
+
 def _plan_payload() -> dict:
     return json.loads(PLAN_INPUT.read_text())
 
@@ -669,6 +684,14 @@ def test_plan_rejects_bad_input(tmp_path, capsys):
         ("params", "e_full", "x", "params: e_full must be a finite number"),
         ("params", "p_bar", float("nan"), "params: p_bar must be a finite number"),
         ("params", "kappa", -5, "kappa must be nonnegative"),
+        # the charging rate underflows to 0 kWh/min
+        *(
+            pytest.param(
+                section, field, 5e-324, "station s01: a full charge does not take a finite time",
+                id=f"{field}-subnormal",
+            )
+            for section, field in (("station", "port_power"), ("params", "p_max"))
+        ),
         *(
             pytest.param(
                 "input", field, value, f"planner input: {text}", id=f"input-{field}-{label}"
@@ -707,6 +730,80 @@ def test_plan_rejects_out_of_range_params_and_stations(
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+_EXTREMES = (0, -0.0, 5e-324, 1e-320, 1e308, 1.7e308)
+
+
+def _set_at(doc, path, value) -> None:
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _extreme_edits(slots):
+    """1-3 distinct slots of ``slots``, each with an extreme value."""
+    return st.lists(
+        st.tuples(st.sampled_from(slots), st.sampled_from(_EXTREMES)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda edit: edit[0],
+    )
+
+
+# every number of the README's planning problem
+_PLAN_SLOTS = [
+    *(("params", name) for name in ("p_max", "p_bar", "e_full", "e_safe", "kappa", "rho")),
+    *(("stations", 0, name) for name in ("port_count", "port_power", "electricity_price_energy")),
+    ("segment_times", 0),
+    ("detour_times", 0),
+    ("battery",),
+    ("quoted_wait",),
+    ("remaining_time",),
+]
+
+
+# whatever extreme values a planning problem holds, `plan` ends in a
+# solution or a validation error, never a traceback
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edits=_extreme_edits(_PLAN_SLOTS))
+def test_plan_of_extreme_values_exits_zero_or_two(edits):
+    doc = _plan_payload()
+    for path, value in edits:
+        _set_at(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.json"
+        src.write_text(json.dumps(doc))
+        assert main(["plan", "--input", str(src), "--out", str(Path(tmp) / "plan.json")]) in (0, 2)
+
+
+# every number of a template: each scalar, and each end of each range
+_TEMPLATE_SLOTS = [
+    path
+    for name, default in asdict(ScenarioTemplate()).items()
+    if name != "label"
+    for path in ([(name, 0), (name, 1)] if isinstance(default, tuple) else [(name,)])
+]
+
+
+# whatever extreme values a template holds, `generate` ends in a scenario
+# or a refusal, and `run` of the scenario in a result or a validation error
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edits=_extreme_edits(_TEMPLATE_SLOTS))
+def test_generate_of_extreme_values_exits_zero_or_one(edits):
+    template = ScenarioTemplate.from_dict(json.loads(GOLDEN_TEMPLATE.read_text()))
+    doc = json.loads(json.dumps(asdict(template)))
+    for path, value in edits:
+        _set_at(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, scenario = Path(tmp) / "template.json", Path(tmp) / "scenario.json"
+        src.write_text(json.dumps(doc))
+        code = main(["generate", "--template", str(src), "--out", str(scenario)])
+        assert code in (0, 1)
+        if code == 0:
+            argv = ["run", "--scenario", str(scenario), "--out", str(Path(tmp) / "r")]
+            assert main(argv) in (0, 2)
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -74,7 +74,7 @@ def test_the_solver_covers_patterns_with_at_most_one_stop(inp):
         direct = tail.solve(selected)
         assert (direct.status == "infeasible") == (walked is None), selected
         if direct.status == "optimal":
-            need, caps, slack = walked
+            need, caps, slack, _, _ = walked
             rates = [tail.rates[l] for l in selected]
             costs = [tail.minute_cost[l] for l in selected]
             assert solve_lp(need, caps, rates, costs, inp.params.rho, slack) == direct, selected

@@ -1,10 +1,18 @@
-"""The paper's headline claim, that live waiting quotes let the proposed
-scheme beat the offline one, pinned on seeded fleets: where it holds and
-where it fails. Only total waiting is compared; the claim on cost needs a
-per-run cost in the paper's objective, which the run files do not have."""
+"""The paper's claims pinned on seeded fleets.
+
+The headline claim, that live waiting quotes let the proposed scheme beat
+the offline one: where it holds and where it fails. Only total waiting is
+compared; the claim on cost needs a per-run cost in the paper's objective,
+which the run files do not have. Then the claim that the scheme needs
+little communication: what the golden scenario's proposed run sends."""
+
+from pathlib import Path
 
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
+from fleetcharge.model import load_scenario
 from fleetcharge.simulation import run_offline_baseline, run_proposed
+
+GOLDEN_SCENARIO = Path(__file__).parent / "goldens" / "scenario.json"
 
 
 def _waits(template):
@@ -42,3 +50,13 @@ def test_assuming_no_wait_ahead_proposed_never_waits_more():
     waits = _waits(ScenarioTemplate(w_hat=0.0))
     assert [seed for seed, (b, p) in waits.items() if p > b] == []
     assert _totals(waits) == (1118.5, 978.4)
+
+
+def test_each_ramp_exchange_sends_four_short_messages():
+    # an arrival, a waiting estimate, a commitment and an ack per ramp
+    transcripts = run_proposed(load_scenario(str(GOLDEN_SCENARIO))).transcripts
+    assert len(transcripts) == 27
+    assert all(len(tr.messages) == 4 for tr in transcripts)
+    # wire lines plus their newlines: about 245 bytes per exchange
+    lines = [line for tr in transcripts for line in tr.wire_lines()]
+    assert sum(len(line.encode()) + 1 for line in lines) == 6611

@@ -23,6 +23,7 @@ from fleetcharge.reports import write_run_outputs
 
 from conftest import (
     assignment_lp,
+    make_params,
     make_planner_input,
     planner_inputs,
     prices_of,
@@ -150,13 +151,32 @@ def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
             continue
         walked = tail.walk(selected)
         assert walked is not None, f"pattern {selected} has an optimum but no bound"
-        lower, const = tail.bound(selected, walked[0])
+        *_, lower, const = walked
         optimum = float(result.objective) + const
         assert lower <= optimum + 1e-9
         # the level bound is nondecreasing in k, so its own level suffices
         if selected:
             assert tail.level_bound(len(selected)) <= optimum + 1e-9
             assert level_bound(inp, len(selected)) == tail.level_bound(len(selected))
+
+
+def test_pattern_bound_never_exceeds_a_fill_that_stops_within_the_tolerance():
+    # a full charge at the one stop leaves the truck 5e-8 kWh short at the
+    # destination, inside the 1e-7 tolerance: the solve buys the stop's cap,
+    # less than the walk's need, and the bound counts at most that energy
+    inp = make_planner_input(
+        segment_times=(500.00000005,),
+        detour_times=(0.0,),
+        battery=300.0,
+        remaining_time=1000.0,
+        params=make_params(p_bar=1.0, e_full=600.0, e_safe=100.0),
+    )
+    tail = _RouteTail(inp)
+    need, caps, slack, lower, const = tail.walk((0,))
+    assert caps[0] < need[0] < caps[0] + 1e-7
+    result = tail.finish((0,), need, caps, slack)
+    assert result.x[0] == caps[0] / tail.rates[0]
+    assert lower <= result.objective + const + 1e-9
 
 
 def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
