@@ -195,7 +195,7 @@ def _print_wait_reduction(report: ComparisonReport, path: Path) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .simulation import _simulate, audit_run  # validated below, not per strategy
+    from .simulation import RunOverflowError, _simulate, audit_run  # validated below, not per strategy
 
     try:
         overrides = _parse_run_overrides(args.set)
@@ -215,7 +215,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     results = {}
     for strategy in strategies:
-        result = _simulate(scenario, strategy, strict)
+        try:
+            result = _simulate(scenario, strategy, strict)
+        except RunOverflowError as exc:
+            return _fail(EXIT_VALIDATION, f"scenario invalid: {exc}")
         violations = audit_run(scenario, result)
         if violations:
             for v in violations:
@@ -233,7 +236,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"late, {m.totals.stranded} stranded -> {out / strategy}"
         )
     if args.strategy == "both":
-        report = compare(results["offline"].metrics, results["proposed"].metrics)
+        try:
+            report = compare(results["offline"].metrics, results["proposed"].metrics)
+        except ValueError as exc:
+            return _fail(EXIT_VALIDATION, str(exc))
         path = out / "compare.csv"
         try:
             write_comparison_csv(report, path)

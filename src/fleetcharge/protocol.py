@@ -17,7 +17,9 @@ resulting error propagates instead of being retried.
 
 Messages have a canonical single-line JSON wire form so transcripts are
 replayable and diffable; numbers are written with at most six decimal
-places.
+places. A message time is checked only where a wire line is decoded: the
+engine builds each message from values its exchange, or for the arrival
+time its event loop, has already checked.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from typing import Any, Callable, Union
 
-from .model import _is_finite_number, _record_fields, decode_record, record
+from .model import _record_fields, decode_record, record
 from .planner import (
     PlannerSolution,
     TruckRoute,
@@ -54,11 +56,6 @@ class MessageDecodeError(ValueError):
     """A wire line is not a well-formed message; the text names the field."""
 
 
-def _check_time(name: str, value: float) -> None:
-    if not _is_finite_number(value) or value < 0:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
 @record
 class ArrivalAnnouncement:
     """Truck to station: anticipated station arrival time, minutes."""
@@ -66,9 +63,6 @@ class ArrivalAnnouncement:
     truck: str
     station: str
     t_arrival: float
-
-    def __post_init__(self) -> None:
-        _check_time("t_arrival", self.t_arrival)
 
 
 @record
@@ -79,9 +73,6 @@ class WaitingEstimate:
     truck: str
     wait: float
 
-    def __post_init__(self) -> None:
-        _check_time("wait", self.wait)
-
 
 @record
 class ChargingCommitment:
@@ -90,9 +81,6 @@ class ChargingCommitment:
     truck: str
     station: str
     charge_time: float
-
-    def __post_init__(self) -> None:
-        _check_time("charge_time", self.charge_time)
 
 
 @record
@@ -114,12 +102,16 @@ def _fmt_minutes(x: float) -> str:
 
 
 # The wire format: a message is its type tag followed by its fields in
-# declaration order; float fields are times written by _fmt_minutes.
+# declaration order; float fields are times, which _fmt_minutes writes
+# and decode_message checks. _FIELDS pairs each field with whether it is.
 _MESSAGE_TYPES: dict[str, type] = {
     "arrival": ArrivalAnnouncement,
     "estimate": WaitingEstimate,
     "commit": ChargingCommitment,
     "ack": Ack,
+}
+_FIELDS = {
+    cls: [(name, tp is float) for name, tp, _, _ in _record_fields(cls)] for cls in _MESSAGE_TYPES.values()
 }
 
 
@@ -129,7 +121,7 @@ def _wire_writer(tag: str, cls: type) -> Callable[[Message], str]:
     tag and every key are constants of its template, and each field is
     written by `_fmt_minutes` when it is a time and quoted as json quotes
     a string otherwise."""
-    plan = [(name, tp is float) for name, tp, _, _ in _record_fields(cls)]
+    plan = _FIELDS[cls]
     line = f'{{"type":"{tag}"' + "".join(f',"{name}":%s' for name, _ in plan) + "}"
     values = "".join(f"{'_minutes' if is_time else '_quote'}(m.{name}), " for name, is_time in plan)
     namespace: dict[str, Any] = {}
@@ -157,8 +149,8 @@ def decode_message(line: str) -> Message:
     """Parse one wire line back into a message.
 
     Raises MessageDecodeError naming the offending field on anything
-    malformed: bad JSON, unknown type, missing, extra, mistyped, or
-    out-of-range fields.
+    malformed: bad JSON, unknown type, missing, extra or mistyped fields,
+    or a negative time. No other code checks a message time.
     """
     try:
         doc = json.loads(line)
@@ -172,18 +164,19 @@ def decode_message(line: str) -> Message:
     cls = _MESSAGE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise MessageDecodeError(f"unknown message type {kind!r}")
-    return decode_record(cls, doc, kind, error=MessageDecodeError)
+    message = decode_record(cls, doc, kind, error=MessageDecodeError)
+    for name, is_time in _FIELDS[cls]:  # decode_record refused a time that is not a finite number
+        if is_time and doc[name] < 0:
+            raise MessageDecodeError(f"{kind}: {name} must be finite and nonnegative, got {doc[name]!r}")
+    return message
 
 
 @record
 class ExchangeTranscript:
-    """A completed exchange: its four messages in protocol order and the
-    ledger versions bracketing the commit."""
+    """A completed exchange: its four messages in protocol order."""
 
     sequence_no: int
     messages: tuple[ArrivalAnnouncement, WaitingEstimate, ChargingCommitment, Ack]
-    ledger_version_before: int
-    ledger_version_after: int
 
     def wire_lines(self) -> list[str]:
         return [encode_message(m) for m in self.messages]
@@ -246,11 +239,8 @@ def run_ramp_exchange(
     else:
         rescue_charge = minimal_rescue_charge(tail)
         charge_time = rescue_charge if rescue_charge is not None else 0.0
-    version_before = ledger.version
     commitment = ChargingCommitment(truck_id, station_id, charge_time)
     assignment = ledger.commit(quote, truck_id, charge_time)
     ack = Ack(station_id, truck_id)
-    transcript = ExchangeTranscript(
-        sequence_no, (arrival, estimate, commitment, ack), version_before, ledger.version
-    )
+    transcript = ExchangeTranscript(sequence_no, (arrival, estimate, commitment, ack))
     return ExchangeOutcome(transcript, solution, quote, assignment, rescue_charge)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -251,7 +252,14 @@ def compare(baseline: RunMetrics, proposed: RunMetrics) -> ComparisonReport:
         )
     wait_base = baseline.totals.total_waiting_minutes
     wait_prop = proposed.totals.total_waiting_minutes
-    reduction = 100.0 * (wait_base - wait_prop) / wait_base if wait_base > 0 else 0.0
+    # divided before it is scaled, so that totals near the float maximum
+    # do not overflow
+    reduction = 100.0 * ((wait_base - wait_prop) / wait_base) if wait_base > 0 else 0.0
+    if not math.isfinite(reduction):
+        raise ValueError(
+            f"cannot compare runs whose wait reduction ({wait_base:.6g} -> {wait_prop:.6g} min) "
+            "is not a finite percentage"
+        )
     return ComparisonReport(
         label=baseline.label,
         trucks=tuple(truck_rows),

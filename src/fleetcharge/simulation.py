@@ -26,6 +26,10 @@ happens inside the engine.
 
 The public runners raise ValueError on an invalid scenario; the event
 loop trusts its input, so ``run``, which validates once, drives it directly.
+A valid scenario can still make a run's times overflow: a scenario fixes
+neither how long its trucks charge nor how long they queue. The loop raises
+RunOverflowError before a time that is not a finite number reaches a ledger
+or a message, and `_build_metrics` before such a total reaches a run file.
 
 The run records the engine fills in, and `compare`, live in
 :mod:`fleetcharge.reports`, which imports no engine code; they are
@@ -35,6 +39,7 @@ re-exported here.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 
 from .model import (
@@ -68,6 +73,7 @@ __all__ = [
     "RunTotals",
     "RunMetrics",
     "RunResult",
+    "RunOverflowError",
     "TruckDelta",
     "StationDelta",
     "ComparisonReport",
@@ -77,6 +83,11 @@ __all__ = [
     "audit_run",
     "metrics_from_dict",
 ]
+
+
+class RunOverflowError(ValueError):
+    """A run of a valid scenario reaches a time or a total that is not a
+    finite number; the text names it."""
 
 
 @record
@@ -145,6 +156,16 @@ def _build_metrics(
     )
 
     total_wait = ordered_sum(t.total_wait for t in trips)
+    total_charging = ordered_sum(t.total_charge_time for t in trips)
+    total_energy = ordered_sum(t.total_energy for t in trips)
+    # a run's clocks are finite, but a sum over its trucks can still overflow
+    for name, value in (
+        ("total_waiting_minutes", total_wait),
+        ("total_charging_minutes", total_charging),
+        ("total_energy_delivered_kwh", total_energy),
+    ):
+        if not math.isfinite(value):
+            raise RunOverflowError(f"the {strategy} run's {name} is not a finite number")
     return RunMetrics(
         label=scenario.label,
         strategy=strategy,
@@ -157,8 +178,8 @@ def _build_metrics(
             rescue_charges=rescue_count,
             total_waiting_minutes=total_wait,
             total_waiting_hours=total_wait / 60.0,
-            total_charging_minutes=ordered_sum(t.total_charge_time for t in trips),
-            total_energy_delivered_kwh=ordered_sum(t.total_energy for t in trips),
+            total_charging_minutes=total_charging,
+            total_energy_delivered_kwh=total_energy,
         ),
         per_truck=trips,
         per_station=station_rows,
@@ -227,6 +248,12 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
             del solution  # the trip keeps only the durations
         for i, station_id in enumerate(route.station_ids):
             d = route.detour_times[i]
+            # the clock only grows, and a booking ends by the clock the truck
+            # leaves with, which the next check reads before the truck yields
+            if not math.isfinite(clock + d):
+                raise RunOverflowError(
+                    f"the {strategy} run's arrival time of truck {spec.id} at ramp {i + 1} is not a finite number"
+                )
             if proposed:
                 yield clock
                 ramp_arrivals += 1
@@ -280,6 +307,10 @@ def _simulate(scenario: Scenario, strategy: str, strict: bool) -> RunResult:
             seg = route.segment_times[i + 1]
             clock += seg
             battery -= p_bar * seg
+        if not math.isfinite(clock):
+            raise RunOverflowError(
+                f"the {strategy} run's arrival time of truck {spec.id} at its destination is not a finite number"
+            )
         trips[spec.id] = _trip(spec, deadline, visits, clock, battery)
 
     # (time, truck id, trip) of each truck's next event; a truck has at most

@@ -4,11 +4,16 @@ the package, and require the tests that guard it to fail.
 Each mutant below is one source edit to a check of `audit_run`,
 `PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to
 the walk's refusal of infeasible stop patterns, which
-`solve_charging_problem` skips, or to the cost bound the walk gives a
-pattern: a violation message is no longer appended, a ValueError is no
-longer raised, a refusal is dropped, or the bound is overstated. The
-edit is applied to a temporary copy of `src/` and `tests/`, and the
-mutant's tests run there with pytest. A mutant is caught when they fail.
+`solve_charging_problem` skips, to the cost bound the walk gives a
+pattern, to `decode_message`'s refusal of a negative message time (the
+only check of a message time), to the event loop's refusal of a run
+whose times or totals overflow, or to `compare`'s refusal of a wait
+reduction that is not a finite percentage: a violation message is no
+longer appended, an error is no longer raised, a refusal is dropped or
+weakened, or the bound is overstated. The edit is applied to a
+temporary copy of `src/` and `tests/`, and the mutant's tests run there
+with pytest. A mutant is caught when they fail. A check guarded by
+several test files has one mutant per file, so each file must catch it.
 The tests first run once on the unchanged copy, where they must pass.
 
 Run it from the repository root, with pytest and the test extras
@@ -35,6 +40,8 @@ AUDIT_TESTS = ["tests/test_audit_messages.py"]
 PLANNER_TESTS = ["tests/test_planner.py", "tests/test_planner_pruning.py"]
 PRUNING_TESTS = ["tests/test_planner_pruning.py"]
 INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
+DECODER_TESTS = [["tests/test_protocol.py"], ["tests/test_codec.py"]]
+OVERFLOW_TESTS = [["tests/test_cli.py"], ["tests/test_simulation.py"]]
 
 # (file under src/fleetcharge, the call to neutralize, the text it is the
 # last such call before, the tests that must fail)
@@ -63,6 +70,11 @@ SILENCED = [
     ("planner.py", "raise ValueError(", "battery must be a finite", INPUT_TESTS),
     ("planner.py", "raise ValueError(", "exceeds battery capacity", INPUT_TESTS),
     ("planner.py", "raise ValueError(", "remaining_time must be", INPUT_TESTS),
+    *(("protocol.py", "raise MessageDecodeError(", "must be finite and nonnegative", t) for t in DECODER_TESTS),
+    *(("simulation.py", "raise RunOverflowError(", "at ramp {i + 1} is not", t) for t in OVERFLOW_TESTS),
+    ("simulation.py", "raise RunOverflowError(", "at its destination is not", OVERFLOW_TESTS[1]),
+    *(("simulation.py", "raise RunOverflowError(", "run's {name} is not", t) for t in OVERFLOW_TESTS),
+    ("reports.py", "raise ValueError(", "is not a finite percentage", OVERFLOW_TESTS[0]),
 ]
 
 # (file, text, replacement, tests): the walk's refusal of a stop pattern
@@ -83,6 +95,8 @@ REPLACED = [
         PRUNING_TESTS,
     ),
     ("planner.py", "if rates[l] > fastest:\n", "if rates[l] < fastest or fastest == 0.0:\n", PRUNING_TESTS),
+    # the decoder's time check, weakened to let a time down to -1 through
+    *(("protocol.py", "if is_time and doc[name] < 0:\n", "if is_time and doc[name] < -1:\n", t) for t in DECODER_TESTS),
 ]
 
 
@@ -148,7 +162,7 @@ def main() -> int:
             path.write_text(original)
             # 1: some test failed; anything else is an error of the run
             caught = code == 1
-            print(f"{'caught' if caught else 'SURVIVED'} (pytest exit {code}): {label}")
+            print(f"{'caught' if caught else 'SURVIVED'} (pytest exit {code}): {label} [{' '.join(tests)}]")
             if not caught:
                 survivors.append(label)
     if survivors:

@@ -27,6 +27,7 @@ PLAN_INPUT = ROOT / "tests" / "fixtures" / "plan_input.json"
 PLAN_OUTPUT = ROOT / "tests" / "fixtures" / "plan_output.json"
 GOLDEN_SCENARIO = ROOT / "tests" / "goldens" / "scenario.json"
 GOLDEN_TEMPLATE = ROOT / "tests" / "goldens" / "template.json"
+GOLDEN_RUN = ROOT / "tests" / "goldens" / "run"
 
 RUN_FILES = (
     "metrics.json",
@@ -218,6 +219,54 @@ def test_run_rejects_route_totals_that_are_not_finite(tmp_path, capsys, route_ed
     assert f"scenario invalid: truck t001: {message}\n" in capsys.readouterr().err
 
 
+def _departing_at_the_end_of_time(tmp_path: Path) -> list[str]:
+    doc = json.loads(GOLDEN_SCENARIO.read_text())
+    for truck in doc["trucks"]:
+        truck["depart_time"] = 1.5e308
+        truck["params"]["p_bar"] = 1e-308
+        detours = truck["route"]["detour_times"]
+        truck["route"]["detour_times"] = [7e307] + [0.0] * (len(detours) - 1)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return ["--scenario", str(path)]
+
+
+def _forty_slow_chargers(tmp_path: Path) -> list[str]:
+    path = tmp_path / "scenario.json"
+    argv = ["generate", "--template", str(GOLDEN_TEMPLATE), "--seed", "3", "--set", "truck_count=40"]
+    assert main(argv + ["--out", str(path)]) == 0
+    return ["--scenario", str(path), "--set", "p_max=1e-302"]
+
+
+# every input and every truck's own totals are finite, but a run's times
+# overflow: an announced arrival time, or the offline total wait that
+# metrics.json would hold
+@pytest.mark.parametrize(
+    "case, overflows",
+    [
+        (_departing_at_the_end_of_time, "arrival time of truck t001 at ramp 1"),
+        (_forty_slow_chargers, "total_waiting_minutes"),
+    ],
+    ids=["arrival-time", "total-wait"],
+)
+def test_run_refuses_times_that_overflow(tmp_path, capsys, case, overflows):
+    argv = ["run", *case(tmp_path), "--out", str(tmp_path / "r")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"scenario invalid: the offline run's {overflows} is not a finite number\n"
+    assert not (tmp_path / "r").exists()
+
+
+# total waits of about 1.5e308 and 6.6e307 min (p_max=1e-303) or 7.7e306
+# and 3.3e306 min: their difference times 100 overflows, their ratio not
+@pytest.mark.parametrize("p_max", ["1e-303", "2e-302"])
+def test_run_compares_total_waits_near_the_float_maximum(tmp_path, capsys, p_max):
+    out = tmp_path / "r"
+    assert main(["run", "--scenario", str(GOLDEN_SCENARIO), "--set", f"p_max={p_max}", "--out", str(out)]) == 0
+    assert "wait reduction 57.48% (" in capsys.readouterr().out
+    assert (out / "compare.csv").read_text().splitlines()[-1].endswith(",57.48")
+
+
 def _extreme_set(key: str):
     values = (0, 1, MAX_PORT_COUNT, MAX_PORT_COUNT + 1) if key == "port_count" else (1e-320, 1e308, 0.0)
     return st.sampled_from(values).map(lambda value: f"{key}={value!r}")
@@ -382,6 +431,29 @@ def test_compare_rejects_different_scenarios(tmp_path, scenario_file, capsys):
     capsys.readouterr()
 
 
+# the golden offline total wait (372.46 min) replaced: near the float
+# maximum 100 times the difference overflows but the ratio does not; above
+# 0 by 5e-324 the ratio itself overflows, and compare refuses it
+@pytest.mark.parametrize(
+    "total, code, printed",
+    [
+        (1.7e308, 0, "wait reduction 100.00% ("),
+        (5e-324, 2, "cannot compare runs whose wait reduction (4.94066e-324 -> 94.18 min) is not a finite percentage"),
+    ],
+)
+def test_compare_of_extreme_total_waits(tmp_path, capsys, total, code, printed):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN_RUN, run)
+    metrics = run / "offline" / "metrics.json"
+    doc = json.loads(metrics.read_text())
+    doc["totals"]["total_waiting_minutes"] = total
+    metrics.write_text(json.dumps(doc))
+    out = tmp_path / "c.csv"
+    assert main(["compare", str(run / "offline"), str(run / "proposed"), "--out", str(out)]) == code
+    assert printed in "".join(capsys.readouterr())
+    assert out.exists() == (code == 0)
+
+
 def test_report_subcommand(tmp_path, scenario_file, capsys):
     run_dir = tmp_path / "run"
     assert main(["run", "--scenario", str(scenario_file), "--out", str(run_dir)]) == 0
@@ -433,6 +505,48 @@ def test_report_names_the_file_it_could_not_read(
     capsys.readouterr()
     assert main(["report", str(run_dir)]) == 2
     assert capsys.readouterr().err == f"{path} is not a {kind} file: {message}\n"
+
+
+def _leaves(doc, path=()):
+    """The path of every number, string, bool and null in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        keys = doc if isinstance(doc, dict) else range(len(doc))
+        return [leaf for key in keys for leaf in _leaves(doc[key], (*path, key))]
+    return [path]
+
+
+_DAMAGEABLE = [
+    (name, path)
+    for name in ("metrics.json", "ledgers.json")
+    for path in _leaves(json.loads((GOLDEN_RUN / "proposed" / name).read_text()))
+]
+_DAMAGE = (0, -0.0, 5e-324, 1e308, 1.7e308, -1, -1e308, 10**400, "x", None, [], {}, True)
+
+
+# whatever 1-2 values of a proposed run's metrics.json or ledgers.json are
+# replaced with, `report` and `compare` end in an exit code, never a traceback
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_DAMAGEABLE), st.sampled_from(_DAMAGE)),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda edit: edit[0],
+    )
+)
+def test_report_and_compare_of_damaged_run_files_exit_with_a_code(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(GOLDEN_RUN, run)
+        for name in ("metrics.json", "ledgers.json"):
+            doc = json.loads((run / "proposed" / name).read_text())
+            for (target, path), value in edits:
+                if target == name:
+                    _set_at(doc, path, value)
+            (run / "proposed" / name).write_text(json.dumps(doc))
+        assert main(["report", str(run / "proposed")]) in (0, 1, 2)
+        argv = ["compare", str(run / "offline"), str(run / "proposed"), "--out", str(Path(tmp) / "c.csv")]
+        assert main(argv) in (0, 1, 2)
 
 
 NOT_UTF8 = b'{"label": "\xff"}'
@@ -629,9 +743,6 @@ def test_plan_defaults_the_optional_waits(tmp_path):
         plans.append(dst.read_text())
     assert plans[0] == plans[1]
     assert json.loads(plans[1])["status"] == "optimal"
-
-
-GOLDEN_RUN = ROOT / "tests" / "goldens" / "run"
 
 
 # (argv, the path the error names): {file} is a regular file, so nothing

@@ -4,7 +4,10 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from fleetcharge.cli import main
+from fleetcharge.protocol import decode_message, encode_message
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -113,6 +116,15 @@ def test_long_route_run_reproduces_its_golden(tmp_path):
         fresh = (run_dir / rel).read_bytes()
         frozen = (long / "run" / rel).read_bytes()
         assert fresh == frozen, f"{rel} drifted from the committed long-route golden"
+
+
+# the wire edge, where a message time is checked: each line of a golden
+# proposed transcript decodes and encodes back to itself
+@pytest.mark.parametrize("run, exchanges", [("run", 27), ("relaxed/run", 27), ("long/run", 70)])
+def test_golden_transcripts_pass_the_wire_edge(run, exchanges):
+    lines = (GOLDENS / run / "proposed" / "transcript.jsonl").read_text().splitlines()
+    assert len(lines) == 4 * exchanges
+    assert [encode_message(decode_message(line)) for line in lines] == lines
 
 
 def test_a_run_written_with_indented_json_still_reads_back(tmp_path):

@@ -16,7 +16,14 @@ import fleetcharge
 from fleetcharge.generator import ScenarioTemplate
 from fleetcharge.model import _record_fields, record
 from fleetcharge.planner import PlannerInput
-from fleetcharge.protocol import ArrivalAnnouncement, ChargingCommitment, WaitingEstimate
+from fleetcharge.protocol import (
+    ArrivalAnnouncement,
+    ChargingCommitment,
+    MessageDecodeError,
+    WaitingEstimate,
+    decode_message,
+    encode_message,
+)
 from fleetcharge.station import PortLedger
 
 from conftest import make_planner_input
@@ -149,13 +156,26 @@ def test_a_missing_or_extra_argument_raises_type_error(cls):
         cls(*args, not_a_field=None)
 
 
-@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
-@pytest.mark.parametrize("cls", [ArrivalAnnouncement, WaitingEstimate, ChargingCommitment])
-def test_message_times_are_checked_at_construction(cls, value):
-    with pytest.raises(ValueError, match="must be finite and nonnegative"):
-        cls("t", "s", value)
-    with pytest.raises(ValueError, match="must be finite and nonnegative"):
-        replace(cls("t", "s", 1.0), **{fields(cls)[2].name: value})
+# a message record checks no time when it is built: the engine builds it
+# from values its exchange has checked, so the wire decoder is the check
+@pytest.mark.parametrize(
+    "literal, text",
+    [
+        ("-1.5", "must be finite and nonnegative, got -1.5"),
+        ("NaN", "must be a finite number"),
+        ("Infinity", "must be a finite number"),
+    ],
+    ids=["negative", "nan", "inf"],
+)
+@pytest.mark.parametrize(
+    "tag, cls", [("arrival", ArrivalAnnouncement), ("estimate", WaitingEstimate), ("commit", ChargingCommitment)]
+)
+def test_message_times_are_checked_where_a_line_is_decoded(tag, cls, literal, text):
+    time = fields(cls)[2].name
+    line = encode_message(cls("t", "s", 1.0)).replace(f'"{time}":1}}', f'"{time}":{literal}}}')
+    with pytest.raises(MessageDecodeError) as info:
+        decode_message(line)
+    assert str(info.value) == f"{tag}: {time} {text}"
 
 
 def test_planner_input_is_checked_at_construction():

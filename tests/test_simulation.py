@@ -12,6 +12,7 @@ from fleetcharge.model import Scenario, encode_record, load_scenario, ordered_su
 from fleetcharge.reports import StationTotals
 from fleetcharge.simulation import (
     RunMetrics,
+    RunOverflowError,
     audit_run,
     compare,
     metrics_from_dict,
@@ -72,6 +73,47 @@ def test_runners_refuse_an_invalid_scenario(runner):
     sc = make_scenario(trucks=(make_truck(params=make_params(e_safe=0.0)),))
     with pytest.raises(ValueError, match=r"^invalid scenario: .*requires 0 < e_safe < e_full"):
         runner(sc)
+
+
+def _late_departure() -> Scenario:
+    # departs near the float maximum; the first detour carries it past
+    params = make_params(p_bar=1e-308)
+    return make_scenario(trucks=(make_truck(depart_time=1.5e308, detour_times=(7e307,), params=params),))
+
+
+# a charge at 1e-306 kWh per minute: 150 kWh take 1.5e308 minutes
+_CRAWL = {"e_full": 150.0, "e_safe": 10.0, "p_max": 6e-305, "rho": 0.0, "kappa": 0.0}
+
+
+def _long_charge_then_long_drive() -> Scenario:
+    # charges about 8e307 minutes for a 1e308-minute last segment
+    params = make_params(p_bar=1e-306, **_CRAWL)
+    return make_scenario(trucks=(make_truck(segment_times=(30.0, 1e308), e_initial=30.0, params=params),))
+
+
+def _four_trucks_queueing() -> Scenario:
+    # each charges about 4e307 minutes at one port: the last leaves before
+    # 1.7e308, but the waits 0, 4e307, 8e307 and 1.2e308 add up to inf
+    params = make_params(p_bar=1.0, **_CRAWL)
+    trucks = tuple(make_truck(f"t00{k}", e_initial=70.0, params=params) for k in range(1, 5))
+    return make_scenario(stations=(make_station(port_count=1),), trucks=trucks)
+
+
+# every input of these scenarios is valid and finite, but a scenario fixes
+# neither how long its trucks charge nor how long they queue
+@pytest.mark.parametrize(
+    "scenario, overflows",
+    [
+        (_late_departure, "arrival time of truck t001 at ramp 1"),
+        (_long_charge_then_long_drive, "arrival time of truck t001 at its destination"),
+        (_four_trucks_queueing, "total_waiting_minutes"),
+    ],
+)
+@pytest.mark.parametrize("runner, strategy", [(run_proposed, "proposed"), (run_offline_baseline, "offline")])
+def test_runs_refuse_times_that_overflow(runner, strategy, scenario, overflows):
+    with pytest.raises(RunOverflowError) as info:
+        runner(scenario())
+    assert str(info.value) == f"the {strategy} run's {overflows} is not a finite number"
 
 
 # (time, truck id) orders simultaneous events, whatever the scenario order
