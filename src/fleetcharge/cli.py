@@ -15,12 +15,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Any, get_type_hints
+from typing import TYPE_CHECKING, Any, get_type_hints
 
-# model and reports serve every command; each handler imports the other
-# layers it uses, so `report` and `compare` load neither planner nor engine
+# model serves every command; each handler imports the other layers it
+# uses, so `report` and `compare` load neither planner nor engine, and
+# `plan` and `generate` do not load reports
 from .model import (
     Scenario,
     ScenarioFormatError,
@@ -28,18 +28,13 @@ from .model import (
     TruckParams,
     TruckSpec,
     dump_scenario,
+    replace,
     scenario_from_json,
     validate_scenario,
 )
-from .reports import (
-    ComparisonReport,
-    _read_run_file,
-    compare,
-    metrics_from_dict,
-    write_comparison_csv,
-    write_report_csvs,
-    write_run_outputs,
-)
+
+if TYPE_CHECKING:
+    from .reports import ComparisonReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,6 +190,7 @@ def _print_wait_reduction(report: ComparisonReport, path: Path) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .reports import compare, write_comparison_csv, write_run_outputs
     from .simulation import RunOverflowError, _simulate, audit_run  # validated below, not per strategy
 
     try:
@@ -250,6 +246,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .reports import _read_run_file, compare, metrics_from_dict, write_comparison_csv
+
     metrics = []
     for run_dir in (args.baseline, args.proposed):
         path = Path(run_dir) / "metrics.json"
@@ -272,6 +270,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .reports import write_report_csvs
+
     run = Path(args.run_dir)
     if not (run / "metrics.json").is_file() or not (run / "ledgers.json").is_file():
         return _fail(

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import typing
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from typing import Any, Callable, Iterable
 
 __all__ = [
@@ -70,48 +69,105 @@ class ScenarioFormatError(ValueError):
     """A scenario document is structurally unreadable (bad JSON shape or types)."""
 
 
+# the default of a required record field
+MISSING: Any = object()
+
+
+class FrozenInstanceError(AttributeError):
+    """An attempt to assign or delete an attribute of a record."""
+
+
 def record(cls: type) -> type:
     """Make ``cls`` a record: an immutable slotted value type.
 
-    ``dataclass(frozen=True, slots=True)`` gives the class its equality,
-    hash, repr, ``__match_args__``, ``fields()`` and ``replace()``.
-    Assigning or deleting any attribute after construction raises
-    FrozenInstanceError, from a ``__setattr__`` and ``__delattr__``
-    installed here: on CPython 3.10 and 3.11 the frozen dataclass's own
-    pair raises TypeError for a name that is not a field, because it calls
-    ``super()`` on the class that ``slots=True`` replaced. The
-    dataclass's ``__init__`` would write each field through
-    ``object.__setattr__``; the one compiled here takes the same
-    parameters (the fields in declaration order, with their defaults),
-    writes each field through its slot's descriptor and then calls
-    ``__post_init__`` when the class has one. One ramp exchange builds
-    about a dozen records, so their ``__init__`` is a large share of what
-    an exchange costs.
+    The fields are the names annotated in the class body, in order. A
+    value the body gives a field is its default; it must be hashable, and
+    the fields with defaults come last. The class is remade once with one
+    slot per field, the field names as ``__match_args__``, and
+    ``__record__``, which maps each field name to its default or to
+    ``MISSING``: `is_record` tells a record by it. Two records are equal
+    when they are of the same class and their field tuples are equal; a
+    record hashes as its field tuple, reprs as ``Cls(name=value, ...)``,
+    and `replace` makes a changed copy. Assigning or deleting any
+    attribute after construction raises FrozenInstanceError.
+
+    ``__init__`` and ``__eq__`` are compiled per class. ``__init__`` takes
+    the fields in order, writes each one through its slot's descriptor and
+    then calls ``__post_init__`` when the class has one. One ramp exchange
+    builds about a dozen records, so their ``__init__`` is a large share of
+    what an exchange costs.
     """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    names = []
-    defaults = []
-    for f in fields(cls):
-        if f.default_factory is not MISSING:
-            raise TypeError(f"record field {cls.__name__}.{f.name} has a default_factory")
-        names.append(f.name)
-        if f.default is not MISSING:
-            defaults.append(f.default)
+    body = dict(vars(cls))
+    fields = {name: body.pop(name, MISSING) for name in body.get("__annotations__", {})}
+    for name, default in fields.items():
+        if type(default).__hash__ is None:
+            raise ValueError(f"mutable default {type(default)} for field {name} is not allowed")
+    names = tuple(fields)
+    body.pop("__dict__", None)
+    body.pop("__weakref__", None)
+    body.update(
+        __qualname__=cls.__qualname__,
+        __slots__=names,
+        __match_args__=names,
+        __record__=fields,
+        __setattr__=_frozen_setattr,
+        __delattr__=_frozen_delattr,
+        __hash__=_record_hash,
+        __repr__=_record_repr,
+    )
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
     # each slot's member descriptor writes past the frozen __setattr__
-    setters = {f"_s{i}": getattr(cls, name).__set__ for i, name in enumerate(names)}
-    body = "".join(f"\n    _s{i}(self, {name})" for i, name in enumerate(names))
+    scope: dict[str, Any] = {}
+    params = ["self"]
+    writes = []
+    for i, (name, default) in enumerate(fields.items()):
+        scope[f"_s{i}"] = getattr(cls, name).__set__
+        scope[f"_d{i}"] = default
+        params.append(name if default is MISSING else f"{name}=_d{i}")
+        writes.append(f"\n    _s{i}(self, {name})")
     if hasattr(cls, "__post_init__"):
-        body += "\n    self.__post_init__()"
-    namespace: dict[str, Any] = {}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", setters, namespace)
-    init = namespace["__init__"]
-    init.__defaults__ = tuple(defaults) or None
-    init.__module__ = cls.__module__
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
+        writes.append("\n    self.__post_init__()")
+    exec(
+        f"def __init__({', '.join(params)}):{''.join(writes)}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({''.join(f'self.{n},' for n in names)})"
+        f" == ({''.join(f'other.{n},' for n in names)})\n"
+        "    return NotImplemented",
+        scope,
+    )
+    for method in ("__init__", "__eq__"):
+        fn = scope[method]
+        fn.__module__ = cls.__module__
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
     return cls
+
+
+def is_record(obj: Any) -> bool:
+    """Whether ``obj`` is a record class or an instance of one."""
+    return hasattr(obj, "__record__")
+
+
+def replace(obj: Any, /, **changes: Any) -> Any:
+    """A copy of the record ``obj`` with the fields named in ``changes``
+    set to their values, built and checked by its ``__init__``; a name
+    that is not a field raises TypeError."""
+    if not is_record(type(obj)):
+        raise TypeError("replace() should be called on record instances")
+    for name in obj.__record__:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)
+
+
+def _record_hash(self: Any) -> int:
+    return hash(tuple(getattr(self, name) for name in self.__match_args__))
+
+
+def _record_repr(self: Any) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
 
 
 def _frozen_setattr(self: Any, name: str, value: Any) -> None:
@@ -400,7 +456,7 @@ def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
 # -- JSON codec ----------------------------------------------------------------
 #
 # Every record's JSON form is its field list: an object with one key per
-# dataclass field in declaration order, tuples as lists and nested records
+# record field in declaration order, tuples as lists and nested records
 # as objects. Every file and wire format is such a record, so this is the
 # only place a layout is written down; every file is written as compact as
 # a wire line. Decoding checks types, and reports a record's own
@@ -455,9 +511,9 @@ def _record_fields(cls: type) -> tuple[tuple[str, Any, Any, bool], ...]:
     ``MISSING``."""
     hints = typing.get_type_hints(cls)
     plan = []
-    for f in fields(cls):
-        tp = hints[f.name]
-        plan.append((f.name, tp, f.default, any(map(is_dataclass, (tp, *typing.get_args(tp))))))
+    for name, default in cls.__record__.items():
+        tp = hints[name]
+        plan.append((name, tp, default, any(map(is_record, (tp, *typing.get_args(tp))))))
     return tuple(plan)
 
 
@@ -492,7 +548,7 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
             raise _Bad(text)
 
         return scalar
-    if is_dataclass(tp):
+    if is_record(tp):
         plan = [(name, _decoder(ftp), default) for name, ftp, default, _ in _record_fields(tp)]
 
         def record(doc: Any) -> Any:

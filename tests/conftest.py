@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -19,6 +18,7 @@ from fleetcharge.model import (
     TruckSpec,
     charging_rate,
     electricity_price_per_minute,
+    replace,
 )
 from fleetcharge.planner import PlannerInput, _RouteTail
 

@@ -4,12 +4,11 @@ scenario the audit replays it against, and the audit must return exactly
 one message, the expected one."""
 
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fleetcharge.model import load_scenario
+from fleetcharge.model import load_scenario, replace
 from fleetcharge.simulation import audit_run, run_proposed
 
 GOLDEN_SCENARIO = Path(__file__).parent / "goldens" / "scenario.json"

@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,13 @@ from hypothesis import strategies as st
 from fleetcharge import cli, model, simulation
 from fleetcharge.cli import main
 from fleetcharge.generator import ScenarioTemplate
-from fleetcharge.model import MAX_ENUMERATED_STATIONS, MAX_PORT_COUNT, scenario_to_json
+from fleetcharge.model import (
+    MAX_ENUMERATED_STATIONS,
+    MAX_PORT_COUNT,
+    encode_record,
+    replace,
+    scenario_to_json,
+)
 
 from conftest import make_params, make_scenario, make_station, make_truck
 
@@ -892,9 +897,9 @@ def test_plan_of_extreme_values_exits_zero_or_two(edits):
 # every number of a template: each scalar, and each end of each range
 _TEMPLATE_SLOTS = [
     path
-    for name, default in asdict(ScenarioTemplate()).items()
+    for name, default in encode_record(ScenarioTemplate()).items()
     if name != "label"
-    for path in ([(name, 0), (name, 1)] if isinstance(default, tuple) else [(name,)])
+    for path in ([(name, 0), (name, 1)] if isinstance(default, list) else [(name,)])
 ]
 
 
@@ -904,7 +909,7 @@ _TEMPLATE_SLOTS = [
 @given(edits=_extreme_edits(_TEMPLATE_SLOTS))
 def test_generate_of_extreme_values_exits_zero_or_one(edits):
     template = ScenarioTemplate.from_dict(json.loads(GOLDEN_TEMPLATE.read_text()))
-    doc = json.loads(json.dumps(asdict(template)))
+    doc = encode_record(template)
     for path, value in edits:
         _set_at(doc, path, value)
     with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,6 @@ back as itself, and each decode error names its path."""
 import json
 import math
 import typing
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,6 +17,7 @@ from fleetcharge.model import (
     decode_record,
     encode_record,
     record_json,
+    replace,
     scenario_from_json,
     scenario_to_json,
 )

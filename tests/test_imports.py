@@ -13,6 +13,7 @@ import fleetcharge
 from fleetcharge import reports, simulation
 
 GOLDENS = Path(__file__).parent / "goldens"
+FIXTURES = Path(__file__).parent / "fixtures"
 # the layers that plan, negotiate, generate or simulate
 ENGINE = {"generator", "lp", "planner", "protocol", "simulation"}
 LAYERS = sorted(p.stem for p in Path(fleetcharge.__file__).parent.glob("[!_]*.py"))
@@ -42,6 +43,24 @@ def _cli(args: list[str]) -> str:
     return f"from fleetcharge.cli import main\nassert main({args!r}) == 0"
 
 
+# each command's arguments; `report` and `compare` read the golden run,
+# which `_command` copies to ./run
+COMMANDS = {
+    "generate": ["generate", "--template", str(GOLDENS / "template.json"), "--out", "scenario.json"],
+    "run": ["run", "--scenario", str(GOLDENS / "scenario.json"), "--out", "run"],
+    "plan": ["plan", "--input", str(FIXTURES / "plan_input.json"), "--out", "plan.json"],
+    "report": ["report", "run/proposed"],
+    "compare": ["compare", "run/offline", "run/proposed", "--out", "compare.csv"],
+}
+
+
+def _command(command: str, cwd: Path) -> str:
+    """The code that runs ``command`` in ``cwd``."""
+    if command in ("report", "compare"):
+        shutil.copytree(GOLDENS / "run", cwd / "run")
+    return _cli(COMMANDS[command])
+
+
 def test_a_bare_import_loads_no_layer(tmp_path):
     code = "import fleetcharge\nassert set(fleetcharge.__all__) <= set(dir(fleetcharge))"
     assert _fresh(code, tmp_path) == set()
@@ -58,21 +77,33 @@ def test_each_layer_is_an_attribute_after_a_bare_import(tmp_path, layer):
 
 @pytest.mark.parametrize("command", ["report", "compare"])
 def test_report_and_compare_load_no_engine_layer(tmp_path, command):
-    shutil.copytree(GOLDENS / "run", tmp_path / "run")
-    args = {
-        "report": ["report", "run/proposed"],
-        "compare": ["compare", "run/offline", "run/proposed", "--out", "compare.csv"],
-    }[command]
-    loaded = _fresh(_cli(args), tmp_path)
+    loaded = _fresh(_command(command, tmp_path), tmp_path)
     assert "reports" in loaded
     assert loaded & ENGINE == set()
 
 
 def test_run_loads_no_generator(tmp_path):
-    args = ["run", "--scenario", str(GOLDENS / "scenario.json"), "--out", "run"]
-    loaded = _fresh(_cli(args), tmp_path)
+    loaded = _fresh(_command("run", tmp_path), tmp_path)
     assert "simulation" in loaded
     assert "generator" not in loaded
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("plan", {"cli", "model", "planner", "lp"}),
+        ("generate", {"cli", "model", "generator", "planner", "lp"}),
+    ],
+)
+def test_plan_and_generate_load_only_their_layers(tmp_path, command, layers):
+    assert _fresh(_command(command, tmp_path), tmp_path) == layers
+
+
+# records are built without the dataclasses module, which imports inspect
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_dataclasses_or_inspect(tmp_path, command):
+    check = "\nimport sys\nloaded = {'dataclasses', 'inspect'} & set(sys.modules)\nassert not loaded, loaded"
+    _fresh(_command(command, tmp_path) + check, tmp_path)
 
 
 def test_every_public_name_is_its_home_modules_object():

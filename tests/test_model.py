@@ -1,7 +1,6 @@
 """Data model: unit conversions, validation, canonical serialization."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -11,6 +10,7 @@ from fleetcharge.model import (
     ScenarioFormatError,
     charging_rate,
     electricity_price_per_minute,
+    replace,
     scenario_from_json,
     scenario_to_json,
     validate_scenario,

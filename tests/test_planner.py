@@ -3,13 +3,12 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fleetcharge.model import ChargeDecision
+from fleetcharge.model import ChargeDecision, replace
 from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,

@@ -7,7 +7,6 @@ simplex."""
 
 import json
 import re
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.lp import LPResult
-from fleetcharge.model import charging_rate, load_scenario
+from fleetcharge.model import charging_rate, load_scenario, replace
 from fleetcharge.planner import (
     _COST_TIE_TOL,
     _RouteTail,

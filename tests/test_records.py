@@ -1,20 +1,26 @@
 """Every record keeps the semantics of a frozen slotted dataclass: no
 assignment or deletion of any name after construction, no instance
-dict, equal records whether built by position or by keyword, and the
-stock repr, replace and ``__post_init__`` checks."""
+dict, equal records whether built by position or by keyword, equality
+only with its own class, the field tuple's hash, and the stock repr,
+replace and ``__post_init__`` checks."""
 
-import dataclasses
 import importlib
 import math
 import pkgutil
 import typing
-from dataclasses import MISSING, FrozenInstanceError, field, fields, replace
 
 import pytest
 
 import fleetcharge
 from fleetcharge.generator import ScenarioTemplate
-from fleetcharge.model import _record_fields, record
+from fleetcharge.model import (
+    MISSING,
+    FrozenInstanceError,
+    _record_fields,
+    is_record,
+    record,
+    replace,
+)
 from fleetcharge.planner import PlannerInput
 from fleetcharge.protocol import (
     ArrivalAnnouncement,
@@ -28,7 +34,7 @@ from fleetcharge.station import PortLedger
 
 from conftest import make_planner_input
 
-# every dataclass the package defines, found by scanning its modules, so
+# every record the package defines, found by scanning its modules, so
 # a new record is covered as soon as it exists
 RECORDS = sorted(
     {
@@ -36,7 +42,7 @@ RECORDS = sorted(
         for info in pkgutil.iter_modules(fleetcharge.__path__)
         for value in vars(importlib.import_module(f"fleetcharge.{info.name}")).values()
         if isinstance(value, type)
-        and dataclasses.is_dataclass(value)
+        and is_record(value)
         and value.__module__ == f"fleetcharge.{info.name}"
     },
     key=lambda cls: (cls.__module__, cls.__qualname__),
@@ -71,8 +77,12 @@ def _sample(cls):
     return cls(**{name: _value(tp) for name, tp, _, _ in _record_fields(cls)})
 
 
+def _names(cls):
+    return [name for name, _, _, _ in _record_fields(cls)]
+
+
 def _args(obj):
-    return [getattr(obj, f.name) for f in fields(obj)]
+    return [getattr(obj, name) for name in _names(type(obj))]
 
 
 def _is_hashable(obj):
@@ -90,22 +100,23 @@ def test_the_scan_finds_the_records():
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
 def test_every_record_is_made_by_the_record_decorator(cls):
-    params = cls.__dataclass_params__
-    assert params.frozen and params.eq and not params.init
-    assert "__slots__" in vars(cls)
+    # the marker maps the annotated names, in order, to their defaults
+    assert tuple(cls.__record__) == tuple(vars(cls)["__annotations__"])
+    assert vars(cls)["__slots__"] == tuple(_names(cls))
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
-    assert cls.__match_args__ == tuple(f.name for f in fields(cls))
+    assert cls.__match_args__ == tuple(_names(cls))
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
 def test_a_record_cannot_be_changed_after_construction(cls):
     obj = _sample(cls)
     assert not hasattr(obj, "__dict__")
-    for f in fields(cls):
+    assert issubclass(FrozenInstanceError, AttributeError)
+    for name in _names(cls):
         with pytest.raises(FrozenInstanceError):
-            setattr(obj, f.name, getattr(obj, f.name))
+            setattr(obj, name, getattr(obj, name))
         with pytest.raises(FrozenInstanceError):
-            delattr(obj, f.name)
+            delattr(obj, name)
     # a name that is not a field is refused the same way on every Python
     with pytest.raises(FrozenInstanceError):
         obj.not_a_field = 1
@@ -118,7 +129,7 @@ def test_positional_and_keyword_construction_agree(cls):
     obj = _sample(cls)
     args = _args(obj)
     by_position = cls(*args)
-    by_keyword = cls(**{f.name: getattr(obj, f.name) for f in fields(cls)})
+    by_keyword = cls(**dict(zip(_names(cls), args)))
     assert by_position == by_keyword == obj
     assert _args(by_position) == args
     if _is_hashable(obj):
@@ -135,12 +146,39 @@ def test_positional_and_keyword_construction_agree(cls):
 def test_replace_and_repr_are_the_dataclass_ones(cls):
     obj = _sample(cls)
     assert replace(obj) == obj
-    first = fields(cls)[0].name
+    first = _names(cls)[0]
     assert replace(obj, **{first: getattr(obj, first)}) == obj
     expected = f"{cls.__qualname__}(" + ", ".join(
-        f"{f.name}={getattr(obj, f.name)!r}" for f in fields(cls)
+        f"{name}={value!r}" for name, value in zip(_names(cls), _args(obj))
     ) + ")"
     assert repr(obj) == expected
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_replace_refuses_a_name_that_is_not_a_field(cls):
+    with pytest.raises(TypeError):
+        replace(_sample(cls), not_a_field=None)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_a_record_is_unequal_to_another_records_equal_fields(cls):
+    obj = _sample(cls)
+    twin = record(type(cls.__name__, (), {"__annotations__": dict(vars(cls)["__annotations__"])}))
+    other = twin(*_args(obj))
+    assert [getattr(other, name) for name in _names(cls)] == _args(obj)
+    assert obj != other and other != obj
+    assert not obj == other
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_a_record_hashes_as_its_field_tuple(cls):
+    obj = _sample(cls)
+    values = tuple(_args(obj))
+    if _is_hashable(values):
+        assert hash(obj) == hash(values)
+    else:  # a field holds a dict
+        with pytest.raises(TypeError):
+            hash(obj)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=IDS)
@@ -171,7 +209,7 @@ def test_a_missing_or_extra_argument_raises_type_error(cls):
     "tag, cls", [("arrival", ArrivalAnnouncement), ("estimate", WaitingEstimate), ("commit", ChargingCommitment)]
 )
 def test_message_times_are_checked_where_a_line_is_decoded(tag, cls, literal, text):
-    time = fields(cls)[2].name
+    time = _names(cls)[2]
     line = encode_message(cls("t", "s", 1.0)).replace(f'"{time}":1}}', f'"{time}":{literal}}}')
     with pytest.raises(MessageDecodeError) as info:
         decode_message(line)
@@ -197,10 +235,11 @@ def test_scenario_template_is_checked_at_construction():
         replace(ScenarioTemplate(), truck_count=0)
 
 
-def test_a_record_refuses_a_default_factory():
-    with pytest.raises(TypeError, match="default_factory"):
+@pytest.mark.parametrize("default", [[], {}, set()], ids=["list", "dict", "set"])
+def test_a_record_refuses_an_unhashable_default(default):
+    with pytest.raises(ValueError, match=f"mutable default {type(default)} for field items"):
 
         @record
         class Bad:
-            items: list = field(default_factory=list)
+            items: list = default
 

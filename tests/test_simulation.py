@@ -1,14 +1,20 @@
 """Discrete-event engine: contention, conservation, determinism."""
 
 import json
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import Scenario, encode_record, load_scenario, ordered_sum
+from fleetcharge.model import (
+    Scenario,
+    _record_fields,
+    encode_record,
+    load_scenario,
+    ordered_sum,
+    replace,
+)
 from fleetcharge.reports import StationTotals
 from fleetcharge.simulation import (
     RunMetrics,
@@ -427,7 +433,7 @@ def test_metrics_round_trip_through_json(scenario, runner):
 
 def test_metrics_fields_are_the_file_keys():
     m = run_proposed(_congested_scenario()).metrics
-    assert [f.name for f in fields(RunMetrics)] == list(encode_record(m))
+    assert [name for name, _, _, _ in _record_fields(RunMetrics)] == list(encode_record(m))
     t = m.totals
     assert (m.total_waiting_minutes, m.deadline_violation_count, m.stranded_count) == (
         t.total_waiting_minutes,

@@ -1,12 +1,12 @@
 """Per-truck route constants: the tail the engine plans over at each ramp
 is the planner input it would state there, and plans exactly like it."""
 
-from dataclasses import replace
 
 import pytest
 
 from fleetcharge import planner, protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
+from fleetcharge.model import replace
 from fleetcharge.planner import PlannerInput, TruckRoute
 
 from conftest import make_params, make_planner_input, make_truck
