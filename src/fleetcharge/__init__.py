@@ -16,7 +16,10 @@ The package has three layers:
 ``import fleetcharge`` loads no layer. Each public name below is imported
 from its home module on first use, and so is each submodule named as an
 attribute, so a program that only reports on a finished run never loads
-the planner or the engine.
+the planner or the engine. Scenario generation
+(:mod:`fleetcharge.generator`) does not load the planner either: its test
+of each sampled truck, the planner's first pass over a route, lives in
+:mod:`fleetcharge.model`.
 
 Everything is seedable and replayable: same scenario, same outputs, byte
 for byte.
@@ -33,6 +36,7 @@ _HOME = {
             "ChargeDecision",
             "ChargingPlan",
             "Route",
+            "RouteTooLongError",
             "Scenario",
             "StationSpec",
             "TruckParams",
@@ -52,7 +56,6 @@ _HOME = {
         (
             "PlannerInput",
             "PlannerSolution",
-            "RouteTooLongError",
             "TruckRoute",
             "check_feasibility",
             "compute_energy_trajectory",

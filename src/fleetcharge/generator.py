@@ -21,12 +21,15 @@ from .model import (
     StationSpec,
     TruckParams,
     TruckSpec,
+    _check_ramp_values,
+    _check_station_count,
+    _feasible,
+    _ramp_row,
     _record_fields,
     decode_record,
     ordered_sum,
     record,
 )
-from .planner import PlannerInput, has_feasible_pattern
 
 __all__ = ["ScenarioTemplate", "generate_scenario"]
 
@@ -143,17 +146,15 @@ def _route_completable(
     e_initial: float,
     remaining_time: float,
 ) -> bool:
-    inp = PlannerInput(
-        params=params,
-        stations=stations,
-        segment_times=segs[1:],
-        detour_times=detours,
-        battery=e_initial - params.p_bar * segs[0],
-        quoted_wait=0.0,
-        assumed_waits=(0.0,) * (len(stations) - 1),
-        remaining_time=remaining_time,
-    )
-    return has_feasible_pattern(inp)
+    """Whether the planner, standing at the first ramp with no waits, finds
+    some stop pattern that may complete the route: its charge-to-full pass,
+    run here without loading the planner. A route the planner cannot
+    enumerate and a value it refuses raise its errors."""
+    _check_station_count(len(stations))
+    battery = e_initial - params.p_bar * segs[0]
+    _check_ramp_values(bool(stations), battery, params.e_full, 0.0, remaining_time)
+    rows = [_ramp_row(params, d, s) for d, s in zip(detours, segs[1:])]
+    return _feasible(True, battery, params.e_safe, rows)
 
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import typing
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "MAX_ENUMERATED_STATIONS",
@@ -30,6 +30,7 @@ __all__ = [
     "ChargingPlan",
     "Scenario",
     "ScenarioFormatError",
+    "RouteTooLongError",
     "validate_scenario",
     "charging_rate",
     "electricity_price_per_minute",
@@ -320,7 +321,8 @@ def _price_per_minute_at(station: StationSpec, rate: float) -> float:
 
 def _is_finite_number(x: Any) -> bool:
     """A finite float, or an int (not a bool) small enough to be one."""
-    if isinstance(x, float):
+    # the exact type first: scenario values are almost all plain floats
+    if type(x) is float or isinstance(x, float):
         return math.isfinite(x)
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
@@ -451,6 +453,87 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
     rate = charging_rate(s, p)
     return rate > 0 and math.isfinite(p.e_full / rate)
+
+
+# -- the charge-to-full pass -------------------------------------------------
+#
+# Whether some choice of charging stops completes a route tail. The planner
+# runs it before enumerating any stop pattern, and the generator runs it on
+# every sampled truck; it lives here so that generating a scenario loads
+# neither the planner nor the LP solver.
+
+# the planner's phase-1 tolerance: a stop pattern is infeasible when its
+# rows' summed excess over what its stops may buy is larger. The same
+# margin bounds how far `_feasible`'s highest level may dip below a bound,
+# and lowers the energy needs of the planner's cost bounds
+_FEASIBILITY_TOL = 1e-7
+
+_Ramp = tuple[float, float, float, float]
+
+
+class RouteTooLongError(ValueError):
+    """More remaining stations than the exact enumeration supports."""
+
+
+def _check_station_count(m: int) -> None:
+    """Refuse a route tail of ``m`` stations, more than the planner
+    enumerates."""
+    if m > MAX_ENUMERATED_STATIONS:
+        raise RouteTooLongError(
+            f"{m} remaining stations exceeds the exact-enumeration cap "
+            f"of {MAX_ENUMERATED_STATIONS}"
+        )
+
+
+def _check_ramp_values(
+    has_station: bool, battery: float, e_full: float, quoted_wait: float, remaining_time: float
+) -> None:
+    """The checks of the values that change per ramp, shared by the
+    planner's `PlannerInput` and `TruckRoute.at` and by the generator; only
+    a ramp with a station ahead has a quote. A battery above capacity is
+    refused like a scenario's ``e_initial``."""
+    if has_station and (not math.isfinite(quoted_wait) or quoted_wait < 0):
+        raise ValueError("quoted_wait must be a finite nonnegative number")
+    if not math.isfinite(battery):
+        raise ValueError("battery must be a finite number")
+    if battery > e_full:
+        raise ValueError(f"battery {battery} exceeds battery capacity {e_full}")
+    if not math.isfinite(remaining_time):
+        raise ValueError("remaining_time must be a finite number")
+
+
+def _ramp_row(p: TruckParams, d: float, s: float) -> _Ramp:
+    """The battery bound at a ramp with detour ``d`` and segment ``s``, the
+    drain of driving past, the drain of stopping (detour both ways plus the
+    segment), and the level after leaving a full charge."""
+    p_bar = p.p_bar
+    return (p.e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), p.e_full - p_bar * (d + s))
+
+
+def _feasible(strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp]) -> bool:
+    """Whether some stop pattern over the ramp rows ``ramps``, reached with
+    ``battery``, may have feasible durations: whether charging to full at
+    some choice of stops keeps every bound within the 1e-7 margin.
+    Charging to full is pointwise the highest trajectory any durations of
+    those stops achieve.
+
+    Float subtraction is monotone, so a higher battery at a ramp is never
+    worse than a lower one: it can drive past wherever the lower one can,
+    and stopping refills both to the same level. The pass therefore keeps
+    only the highest level any pattern reaches. At each ramp the truck
+    drives past or, when the level meets the bound there, stops and
+    refills; in strict margin mode driving past needs the bound too.
+    """
+    eps = _FEASIBILITY_TOL
+    high = battery
+    for floor, drive, _, refilled in ramps:
+        if high >= floor - eps:
+            high = max(high - drive, refilled)
+        elif strict:
+            return False
+        else:
+            high -= drive
+    return high >= e_safe - eps
 
 
 # -- JSON codec ----------------------------------------------------------------

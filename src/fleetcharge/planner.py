@@ -21,7 +21,10 @@ pattern is visited, one pass over the route decides whether any pattern is
 feasible at all. It keeps the highest battery level that any choice of
 stops so far can reach: at each ramp the truck drives past, or, when the
 level meets the bound there, refills to full. A tail with no feasible
-pattern is reported infeasible without enumerating anything.
+pattern is reported infeasible without enumerating anything. The pass,
+`_feasible`, lives in `fleetcharge.model` with the ramp checks, because
+the scenario generator runs it on every sampled truck without loading
+this module.
 
 Each visited pattern is then walked once over its battery rows (see
 `_RouteTail.walk`), and that one walk decides it; none of the tests is
@@ -77,12 +80,18 @@ from .model import (
     MAX_ENUMERATED_STATIONS,
     ChargeDecision,
     ChargingPlan,
+    RouteTooLongError,
     StationSpec,
     TruckParams,
+    _FEASIBILITY_TOL,
     _check_params,
+    _check_ramp_values,
     _check_station,
+    _check_station_count,
+    _feasible,
     _full_charge_is_finite,
     _price_per_minute_at,
+    _ramp_row,
     charging_rate,
     decode_record,
     encode_record,
@@ -107,32 +116,7 @@ __all__ = [
 ]
 
 _COST_TIE_TOL = 1e-9
-# the phase-1 tolerance: a pattern is infeasible when its rows' summed
-# excess over what its stops may buy is larger. The same margin bounds how
-# far `_feasible`'s highest level may dip below a bound, and lowers the
-# energy needs of the cost bounds
-_FEASIBILITY_TOL = 1e-7
 _INFEASIBLE = LPResult("infeasible", None, None)
-
-
-class RouteTooLongError(ValueError):
-    """More remaining stations than the exact enumeration supports."""
-
-
-def _check_ramp_values(
-    has_station: bool, battery: float, e_full: float, quoted_wait: float, remaining_time: float
-) -> None:
-    """`PlannerInput`'s and `TruckRoute.at`'s checks of the values that
-    change per ramp; only a ramp with a station ahead has a quote. A
-    battery above capacity is refused like a scenario's ``e_initial``."""
-    if has_station and (not math.isfinite(quoted_wait) or quoted_wait < 0):
-        raise ValueError("quoted_wait must be a finite nonnegative number")
-    if not math.isfinite(battery):
-        raise ValueError("battery must be a finite number")
-    if battery > e_full:
-        raise ValueError(f"battery {battery} exceeds battery capacity {e_full}")
-    if not math.isfinite(remaining_time):
-        raise ValueError("remaining_time must be a finite number")
 
 
 @record
@@ -164,11 +148,7 @@ class PlannerInput:
 
     def __post_init__(self) -> None:
         m = len(self.stations)
-        if m > MAX_ENUMERATED_STATIONS:
-            raise RouteTooLongError(
-                f"{m} remaining stations exceeds the exact-enumeration cap "
-                f"of {MAX_ENUMERATED_STATIONS}"
-            )
+        _check_station_count(m)
         if len(self.segment_times) != m:
             raise ValueError(
                 f"expected {m} segment_times (one per remaining station), "
@@ -295,22 +275,9 @@ def evaluate_plan_cost(
 # -- fixed stop pattern: the duration LP -------------------------------------
 
 
-_Ramp = tuple[float, float, float, float]
-
-
-def _ramp_row(p: TruckParams, d: float, s: float) -> _Ramp:
-    """The battery bound at a ramp with detour ``d`` and segment ``s``, the
-    drain of driving past, the drain of stopping (detour both ways plus the
-    segment), and the level after leaving a full charge."""
-    p_bar = p.p_bar
-    return (p.e_safe + p_bar * d, p_bar * s, p_bar * (2.0 * d + s), p.e_full - p_bar * (d + s))
-
-
 def has_feasible_pattern(inp: PlannerInput) -> bool:
-    """Whether some stop pattern may have feasible durations, in one pass
-    over the route: whether charging to full at some choice of stops keeps
-    every bound within the 1e-7 margin. Charging to full is pointwise the
-    highest trajectory any durations of those stops achieve."""
+    """Whether some stop pattern may have feasible durations: the model's
+    charge-to-full pass, `_feasible`, over the input's route."""
     p = inp.params
     return _feasible(
         inp.require_detour_margin_everywhere,
@@ -318,28 +285,6 @@ def has_feasible_pattern(inp: PlannerInput) -> bool:
         p.e_safe,
         [_ramp_row(p, d, s) for d, s in zip(inp.detour_times, inp.segment_times)],
     )
-
-
-def _feasible(strict: bool, battery: float, e_safe: float, ramps: Sequence[_Ramp]) -> bool:
-    """`has_feasible_pattern` over already built ramp rows.
-
-    Float subtraction is monotone, so a higher battery at a ramp is never
-    worse than a lower one: it can drive past wherever the lower one can,
-    and stopping refills both to the same level. The pass therefore keeps
-    only the highest level any pattern reaches. At each ramp the truck
-    drives past or, when the level meets the bound there, stops and
-    refills; in strict margin mode driving past needs the bound too.
-    """
-    eps = _FEASIBILITY_TOL
-    high = battery
-    for floor, drive, _, refilled in ramps:
-        if high >= floor - eps:
-            high = max(high - drive, refilled)
-        elif strict:
-            return False
-        else:
-            high -= drive
-    return high >= e_safe - eps
 
 
 # The fields of one station's row in `TruckRoute.columns`: its `_ramp_row`,

@@ -686,6 +686,23 @@ def test_generate_refuses_an_energy_off_the_grid_with_exit_one(tmp_path, capsys,
     assert "generation failed: " in err and "too large to snap to the 0.1 grid" in err
 
 
+# a sampled route longer than the planner enumerates is refused, without a
+# traceback and without writing the scenario
+def test_generate_of_a_route_past_the_enumeration_cap_exits_one(tmp_path):
+    out = tmp_path / "s.json"
+    sets = ["--set", "station_count=20", "--set", "stations_per_route_range=[17,17]"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fleetcharge.cli", "generate", *sets, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert "17 remaining stations exceeds the exact-enumeration cap of 16" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _plan_payload() -> dict:
     return json.loads(PLAN_INPUT.read_text())
 

@@ -1,9 +1,13 @@
 """Seeded scenario generation: reproducibility, grids, completability."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fleetcharge import generator
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import scenario_to_json, validate_scenario
+from fleetcharge.model import ordered_sum, scenario_to_json, validate_scenario
+from fleetcharge.planner import PlannerInput, has_feasible_pattern
 from fleetcharge.simulation import audit_run, run_offline_baseline, run_proposed
 
 
@@ -90,6 +94,18 @@ def test_generated_fleets_complete_their_trips(seed):
         assert audit_run(sc, result) == []
 
 
+# completable means by charging: most trucks of the reference template
+# cannot reach their destination on their initial battery
+def test_generated_fleets_need_charging():
+    sc = generate_scenario(ScenarioTemplate(), 0)
+    short = [
+        t
+        for t in sc.trucks
+        if t.e_initial - t.params.p_bar * ordered_sum(t.route.segment_times) < t.params.e_safe
+    ]
+    assert len(short) > len(sc.trucks) // 2
+
+
 def test_template_from_dict_round_trip():
     t = ScenarioTemplate.from_dict(
         {"truck_count": 8, "port_count_range": [1, 2], "label": "x"}
@@ -125,3 +141,75 @@ def test_labels_carry_through():
     sc = generate_scenario(ScenarioTemplate(label="rush-hour"), 2)
     assert sc.label == "rush-hour"
     assert sc.rng_seed == 2
+
+
+def _planner_completable(params, stations, segs, detours, e_initial, remaining_time):
+    """The oracle of `generator._route_completable`: the planner's own test
+    of a planning problem at the first ramp, with every wait 0."""
+    inp = PlannerInput(
+        params=params,
+        stations=stations,
+        segment_times=segs[1:],
+        detour_times=detours,
+        battery=e_initial - params.p_bar * segs[0],
+        quoted_wait=0.0,
+        assumed_waits=(0.0,) * (len(stations) - 1),
+        remaining_time=remaining_time,
+    )
+    return has_feasible_pattern(inp)
+
+
+def _outcome(test, *args):
+    """What ``test`` returns, or the type and message of the ValueError it
+    raises."""
+    try:
+        return test(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _ranges(lo, hi):
+    """Inclusive (lo, hi) pairs of floats in [lo, hi]."""
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(lambda r: tuple(sorted(r)))
+
+
+@st.composite
+def _templates(draw):
+    """Templates whose routes run from one station to past the planner's cap
+    of 16, with batteries from far below to far above what a route needs."""
+    station_count = draw(st.integers(1, 20))
+    lo = draw(st.integers(1, station_count))
+    return ScenarioTemplate(
+        truck_count=draw(st.integers(1, 6)),
+        station_count=station_count,
+        stations_per_route_range=(lo, draw(st.integers(lo, station_count))),
+        segment_time_range=draw(_ranges(0.1, 150.0)),
+        detour_time_range=draw(_ranges(0.0, 40.0)),
+        e_initial_range=draw(_ranges(0.0, 800.0)),
+        extra_time_budget=draw(st.sampled_from([0.0, 160.0, 1.7e308])),
+        p_bar=draw(st.floats(0.5, 4.0)),
+        e_full=draw(st.floats(300.0, 800.0)),
+        e_safe=draw(st.floats(50.0, 250.0)),
+    )
+
+
+# every truck draw's test, over random templates, is the planner's: the same
+# answer, or the same refusal
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(template=_templates(), seed=st.integers(0, 2**32 - 1))
+def test_route_completable_is_the_planners_test(template, seed):
+    route_completable = generator._route_completable
+
+    def checked(*args):
+        outcome = _outcome(route_completable, *args)
+        assert outcome == _outcome(_planner_completable, *args), args
+        if isinstance(outcome, str):
+            raise ValueError(outcome)
+        return outcome
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "_route_completable", checked)
+        try:
+            generate_scenario(template, seed)
+        except ValueError:
+            pass
