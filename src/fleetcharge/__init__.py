@@ -25,8 +25,6 @@ Everything is seedable and replayable: same scenario, same outputs, byte
 for byte.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # public name -> the module that defines it
@@ -71,19 +69,25 @@ _HOME = {
     "run_proposed": "simulation",
     **dict.fromkeys(("ScenarioTemplate", "generate_scenario"), "generator"),
 }
-# every module above, and the two that export no name here
-_SUBMODULES = frozenset((*_HOME.values(), "cli", "lp"))
+# every module above, and cli, which exports no name here
+_SUBMODULES = frozenset((*_HOME.values(), "cli"))
 
 __all__ = list(_HOME)
+
+
+def _load(module: str) -> object:
+    """Import a submodule by the import statement's own path, which
+    ``-X importtime`` reports, unlike `importlib.import_module`'s."""
+    return __import__(f"{__name__}.{module}", fromlist=("_",))
 
 
 def __getattr__(name: str) -> object:
     """A public name or submodule, imported on first access (PEP 562) and
     then kept in the package's globals, so it is looked up only once."""
     if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        value = getattr(_load(_HOME[name]), name)
     elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
+        value = _load(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -16,13 +16,13 @@ import random
 from typing import Any, get_origin
 
 from .model import (
+    MAX_ENUMERATED_STATIONS,
     Route,
     Scenario,
     StationSpec,
     TruckParams,
     TruckSpec,
     _check_ramp_values,
-    _check_station_count,
     _feasible,
     _ramp_row,
     _record_fields,
@@ -95,8 +95,17 @@ class ScenarioTemplate:
                     problems.append(f"{name} has lo > hi")
         if self.port_count_range[0] < 1:
             problems.append("port_count_range must start at 1 or more")
-        if self.stations_per_route_range[0] < 1:
+        lo, hi = self.stations_per_route_range
+        if lo < 1:
             problems.append("stations_per_route_range must start at 1 or more")
+        longest = min(hi, self.station_count)  # the longest route a draw gives
+        if longest < lo <= hi:
+            problems.append("stations_per_route_range exceeds station_count")
+        if longest > MAX_ENUMERATED_STATIONS:
+            problems.append(
+                f"stations_per_route_range allows routes of {longest} stations, "
+                f"past the planner's exact-enumeration cap of {MAX_ENUMERATED_STATIONS}"
+            )
         if self.segment_time_range[0] <= 0:
             problems.append("segment times must be positive")
         if self.detour_time_range[0] < 0:
@@ -148,9 +157,8 @@ def _route_completable(
 ) -> bool:
     """Whether the planner, standing at the first ramp with no waits, finds
     some stop pattern that may complete the route: its charge-to-full pass,
-    run here without loading the planner. A route the planner cannot
-    enumerate and a value it refuses raise its errors."""
-    _check_station_count(len(stations))
+    run here without loading the planner. A value it refuses raises its
+    error; the template already refuses a route it cannot enumerate."""
     battery = e_initial - params.p_bar * segs[0]
     _check_ramp_values(bool(stations), battery, params.e_full, 0.0, remaining_time)
     rows = [_ramp_row(params, d, s) for d, s in zip(detours, segs[1:])]
@@ -167,10 +175,6 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
 
     lo_stops, hi_stops = template.stations_per_route_range
     hi_stops = min(hi_stops, template.station_count)
-    if lo_stops > hi_stops:
-        raise ValueError(
-            "invalid template ranges: stations_per_route_range exceeds station_count"
-        )
 
     trucks = []
     for i in range(template.truck_count):

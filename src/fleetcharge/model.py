@@ -321,8 +321,7 @@ def _price_per_minute_at(station: StationSpec, rate: float) -> float:
 
 def _is_finite_number(x: Any) -> bool:
     """A finite float, or an int (not a bool) small enough to be one."""
-    # the exact type first: scenario values are almost all plain floats
-    if type(x) is float or isinstance(x, float):
+    if isinstance(x, float):
         return math.isfinite(x)
     return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 

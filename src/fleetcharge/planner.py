@@ -64,9 +64,11 @@ and each stop's need and cap: the least and the most energy it and the
 stops before it buy. The no-stop pattern's only variable is then the
 overtime hinge, a one-stop pattern charges its need, up to its cap, over
 the station's rate, and a pattern with two or more stops goes to
-`solve_lp`, the exact gas-station fill of `fleetcharge.lp`. Each returns
-the least total charging time among the cost-optimal durations, so
-reported plans are unique and replayable.
+`solve_lp`. With the need and cap of each stop, the LP is a min-cost flow
+on a path, the structure of the gas-station problem (Khuller, Malekian and
+Mestre, *To Fill or not to Fill*, 2007), and `solve_lp` fills it exactly.
+Each returns the least total charging time among the cost-optimal
+durations, so reported plans are unique and replayable.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ import math
 from itertools import combinations
 from typing import Any, Iterable, Sequence
 
-from .lp import LPResult, solve_lp
 from .model import (
     MAX_ENUMERATED_STATIONS,
     ChargeDecision,
@@ -100,6 +101,7 @@ from .model import (
 )
 
 __all__ = [
+    "LPResult",
     "MAX_ENUMERATED_STATIONS",
     "PlannerInput",
     "PlannerSolution",
@@ -113,10 +115,10 @@ __all__ = [
     "minimal_rescue_charge",
     "planner_input_from_dict",
     "solution_to_dict",
+    "solve_lp",
 ]
 
 _COST_TIE_TOL = 1e-9
-_INFEASIBLE = LPResult("infeasible", None, None)
 
 
 @record
@@ -647,6 +649,110 @@ class _RouteTail:
         rates = [self.rates[l] for l in selected]
         costs = [self.minute_cost[l] for l in selected]
         return solve_lp(need, caps, rates, costs, rho, slack)
+
+
+_KEY_TOL = 1e-12
+
+
+@record
+class LPResult:
+    """status is 'optimal' or 'infeasible'; x (the durations in pattern
+    order, then the overtime hinge z) and objective are populated only
+    when status is 'optimal'. `solve_lp` is given feasible patterns only,
+    so 'infeasible' is the planner's verdict on a pattern's walk."""
+
+    status: str
+    x: tuple[float, ...] | None
+    objective: float | None
+
+
+_INFEASIBLE = LPResult("infeasible", None, None)
+
+
+def solve_lp(
+    need: Sequence[float],
+    caps: Sequence[float],
+    rates: Sequence[float],
+    minute_costs: Sequence[float],
+    rho: float,
+    slack: float,
+) -> LPResult:
+    """Minimize ``sum(minute_costs[i] * t[i]) + z`` over charging minutes
+    ``t >= 0`` and the hinge ``z >= max(rho * (sum(t) - slack), 0)``.
+
+    Stops 0..i must buy at least ``need[i]`` and may buy at most
+    ``caps[i]`` together, and stop i charges ``rates[i]`` kWh per minute.
+    Both bounds never decrease with i.
+
+    The forward fill at a price ``lam`` per minute lets each stop buy up to
+    the need before the next stop whose key ``(minute_cost + lam) / rate``
+    is no worse, or everything still needed when there is none, and never
+    past its cap. Keys within 1e-12 relative are equal (two stations a
+    price and a port power apart can cost the same per kWh, up to
+    rounding); ties go to the faster stop, then to the later one. That fill
+    is the least-time optimum among the cost-optimal durations at ``lam``.
+    ``lam`` is 0 when that fill's minutes fit the slack, and rho when even
+    the rho-keyed fill overruns it. Otherwise the minutes cross the slack
+    at a breakpoint, a ``lam`` where two keys tie, and the durations are
+    the convex combination of the fills on either side of it whose minutes
+    use the slack exactly.
+    """
+    k = len(caps)
+
+    def fill(lam: float) -> list[float]:
+        """The charging minutes of the forward fill at price ``lam``."""
+        keys = [(c + lam) / r for c, r in zip(minute_costs, rates)]
+        bought = 0.0
+        minutes = []
+        for i in range(k):
+            key, rate = keys[i], rates[i]
+            target = need[-1]
+            for j in range(i + 1, k):
+                other = keys[j]
+                tied = abs(other - key) <= _KEY_TOL * max(other, key)
+                if (other < key and not tied) or (tied and rates[j] >= rate):
+                    target = need[j - 1]
+                    break
+            target = min(target, caps[i])
+            if target > bought:
+                minutes.append((target - bought) / rate)
+                bought = target
+            else:
+                minutes.append(0.0)
+        return minutes
+
+    t = fill(0.0)
+    if rho > 0 and ordered_sum(t) > slack:
+        t = fill(rho)
+        if ordered_sum(t) <= slack:
+            # the keys of stops i and j tie at lam; the fill at 0 overruns
+            # the slack and the fill at rho fits it
+            ties = {0.0, rho}
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if rates[i] != rates[j]:
+                        lam = (rates[i] * minute_costs[j] - rates[j] * minute_costs[i]) / (
+                            rates[j] - rates[i]
+                        )
+                        if 0 < lam < rho:
+                            ties.add(lam)
+            breaks = sorted(ties)
+            # bisect for the first breakpoint whose fill fits the slack:
+            # minutes never grow with lam
+            lo, hi = 1, len(breaks) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if ordered_sum(fill(breaks[mid])) <= slack:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            left, right = fill(breaks[lo - 1]), fill(breaks[lo])
+            over, under = ordered_sum(left), ordered_sum(right)
+            theta = (slack - under) / (over - under)
+            t = [b + theta * (a - b) for a, b in zip(left, right)]
+    z = max(rho * (ordered_sum(t) - slack), 0.0)
+    objective = ordered_sum(c * minutes for c, minutes in zip(minute_costs, t)) + z
+    return LPResult("optimal", (*t, z), objective)
 
 
 def _level_patterns(m: int, k: int) -> Iterable[tuple[int, ...]]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fleetcharge import planner
 from fleetcharge.generator import ScenarioTemplate, _truck_params
-from fleetcharge.lp import solve_lp
 from fleetcharge.model import (
     Route,
     Scenario,
@@ -20,7 +19,7 @@ from fleetcharge.model import (
     electricity_price_per_minute,
     replace,
 )
-from fleetcharge.planner import PlannerInput, _RouteTail
+from fleetcharge.planner import PlannerInput, _RouteTail, solve_lp
 
 import reference_lp
 

@@ -5,13 +5,14 @@ Each mutant below is one source edit to a check of `audit_run`,
 `PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to the
 charge-to-full pass `_feasible`, to the walk's refusal of infeasible
 stop patterns, which `solve_charging_problem` skips, to the cost bound
-the walk gives a pattern, to `decode_message`'s refusal of a negative
-message time (the
-only check of a message time), to the event loop's refusal of a run
-whose times or totals overflow, or to `compare`'s refusal of a wait
-reduction that is not a finite percentage: a violation message is no
-longer appended, an error is no longer raised, a refusal is dropped or
-weakened, or the bound is overstated. The edit is applied to a
+the walk gives a pattern, to the multi-stop fill `solve_lp` (its caps,
+its step past the slack and its key tie rule), to `decode_message`'s
+refusal of a negative message time (the only check of a message time),
+to the event loop's refusal of a run whose times or totals overflow, or
+to `compare`'s refusal of a wait reduction that is not a finite
+percentage: a violation message is no longer appended, an error is no
+longer raised, a refusal is dropped or weakened, the bound is
+overstated, or the fill buys other durations. The edit is applied to a
 temporary copy of `src/` and `tests/`, and the mutant's tests run there
 with pytest. A mutant is caught when they fail. A check guarded by
 several test files has one mutant per file, so each file must catch it.
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 AUDIT_TESTS = ["tests/test_audit_messages.py"]
 PLANNER_TESTS = ["tests/test_planner.py", "tests/test_planner_pruning.py"]
 PRUNING_TESTS = ["tests/test_planner_pruning.py"]
+FILL_TESTS = ["tests/test_lp.py"]
 INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
 DECODER_TESTS = [["tests/test_protocol.py"], ["tests/test_codec.py"]]
 OVERFLOW_TESTS = [["tests/test_cli.py"], ["tests/test_simulation.py"]]
@@ -96,6 +98,18 @@ REPLACED = [
         PRUNING_TESTS,
     ),
     ("planner.py", "if rates[l] > fastest:\n", "if rates[l] < fastest or fastest == 0.0:\n", PRUNING_TESTS),
+    # the fill, which buys past a stop's cap, never prices the overtime
+    # of minutes past the slack, or breaks a key tie towards the earlier
+    # of two equally fast stops; only the long-route golden reaches a
+    # tie, so its test catches the last
+    ("planner.py", "target = min(target, caps[i])\n", "target = target\n", FILL_TESTS),
+    ("planner.py", "if rho > 0 and ordered_sum(t) > slack:\n", "if False:\n", FILL_TESTS),
+    (
+        "planner.py",
+        "(tied and rates[j] >= rate)",
+        "(tied and rates[j] > rate)",
+        ["tests/test_goldens.py"],
+    ),
     # the charge-to-full pass, which no longer refills at a stop; the
     # generator and the planner both run it
     *(

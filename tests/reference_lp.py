@@ -5,8 +5,8 @@ planner built for it before the package solved those LPs without a
 simplex.
 
 Tests check the package's direct solvers (`_RouteTail.solve`, its closed
-forms for at most one stop and `fleetcharge.lp.solve_lp` for more)
-against this simplex on that LP.
+forms for at most one stop and the planner's `solve_lp` for more) against
+this simplex on that LP.
 """
 
 from __future__ import annotations

@@ -686,8 +686,12 @@ def test_generate_refuses_an_energy_off_the_grid_with_exit_one(tmp_path, capsys,
     assert "generation failed: " in err and "too large to snap to the 0.1 grid" in err
 
 
-# a sampled route longer than the planner enumerates is refused, without a
-# traceback and without writing the scenario
+PAST_THE_CAP = "allows routes of 17 stations, past the planner's exact-enumeration cap of 16"
+
+
+# a template whose routes can be longer than the planner enumerates is
+# refused before any draw, without a traceback and without writing the
+# scenario
 def test_generate_of_a_route_past_the_enumeration_cap_exits_one(tmp_path):
     out = tmp_path / "s.json"
     sets = ["--set", "station_count=20", "--set", "stations_per_route_range=[17,17]"]
@@ -698,9 +702,25 @@ def test_generate_of_a_route_past_the_enumeration_cap_exits_one(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 1
-    assert "17 remaining stations exceeds the exact-enumeration cap of 16" in proc.stderr
+    assert proc.stderr.startswith("bad template: ") and PAST_THE_CAP in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# the refusal does not depend on the draws: a single truck's route is often
+# short enough, but the template allows one that is not
+@pytest.mark.parametrize("seed", range(9))
+@pytest.mark.parametrize("truck_count", [20, 1])
+def test_a_template_allowing_a_route_past_the_cap_is_refused_on_every_seed(
+    tmp_path, capsys, truck_count, seed
+):
+    out = tmp_path / "s.json"
+    sets = ["station_count=20", "stations_per_route_range=[12,17]", f"truck_count={truck_count}"]
+    argv = ["generate", "--seed", str(seed), "--out", str(out)]
+    assert main(argv + [a for item in sets for a in ("--set", item)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("bad template: ") and PAST_THE_CAP in err
 
 
 def _plan_payload() -> dict:

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from fleetcharge import generator
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import ordered_sum, scenario_to_json, validate_scenario
+from fleetcharge.model import (
+    MAX_ENUMERATED_STATIONS,
+    ordered_sum,
+    scenario_to_json,
+    validate_scenario,
+)
 from fleetcharge.planner import PlannerInput, has_feasible_pattern
 from fleetcharge.simulation import audit_run, run_offline_baseline, run_proposed
 
@@ -125,6 +130,14 @@ def test_template_rejects_bad_ranges():
         ScenarioTemplate(segment_time_range=(60.0, 20.0))
     with pytest.raises(ValueError, match="invalid template ranges"):
         ScenarioTemplate(truck_count=0)
+    # the longest route a truck draw can give, the range's end or every
+    # station, must be at least its start and at most the planner's cap
+    with pytest.raises(ValueError, match="stations_per_route_range exceeds station_count$"):
+        ScenarioTemplate(station_count=3, stations_per_route_range=(4, 5))
+    with pytest.raises(ValueError, match="allows routes of 17 stations, past .* cap of 16$"):
+        ScenarioTemplate(station_count=20, stations_per_route_range=(12, 17))
+    ScenarioTemplate(station_count=20, stations_per_route_range=(12, 16))
+    ScenarioTemplate(station_count=16, stations_per_route_range=(12, 40))
 
 
 def test_generation_fails_loudly_when_nothing_completable():
@@ -175,14 +188,16 @@ def _ranges(lo, hi):
 
 @st.composite
 def _templates(draw):
-    """Templates whose routes run from one station to past the planner's cap
-    of 16, with batteries from far below to far above what a route needs."""
+    """Templates of up to 20 stations whose routes run from one station to
+    the planner's cap of 16, with batteries from far below to far above
+    what a route needs."""
     station_count = draw(st.integers(1, 20))
-    lo = draw(st.integers(1, station_count))
+    longest = min(station_count, MAX_ENUMERATED_STATIONS)
+    lo = draw(st.integers(1, longest))
     return ScenarioTemplate(
         truck_count=draw(st.integers(1, 6)),
         station_count=station_count,
-        stations_per_route_range=(lo, draw(st.integers(lo, station_count))),
+        stations_per_route_range=(lo, draw(st.integers(lo, longest))),
         segment_time_range=draw(_ranges(0.1, 150.0)),
         detour_time_range=draw(_ranges(0.0, 40.0)),
         e_initial_range=draw(_ranges(0.0, 800.0)),

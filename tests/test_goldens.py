@@ -9,6 +9,8 @@ import pytest
 from fleetcharge.cli import main
 from fleetcharge.protocol import decode_message, encode_message
 
+from conftest import counting_solve_lp
+
 GOLDENS = Path(__file__).parent / "goldens"
 
 RUN_FILES = [
@@ -110,7 +112,11 @@ def test_long_route_run_reproduces_its_golden(tmp_path):
     assert scenario.read_bytes() == (long / "scenario.json").read_bytes()
     run_dir = tmp_path / "run"
     argv = ["run", "--scenario", str(scenario), "--strategy", "both"]
-    assert main([*argv, "--out", str(run_dir)]) == 0
+    calls, patch = counting_solve_lp()
+    with patch:
+        assert main([*argv, "--out", str(run_dir)]) == 0
+    # 18 offline and 36 proposed, through the name the benchmark's tracer binds
+    assert len(calls) == 54
     assert main(["report", str(run_dir / "proposed")]) == 0
     for rel in RUN_FILES + REPORT_FILES:
         fresh = (run_dir / rel).read_bytes()

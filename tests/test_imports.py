@@ -15,7 +15,7 @@ from fleetcharge import reports, simulation
 GOLDENS = Path(__file__).parent / "goldens"
 FIXTURES = Path(__file__).parent / "fixtures"
 # the layers that plan, negotiate, generate or simulate
-ENGINE = {"generator", "lp", "planner", "protocol", "simulation"}
+ENGINE = {"generator", "planner", "protocol", "simulation"}
 LAYERS = sorted(p.stem for p in Path(fleetcharge.__file__).parent.glob("[!_]*.py"))
 
 
@@ -91,7 +91,7 @@ def test_run_loads_no_generator(tmp_path):
 @pytest.mark.parametrize(
     "command, layers",
     [
-        ("plan", {"cli", "model", "planner", "lp"}),
+        ("plan", {"cli", "model", "planner"}),
         ("generate", {"cli", "model", "generator"}),
     ],
 )
@@ -110,6 +110,21 @@ def test_generating_a_scenario_loads_only_the_model_and_the_generator(tmp_path):
         "assert fleetcharge.load_scenario('scenario.json') == scenario"
     )
     assert _fresh(code, tmp_path) == {"model", "generator"}
+
+
+# a layer loaded through the package namespace is imported by the import
+# statement's own path, so `-X importtime` lists it
+def test_importtime_lists_a_layer_loaded_through_the_namespace(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import fleetcharge; fleetcharge.generate_scenario"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"fleetcharge.model", "fleetcharge.generator"} <= listed
 
 
 # records are built without the dataclasses module, which imports inspect

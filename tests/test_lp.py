@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from fleetcharge.lp import solve_lp
-from fleetcharge.planner import _COST_TIE_TOL, _RouteTail
+from fleetcharge.planner import _COST_TIE_TOL, _RouteTail, solve_lp
 
 import reference_lp
 from conftest import make_params, make_planner_input, make_station, planner_inputs

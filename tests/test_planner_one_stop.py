@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from fleetcharge import simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.lp import LPResult
 from fleetcharge.model import charging_rate, load_scenario, replace
 from fleetcharge.planner import (
     _COST_TIE_TOL,
+    LPResult,
     _RouteTail,
     minimal_rescue_charge,
     solve_charging_problem,
