@@ -34,7 +34,6 @@ _HOME = {
             "ChargeDecision",
             "ChargingPlan",
             "Route",
-            "RouteTooLongError",
             "Scenario",
             "StationSpec",
             "TruckParams",

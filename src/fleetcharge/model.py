@@ -30,7 +30,6 @@ __all__ = [
     "ChargingPlan",
     "Scenario",
     "ScenarioFormatError",
-    "RouteTooLongError",
     "validate_scenario",
     "charging_rate",
     "electricity_price_per_minute",
@@ -468,20 +467,6 @@ def _full_charge_is_finite(s: StationSpec, p: TruckParams) -> bool:
 _FEASIBILITY_TOL = 1e-7
 
 _Ramp = tuple[float, float, float, float]
-
-
-class RouteTooLongError(ValueError):
-    """More remaining stations than the exact enumeration supports."""
-
-
-def _check_station_count(m: int) -> None:
-    """Refuse a route tail of ``m`` stations, more than the planner
-    enumerates."""
-    if m > MAX_ENUMERATED_STATIONS:
-        raise RouteTooLongError(
-            f"{m} remaining stations exceeds the exact-enumeration cap "
-            f"of {MAX_ENUMERATED_STATIONS}"
-        )
 
 
 def _check_ramp_values(

@@ -81,14 +81,12 @@ from .model import (
     MAX_ENUMERATED_STATIONS,
     ChargeDecision,
     ChargingPlan,
-    RouteTooLongError,
     StationSpec,
     TruckParams,
     _FEASIBILITY_TOL,
     _check_params,
     _check_ramp_values,
     _check_station,
-    _check_station_count,
     _feasible,
     _full_charge_is_finite,
     _price_per_minute_at,
@@ -105,7 +103,6 @@ __all__ = [
     "MAX_ENUMERATED_STATIONS",
     "PlannerInput",
     "PlannerSolution",
-    "RouteTooLongError",
     "TruckRoute",
     "compute_energy_trajectory",
     "check_feasibility",
@@ -136,6 +133,10 @@ class PlannerInput:
     ``require_detour_margin_everywhere`` keeps the reserve-plus-detour
     bound active at every remaining ramp, including ones the plan skips;
     switching it off enforces the bound only at planned stops.
+
+    Building one checks the tail's length against the exact-enumeration
+    cap, its lists, its per-ramp values as `TruckRoute.at` does, and its
+    truck parameters and stations as a scenario's, naming each problem.
     """
 
     params: TruckParams
@@ -150,7 +151,11 @@ class PlannerInput:
 
     def __post_init__(self) -> None:
         m = len(self.stations)
-        _check_station_count(m)
+        if m > MAX_ENUMERATED_STATIONS:
+            raise ValueError(
+                f"{m} remaining stations exceeds the exact-enumeration cap "
+                f"of {MAX_ENUMERATED_STATIONS}"
+            )
         if len(self.segment_times) != m:
             raise ValueError(
                 f"expected {m} segment_times (one per remaining station), "
@@ -170,6 +175,16 @@ class PlannerInput:
         _check_ramp_values(
             m > 0, self.battery, self.params.e_full, self.quoted_wait, self.remaining_time
         )
+        problems: list[str] = []
+        _check_params("params", self.params, problems)
+        for s in self.stations:
+            _check_station(f"station {s.id}", s, problems)
+        if not problems:
+            for s in self.stations:
+                if not _full_charge_is_finite(s, self.params):
+                    problems.append(f"station {s.id}: a full charge does not take a finite time")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def station_count(self) -> int:
@@ -271,7 +286,7 @@ def evaluate_plan_cost(
     inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
 ) -> tuple[float, float]:
     """Exact objective value and overtime of a plan, as (cost, overtime)."""
-    return _RouteTail(inp).cost(plan)
+    return _tail_of(inp).cost(plan)
 
 
 # -- fixed stop pattern: the duration LP -------------------------------------
@@ -279,14 +294,9 @@ def evaluate_plan_cost(
 
 def has_feasible_pattern(inp: PlannerInput) -> bool:
     """Whether some stop pattern may have feasible durations: the model's
-    charge-to-full pass, `_feasible`, over the input's route."""
-    p = inp.params
-    return _feasible(
-        inp.require_detour_margin_everywhere,
-        inp.battery,
-        p.e_safe,
-        [_ramp_row(p, d, s) for d, s in zip(inp.detour_times, inp.segment_times)],
-    )
+    charge-to-full pass, `_feasible`, over the rows of the input's tail."""
+    tail = _tail_of(inp)
+    return _feasible(tail.route.strict, tail.battery, tail.route.params.e_safe, tail.ramps)
 
 
 # The fields of one station's row in `TruckRoute.columns`: its `_ramp_row`,
@@ -404,14 +414,8 @@ class TruckRoute:
         _check_ramp_values(
             i < self.station_count, battery, self.params.e_full, quoted_wait, remaining_time
         )
-        tail = object.__new__(_RouteTail)
-        self._slice_into(tail, i, battery, quoted_wait, remaining_time)
-        return tail
-
-    def _slice_into(
-        self, tail: _RouteTail, i: int, battery: float, quoted_wait: float, remaining_time: float
-    ) -> None:
         c, o, n = self.columns, _FIELDS * i, _FIELDS
+        tail = object.__new__(_RouteTail)
         tail.route = self
         tail.start = i
         tail.battery = battery
@@ -430,6 +434,13 @@ class TruckRoute:
         else:
             tail.labor = ()
         tail.seg_total = ordered_sum(c[o + _SEGMENT :: n])
+        return tail
+
+
+def _tail_of(inp: PlannerInput) -> _RouteTail:
+    """The route tail of a planner input: its one-off route at its first
+    ramp."""
+    return TruckRoute.of_input(inp).at(0, inp.battery, inp.quoted_wait, inp.remaining_time)
 
 
 class _RouteTail:
@@ -438,8 +449,8 @@ class _RouteTail:
     per-pattern computations that share them: one walk over the pattern's
     battery rows, which gives its cost lower bound and its duration LP.
 
-    ``_RouteTail(inp)`` is the tail of a one-off route built from a planner
-    input, at its first ramp; `TruckRoute.at` makes the others.
+    `TruckRoute.at` makes every tail; a planner input's is its one-off
+    route's at the first ramp, `_tail_of`.
     """
 
     __slots__ = (
@@ -456,11 +467,6 @@ class _RouteTail:
         "detour_drain",
         "seg_total",
     )
-
-    def __init__(self, inp: PlannerInput) -> None:
-        TruckRoute.of_input(inp)._slice_into(
-            self, 0, inp.battery, inp.quoted_wait, inp.remaining_time
-        )
 
     def planner_input(self) -> PlannerInput:
         """The planner input of this tail, as a truck at this ramp would
@@ -784,7 +790,7 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
     ``patterns_considered`` counts the patterns visited, and ``lp_solves``
     the `solve_lp` calls, one per feasible pattern with two or more stops.
     """
-    tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
+    tail = inp if isinstance(inp, _RouteTail) else _tail_of(inp)
     route = tail.route
     if not _feasible(route.strict, tail.battery, route.params.e_safe, tail.ramps):
         return PlannerSolution("infeasible", None, 0, 0)
@@ -847,7 +853,7 @@ def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
     arithmetic is a walk residual as large; the two compute it with
     different float expressions.
     """
-    tail = inp if isinstance(inp, _RouteTail) else _RouteTail(inp)
+    tail = inp if isinstance(inp, _RouteTail) else _tail_of(inp)
     if not tail.rates:
         return None
     result = tail.solve((0,))
@@ -862,26 +868,14 @@ def minimal_rescue_charge(inp: PlannerInput | _RouteTail) -> float | None:
 def planner_input_from_dict(doc: dict[str, Any]) -> PlannerInput:
     """Build a planner input from parsed JSON (the CLI's `plan` payload).
 
-    The payload is decoded as the input's fields, so a mistyped field
-    raises ValueError naming it; ``quoted_wait`` and ``assumed_waits``
-    default to no live quote and no assumed waits. Truck parameters and
-    stations then get a scenario's checks, a finite full charge included,
-    and any violation raises ValueError naming every problem found.
+    The payload is decoded as the input's fields, with ``quoted_wait`` and
+    ``assumed_waits`` defaulting to no live quote and no assumed waits. A
+    mistyped field, or a value that `PlannerInput`'s own checks refuse,
+    raises ValueError with the path ``planner input``.
     """
-    inp = decode_record(
+    return decode_record(
         PlannerInput, {"quoted_wait": 0.0, "assumed_waits": [], **doc}, "planner input"
     )
-    problems: list[str] = []
-    _check_params("planner input", inp.params, problems)
-    for s in inp.stations:
-        _check_station(f"station {s.id}", s, problems)
-    if not problems:
-        for s in inp.stations:
-            if not _full_charge_is_finite(s, inp.params):
-                problems.append(f"station {s.id}: a full charge does not take a finite time")
-    if problems:
-        raise ValueError("; ".join(problems))
-    return inp
 
 
 def solution_to_dict(solution: PlannerSolution) -> dict[str, Any]:

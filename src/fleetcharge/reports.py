@@ -150,14 +150,21 @@ class RunMetrics:
 
 def metrics_from_dict(doc: Any) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
-    ``encode_record``). A malformed ``doc``, or a trip whose arrival
-    fields disagree with its ``stranded`` flag, raises ValueError naming
-    the field."""
+    ``encode_record``). A malformed ``doc``, a trip whose arrival fields
+    disagree with its ``stranded`` flag, or a truck or station listed
+    twice raises ValueError naming the field."""
     metrics = decode_record(RunMetrics, doc, "metrics")
     for i, trip in enumerate(metrics.per_truck):
         for name in ("arrival_time", "deadline_violation", "residual_battery"):
             if (getattr(trip, name) is None) != trip.stranded:
                 raise ValueError(f"per_truck[{i}]: {name} must be null exactly when stranded")
+    for key, field in (("per_truck", "truck_id"), ("per_station", "station")):
+        seen: set[str] = set()
+        for i, row in enumerate(getattr(metrics, key)):
+            name = getattr(row, field)
+            if name in seen:
+                raise ValueError(f"{key}[{i}]: duplicate {field} {name!r}")
+            seen.add(name)
     return metrics
 
 

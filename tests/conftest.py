@@ -19,7 +19,7 @@ from fleetcharge.model import (
     electricity_price_per_minute,
     replace,
 )
-from fleetcharge.planner import PlannerInput, _RouteTail, solve_lp
+from fleetcharge.planner import PlannerInput, _tail_of, solve_lp
 
 import reference_lp
 
@@ -134,7 +134,7 @@ def assignment_lp(inp: PlannerInput, selected, **options):
     """The duration LP of one stop pattern, solved by the simplex: the
     reference for the planner's solvers. ``options`` are those of
     `reference_lp.duration_program`."""
-    return reference_lp.duration_lp(_RouteTail(inp), selected, **options)
+    return reference_lp.duration_lp(_tail_of(inp), selected, **options)
 
 
 def counting_solve_lp():

@@ -2,8 +2,10 @@
 the package, and require the tests that guard it to fail.
 
 Each mutant below is one source edit to a check of `audit_run`,
-`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to the
-charge-to-full pass `_feasible`, to the walk's refusal of infeasible
+`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to
+`PlannerInput`'s refusals of its truck parameters and stations (one
+joined message) and of a route tail past the exact-enumeration cap, to
+the charge-to-full pass `_feasible`, to the walk's refusal of infeasible
 stop patterns, which `solve_charging_problem` skips, to the cost bound
 the walk gives a pattern, to the multi-stop fill `solve_lp` (its caps,
 its step past the slack and its key tie rule), to `decode_message`'s
@@ -73,6 +75,8 @@ SILENCED = [
     ("model.py", "raise ValueError(", "battery must be a finite", INPUT_TESTS),
     ("model.py", "raise ValueError(", "battery {battery} exceeds battery capacity", INPUT_TESTS),
     ("model.py", "raise ValueError(", "remaining_time must be", INPUT_TESTS),
+    ("planner.py", "raise ValueError(", '"; ".join(problems)', INPUT_TESTS),
+    ("planner.py", "raise ValueError(", "remaining stations exceeds", INPUT_TESTS),
     *(("protocol.py", "raise MessageDecodeError(", "must be finite and nonnegative", t) for t in DECODER_TESTS),
     *(("simulation.py", "raise RunOverflowError(", "at ramp {i + 1} is not", t) for t in OVERFLOW_TESTS),
     ("simulation.py", "raise RunOverflowError(", "at its destination is not", OVERFLOW_TESTS[1]),

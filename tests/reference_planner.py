@@ -24,7 +24,7 @@ from fleetcharge.planner import (
     _COST_TIE_TOL,
     PlannerInput,
     PlannerSolution,
-    _RouteTail,
+    _tail_of,
     evaluate_plan_cost,
 )
 
@@ -74,7 +74,7 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
     """The reference solution, and the best cost found before each level
     k = 0..m starts (infinite until some pattern is solved)."""
     m = inp.station_count
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     best_cost = math.inf
     best_selected: tuple[int, ...] | None = None
     best_x: tuple[float, ...] = ()

@@ -512,6 +512,31 @@ def test_report_names_the_file_it_could_not_read(
     assert capsys.readouterr().err == f"{path} is not a {kind} file: {message}\n"
 
 
+# a metrics file that lists a truck or a station twice
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize(
+    "key, row, index", [("per_truck", 1, 10), ("per_station", 0, 3)], ids=["truck", "station"]
+)
+def test_report_and_compare_refuse_a_metrics_file_that_repeats_a_row(
+    tmp_path, capsys, command, key, row, index
+):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN_RUN, run)
+    path = run / "offline" / "metrics.json"
+    doc = json.loads(path.read_text())
+    doc[key].append(doc[key][row])
+    assert len(doc[key]) == index + 1
+    path.write_text(json.dumps(doc))
+    if command == "report":
+        argv = ["report", str(run / "offline")]
+    else:
+        argv = ["compare", str(run / "offline"), str(run / "proposed"), "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path} is not a metrics file: {key}[{index}]: duplicate "), err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def _leaves(doc, path=()):
     """The path of every number, string, bool and null in a JSON document."""
     if isinstance(doc, (dict, list)):
@@ -882,6 +907,26 @@ def test_plan_rejects_out_of_range_params_and_stations(
     assert main(["plan", "--input", str(src)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+def test_plan_refuses_a_route_tail_past_the_enumeration_cap(tmp_path, capsys):
+    doc = _plan_payload()
+    n = MAX_ENUMERATED_STATIONS + 1
+    doc.update(
+        stations=doc["stations"] * n,
+        segment_times=[30.0] * n,
+        detour_times=[5.0] * n,
+        assumed_waits=[0.0] * (n - 1),
+    )
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    assert main(["plan", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"bad planning input: planner input: {n} remaining stations exceeds "
+        f"the exact-enumeration cap of {MAX_ENUMERATED_STATIONS}\n"
+    )
     assert captured.out == ""
 
 

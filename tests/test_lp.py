@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from fleetcharge.planner import _COST_TIE_TOL, _RouteTail, solve_lp
+from fleetcharge.planner import _COST_TIE_TOL, _tail_of, solve_lp
 
 import reference_lp
 from conftest import make_params, make_planner_input, make_station, planner_inputs
@@ -55,7 +55,7 @@ def _assert_matches_the_simplex(tail, selected):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(planner_inputs(min_stations=2, max_stations=8))
 def test_multi_stop_lps_match_the_simplex(inp):
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     for selected in stop_patterns(inp.station_count):
         if len(selected) > 1:
             _assert_matches_the_simplex(tail, selected)
@@ -65,7 +65,7 @@ def test_multi_stop_lps_match_the_simplex(inp):
 @given(planner_inputs())
 def test_the_solver_covers_patterns_with_at_most_one_stop(inp):
     # the closed forms return what the fill returns on the same walk
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     for selected in stop_patterns(inp.station_count):
         if len(selected) > 1:
             break
@@ -83,7 +83,7 @@ def test_the_solver_covers_patterns_with_at_most_one_stop(inp):
 
 
 def _two_stops(stations, battery=300.0, remaining_time=300.0, **params):
-    return _RouteTail(
+    return _tail_of(
         make_planner_input(
             stations=stations,
             segment_times=(60.0, 60.0),
@@ -153,7 +153,7 @@ def test_the_slack_splits_the_energy_at_the_second_breakpoint():
         assumed_waits=(0.0, 0.0),
         remaining_time=197.0,
     )
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     result = _assert_matches_the_simplex(tail, (0, 1, 2))
     assert result.x[0] == 0.0 and result.x[1] > 0.0 and result.x[2] > 0.0
     assert sum(result.x[:3]) == pytest.approx(197.0 - 180.0, rel=1e-12)
@@ -171,7 +171,7 @@ def test_a_need_past_the_last_cap_is_judged_by_the_tolerance(excess, status):
         battery=300.0,
         params=p,
     )
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     result = tail.solve((0, 1))
     reference = reference_lp.duration_lp(tail, (0, 1))
     assert result.status == reference.status == status
@@ -185,7 +185,7 @@ def test_a_need_past_the_last_cap_is_judged_by_the_tolerance(excess, status):
 def test_a_need_beyond_every_cap_is_infeasible():
     p = make_params()
     tail = _two_stops((make_station("s01"), make_station("s02")), battery=p.e_safe + 1.0)
-    far = _RouteTail(
+    far = _tail_of(
         make_planner_input(
             segment_times=(10.0, 2 * (p.e_full - p.e_safe) / p.p_bar),
             detour_times=(0.0, 0.0),

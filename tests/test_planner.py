@@ -12,8 +12,7 @@ from fleetcharge.model import ChargeDecision, replace
 from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
-    RouteTooLongError,
-    _RouteTail,
+    _tail_of,
     check_feasibility,
     compute_energy_trajectory,
     evaluate_plan_cost,
@@ -226,7 +225,7 @@ def test_an_overtime_cost_of_inf_minus_inf_does_not_block_a_finite_plan():
     sol = solve_charging_problem(inp)
     assert [d.charge for d in sol.plan.decisions] == [True, False]
     assert math.isfinite(sol.plan.anticipated_cost)
-    only_station_1 = _RouteTail(inp).solve((1,))
+    only_station_1 = _tail_of(inp).solve((1,))
     assert math.isfinite(only_station_1.objective)
     assert only_station_1.x[1] == 0.0
 
@@ -248,7 +247,7 @@ def test_empty_route_is_trivially_optimal():
 
 def test_route_length_cap():
     n = MAX_ENUMERATED_STATIONS + 1
-    with pytest.raises(RouteTooLongError):
+    with pytest.raises(ValueError, match="exact-enumeration cap"):
         make_planner_input(
             segment_times=(30.0,) * n,
             detour_times=(5.0,) * n,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from fleetcharge.model import charging_rate
-from fleetcharge.planner import _RouteTail, solve_charging_problem
+from fleetcharge.planner import _tail_of, solve_charging_problem
 
 from conftest import (
     assignment_lp,
@@ -18,7 +18,7 @@ from conftest import (
 
 
 def _assert_same_result(inp):
-    direct = _RouteTail(inp).solve(())
+    direct = _tail_of(inp).solve(())
     simplex = assignment_lp(inp, ())
     assert direct.status == simplex.status
     if simplex.status == "optimal":

@@ -21,6 +21,7 @@ from fleetcharge.planner import (
     _COST_TIE_TOL,
     LPResult,
     _RouteTail,
+    _tail_of,
     minimal_rescue_charge,
     solve_charging_problem,
 )
@@ -51,7 +52,7 @@ def _assert_matches_simplex(inp, k: int) -> LPResult:
     cap, where the closed form, like the fill of `solve_lp`, stops at the
     cap. Its charge is then at most that tolerance short of the simplex's,
     and its objective lower by at most what those minutes cost."""
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     mine = tail.solve((k,))
     search = reference_lp.duration_lp(tail, (k,))
     assert mine.status == search.status
@@ -97,7 +98,7 @@ def test_one_stop_solver_matches_the_simplex(inp):
 def _row_levels(inp, k: int) -> list[float]:
     """Battery level at which each battery row of pattern (k,) is exactly
     met without charging, in row order: the ramps, then the destination."""
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     strict = inp.require_detour_margin_everywhere
     levels = []
     drain = 0.0
@@ -135,7 +136,7 @@ def near_boundary_cases(draw):
         mode = "unliftable"
     levels = _row_levels(inp, k)
     if mode == "headroom":
-        tail = _RouteTail(inp)
+        tail = _tail_of(inp)
         p = inp.params
         drain = sum(drive for _, drive, _, _ in tail.ramps[:k])
         headroom_level = p.e_full + drain + tail.detour_drain[k]
@@ -230,7 +231,7 @@ def test_battery_above_capacity_is_refused(excess):
     message = f"battery {p.e_full + excess} exceeds battery capacity {p.e_full}"
     with pytest.raises(ValueError, match=re.escape(message)):
         make_planner_input(segment_times=(30.0,), detour_times=(0.0,), battery=p.e_full + excess)
-    route = _RouteTail(make_planner_input(segment_times=(30.0,), detour_times=(0.0,))).route
+    route = _tail_of(make_planner_input(segment_times=(30.0,), detour_times=(0.0,))).route
     with pytest.raises(ValueError, match=re.escape(message)):
         route.at(0, p.e_full + excess, 0.0, 240.0)
     assert route.at(0, p.e_full, 0.0, 240.0).solve((0,)).x[0] == 0.0

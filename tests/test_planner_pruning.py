@@ -13,7 +13,7 @@ from fleetcharge.model import ordered_sum
 from fleetcharge.planner import (
     _COST_TIE_TOL,
     _level_patterns,
-    _RouteTail,
+    _tail_of,
     check_feasibility,
     evaluate_plan_cost,
     has_feasible_pattern,
@@ -144,7 +144,7 @@ def test_level_order_is_the_bit_string_order(m):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(planner_inputs())
 def test_pattern_bound_never_exceeds_the_lp_optimum(inp):
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     for selected in stop_patterns(inp.station_count):
         result = assignment_lp(inp, selected)
         if result.status != "optimal":
@@ -171,7 +171,7 @@ def test_pattern_bound_never_exceeds_a_fill_that_stops_within_the_tolerance():
         remaining_time=1000.0,
         params=make_params(p_bar=1.0, e_full=600.0, e_safe=100.0),
     )
-    tail = _RouteTail(inp)
+    tail = _tail_of(inp)
     need, caps, slack, lower, const = tail.walk((0,))
     assert caps[0] < need[0] < caps[0] + 1e-7
     result = tail.finish((0,), need, caps, slack)

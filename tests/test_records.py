@@ -14,6 +14,7 @@ import pytest
 import fleetcharge
 from fleetcharge.generator import ScenarioTemplate
 from fleetcharge.model import (
+    MAX_ENUMERATED_STATIONS,
     MISSING,
     FrozenInstanceError,
     _record_fields,
@@ -32,7 +33,7 @@ from fleetcharge.protocol import (
 )
 from fleetcharge.station import PortLedger
 
-from conftest import make_planner_input
+from conftest import make_params, make_planner_input, make_station
 
 # every record the package defines, found by scanning its modules, so
 # a new record is covered as soon as it exists
@@ -226,6 +227,32 @@ def test_planner_input_is_checked_at_construction():
         replace(inp, battery=math.nan)
     with pytest.raises(ValueError, match="remaining_time must be a finite number"):
         replace(inp, remaining_time=math.inf)
+
+
+_PAST_THE_CAP = MAX_ENUMERATED_STATIONS + 1
+
+
+# the input of `plan` and of `solve_charging_problem` alike: the truck
+# parameters, the stations and the tail's length
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"stations": (make_station(port_power=0),)}, "station s01: port_power must be positive, got 0"),
+        # the charging rate underflows to 0 kWh/min
+        ({"params": make_params(p_max=5e-324)}, "station s01: a full charge does not take a finite time"),
+        ({"params": make_params(p_bar=-1.0)}, "params: p_bar must be positive, got -1.0"),
+        (
+            {"segment_times": (30.0,) * _PAST_THE_CAP, "detour_times": (5.0,) * _PAST_THE_CAP},
+            f"{_PAST_THE_CAP} remaining stations exceeds the exact-enumeration cap "
+            f"of {MAX_ENUMERATED_STATIONS}",
+        ),
+    ],
+    ids=["port_power-zero", "p_max-subnormal", "p_bar-negative", "past-the-cap"],
+)
+def test_planner_input_refuses_its_params_stations_and_length(edit, message):
+    with pytest.raises(ValueError) as info:
+        make_planner_input(**edit)
+    assert str(info.value) == message
 
 
 def test_scenario_template_is_checked_at_construction():

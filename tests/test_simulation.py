@@ -453,6 +453,17 @@ def test_metrics_reader_rejects_a_trip_that_contradicts_its_stranded_flag(scenar
         metrics_from_dict(doc)
 
 
+# a truck or a station listed twice would be counted twice by every report
+@pytest.mark.parametrize("key, field", [("per_truck", "truck_id"), ("per_station", "station")])
+def test_metrics_reader_rejects_a_truck_or_station_listed_twice(key, field):
+    doc = encode_record(run_proposed(_congested_scenario()).metrics)
+    rows = doc[key]
+    rows.append(rows[0])
+    i, name = len(rows) - 1, rows[0][field]
+    with pytest.raises(ValueError, match=rf"^{key}\[{i}\]: duplicate {field} '{name}'$"):
+        metrics_from_dict(doc)
+
+
 def test_metrics_reader_does_not_coerce_strings():
     doc = encode_record(run_proposed(_congested_scenario()).metrics)
     doc["per_truck"][0]["visits"][0]["t_arrival"] = "1.5"
