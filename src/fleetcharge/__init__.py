@@ -54,9 +54,6 @@ _HOME = {
             "PlannerInput",
             "PlannerSolution",
             "TruckRoute",
-            "check_feasibility",
-            "compute_energy_trajectory",
-            "evaluate_plan_cost",
             "solve_charging_problem",
         ),
         "planner",

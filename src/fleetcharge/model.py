@@ -328,7 +328,7 @@ def _is_finite_number(x: Any) -> bool:
 def _check_params(prefix: str, p: TruckParams, out: list[str]) -> None:
     for name in ("p_bar", "e_full", "e_safe", "p_max", "kappa", "rho"):
         if not _is_finite_number(getattr(p, name)):
-            out.append(f"{prefix}: params.{name} is not a finite number")
+            out.append(f"{prefix}: {name} is not a finite number")
             return
     if not 0 < p.e_safe < p.e_full:
         out.append(f"{prefix}: requires 0 < e_safe < e_full, got e_safe={p.e_safe}, e_full={p.e_full}")

@@ -104,10 +104,6 @@ __all__ = [
     "PlannerInput",
     "PlannerSolution",
     "TruckRoute",
-    "compute_energy_trajectory",
-    "check_feasibility",
-    "evaluate_plan_cost",
-    "has_feasible_pattern",
     "solve_charging_problem",
     "minimal_rescue_charge",
     "planner_input_from_dict",
@@ -200,103 +196,6 @@ class PlannerSolution:
     plan: ChargingPlan | None
     patterns_considered: int
     lp_solves: int
-
-
-def _decisions_of(plan: ChargingPlan | Sequence[ChargeDecision]) -> tuple[ChargeDecision, ...]:
-    if isinstance(plan, ChargingPlan):
-        return plan.decisions
-    return tuple(plan)
-
-
-def compute_energy_trajectory(
-    inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
-) -> tuple[float, ...]:
-    """Battery level at each remaining ramp and at the destination.
-
-    Entry ``l`` is the level reaching ramp ``l``; the final entry is the
-    level reaching the destination. Levels are the model's affine dynamics,
-    uncapped, so a plan that would overfill shows up as a level above
-    capacity rather than being silently clipped.
-    """
-    decisions = _decisions_of(plan)
-    m = inp.station_count
-    if len(decisions) != m:
-        raise ValueError(f"expected {m} decisions, got {len(decisions)}")
-    p = inp.params
-    levels = [inp.battery]
-    e = inp.battery
-    for l in range(m):
-        dec = decisions[l]
-        charged = charging_rate(inp.stations[l], p) * dec.duration if dec.charge else 0.0
-        detour = 2.0 * inp.detour_times[l] if dec.charge else 0.0
-        e = e + charged - p.p_bar * (detour + inp.segment_times[l])
-        levels.append(e)
-    return tuple(levels)
-
-
-def check_feasibility(
-    inp: PlannerInput,
-    plan: ChargingPlan | Sequence[ChargeDecision],
-    slack: float = 1e-6,
-) -> list[str]:
-    """Check a plan against every battery and duration constraint.
-
-    Returns one message per violation beyond ``slack``; empty means the plan
-    is feasible. Checked: nonnegative durations, zero duration on skipped
-    stations, the reserve-plus-detour bound at ramps (every ramp, or only
-    planned stops, per the input's flag), the reserve bound at the
-    destination, and the capacity bound on each planned charge.
-    """
-    decisions = _decisions_of(plan)
-    m = inp.station_count
-    p = inp.params
-    out: list[str] = []
-    levels = compute_energy_trajectory(inp, decisions)
-    for l in range(m):
-        dec = decisions[l]
-        if dec.duration < -slack:
-            out.append(f"station {l}: negative duration {dec.duration}")
-        if not dec.charge and dec.duration != 0.0:
-            out.append(f"station {l}: skipped but duration {dec.duration} != 0")
-        bound_applies = inp.require_detour_margin_everywhere or dec.charge
-        if bound_applies:
-            need = p.e_safe + p.p_bar * inp.detour_times[l]
-            if levels[l] < need - slack:
-                out.append(
-                    f"station {l}: level {levels[l]:.6f} below reserve-plus-detour "
-                    f"bound {need:.6f}"
-                )
-        if dec.charge:
-            at_station = levels[l] - p.p_bar * inp.detour_times[l]
-            headroom = p.e_full - at_station
-            charged = charging_rate(inp.stations[l], p) * dec.duration
-            if charged > headroom + slack:
-                out.append(
-                    f"station {l}: charge {charged:.6f} kWh exceeds "
-                    f"headroom {headroom:.6f} kWh"
-                )
-    if levels[m] < p.e_safe - slack:
-        out.append(
-            f"destination: level {levels[m]:.6f} below reserve {p.e_safe:.6f}"
-        )
-    return out
-
-
-def evaluate_plan_cost(
-    inp: PlannerInput, plan: ChargingPlan | Sequence[ChargeDecision]
-) -> tuple[float, float]:
-    """Exact objective value and overtime of a plan, as (cost, overtime)."""
-    return _tail_of(inp).cost(plan)
-
-
-# -- fixed stop pattern: the duration LP -------------------------------------
-
-
-def has_feasible_pattern(inp: PlannerInput) -> bool:
-    """Whether some stop pattern may have feasible durations: the model's
-    charge-to-full pass, `_feasible`, over the rows of the input's tail."""
-    tail = _tail_of(inp)
-    return _feasible(tail.route.strict, tail.battery, tail.route.params.e_safe, tail.ramps)
 
 
 # The fields of one station's row in `TruckRoute.columns`: its `_ramp_row`,
@@ -468,27 +367,9 @@ class _RouteTail:
         "seg_total",
     )
 
-    def planner_input(self) -> PlannerInput:
-        """The planner input of this tail, as a truck at this ramp would
-        state it: the remaining stations, segments and detours, the live
-        quote, and the assumed waits of the stations after it."""
-        r, i = self.route, self.start
-        return PlannerInput(
-            params=r.params,
-            stations=r.column(_STATION, i),
-            segment_times=r.column(_SEGMENT, i),
-            detour_times=r.column(_DETOUR, i),
-            battery=self.battery,
-            quoted_wait=self.quoted_wait,
-            assumed_waits=r.column(_WAIT, i + 1),
-            remaining_time=self.remaining_time,
-            require_detour_margin_everywhere=r.strict,
-        )
-
-    def cost(self, plan: ChargingPlan | Sequence[ChargeDecision]) -> tuple[float, float]:
-        """Exact objective value and overtime of a plan for this tail, as
-        (cost, overtime), from the route's per-minute prices."""
-        decisions = _decisions_of(plan)
+    def cost(self, decisions: Sequence[ChargeDecision]) -> tuple[float, float]:
+        """Exact objective value and overtime of a plan's decisions for this
+        tail, as (cost, overtime), from the route's per-minute prices."""
         route, i = self.route, self.start
         prices = route.column(_PRICE, i)
         detours = route.column(_DETOUR, i)

@@ -19,7 +19,16 @@ from fleetcharge.model import (
     electricity_price_per_minute,
     replace,
 )
-from fleetcharge.planner import PlannerInput, _tail_of, solve_lp
+from fleetcharge.planner import (
+    _DETOUR,
+    _SEGMENT,
+    _STATION,
+    _WAIT,
+    PlannerInput,
+    _RouteTail,
+    _tail_of,
+    solve_lp,
+)
 
 import reference_lp
 
@@ -112,6 +121,24 @@ def make_planner_input(
         assumed_waits=assumed_waits,
         remaining_time=remaining_time,
         **kw,
+    )
+
+
+def planner_input_of(tail: _RouteTail) -> PlannerInput:
+    """The planner input of a route tail, as a truck at its ramp would
+    state it: the remaining stations, segments and detours, the live
+    quote, and the assumed waits of the stations after it."""
+    r, i = tail.route, tail.start
+    return PlannerInput(
+        params=r.params,
+        stations=r.column(_STATION, i),
+        segment_times=r.column(_SEGMENT, i),
+        detour_times=r.column(_DETOUR, i),
+        battery=tail.battery,
+        quoted_wait=tail.quoted_wait,
+        assumed_waits=r.column(_WAIT, i + 1),
+        remaining_time=tail.remaining_time,
+        require_detour_margin_everywhere=r.strict,
     )
 
 

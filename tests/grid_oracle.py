@@ -1,9 +1,10 @@
 """Grid oracle: an independent, exhaustive check on the LP-based planner.
 
 It searches stop patterns and a grid of charging durations with numpy
-arrays, sharing nothing with the planner's solver but the model's plan
-checker and cost evaluation. Tests compare the planner's plans with it on
-small route tails.
+arrays, and judges its winner with the tests' plan checker
+(`reference_planner.check_feasibility`). It shares only the cost
+evaluation, `_RouteTail.cost`, with the package. Tests compare the
+planner's plans with it on small route tails.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from fleetcharge.model import ChargeDecision
-from fleetcharge.planner import PlannerInput, check_feasibility, evaluate_plan_cost
+from fleetcharge.planner import PlannerInput, _tail_of
 
 from conftest import prices_of, rates_of, waits_of
-from reference_planner import stop_patterns
+from reference_planner import check_feasibility, stop_patterns
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +164,8 @@ def brute_force_oracle(
     violations = check_feasibility(inp, decisions, slack=1e-6)
     if violations:
         raise RuntimeError(f"oracle winner fails the plan checker: {violations}")
-    exact_cost, _ = evaluate_plan_cost(inp, decisions)
+    tail = _tail_of(inp)
+    exact_cost, _ = tail.cost(decisions)
     if best_selected:
         inner = best_selected[-1]
         if best_durs[inner] >= step - 1e-12:
@@ -174,7 +176,7 @@ def brute_force_oracle(
                 for l in range(m)
             )
             if not check_feasibility(inp, down_dec, slack=0.0):
-                down_cost, _ = evaluate_plan_cost(inp, down_dec)
+                down_cost, _ = tail.cost(down_dec)
                 if down_cost < exact_cost - 1e-12:
                     raise RuntimeError(
                         "oracle winner is not grid-minimal on its last stop"

@@ -1,22 +1,25 @@
 """Mutation check of the checkers: break one check at a time in a copy of
-the package, and require the tests that guard it to fail.
+the repository, and require the tests that guard it to fail.
 
 Each mutant below is one source edit to a check of `audit_run`,
-`PortLedger.audit`, `check_feasibility` or `_check_ramp_values`, to
-`PlannerInput`'s refusals of its truck parameters and stations (one
-joined message) and of a route tail past the exact-enumeration cap, to
-the charge-to-full pass `_feasible`, to the walk's refusal of infeasible
-stop patterns, which `solve_charging_problem` skips, to the cost bound
-the walk gives a pattern, to the multi-stop fill `solve_lp` (its caps,
+`PortLedger.audit`, the tests' plan checker `check_feasibility` or
+`_check_ramp_values`, to `PlannerInput`'s refusals of its truck
+parameters and stations (one joined message) and of a route tail past
+the exact-enumeration cap, to the charge-to-full pass `_feasible`, to
+the walk's refusal of infeasible stop patterns, which
+`solve_charging_problem` skips, to the cost bound the walk gives a
+pattern, to the multi-stop fill `solve_lp` (its caps,
 its step past the slack and its key tie rule), to `decode_message`'s
 refusal of a negative message time (the only check of a message time),
 to the event loop's refusal of a run whose times or totals overflow, or
 to `compare`'s refusal of a wait reduction that is not a finite
 percentage: a violation message is no longer appended, an error is no
 longer raised, a refusal is dropped or weakened, the bound is
-overstated, or the fill buys other durations. The edit is applied to a
-temporary copy of `src/` and `tests/`, and the mutant's tests run there
-with pytest. A mutant is caught when they fail. A check guarded by
+overstated, or the fill buys other durations. A mutant names the file
+it edits by its path from the repository root, under `src/` or, for the
+plan checker, which only tests use, under `tests/`. The edit is applied
+to a temporary copy of `src/` and `tests/`, and the mutant's tests run
+there with pytest. A mutant is caught when they fail. A check guarded by
 several test files has one mutant per file, so each file must catch it.
 The tests first run once on the unchanged copy, where they must pass.
 
@@ -40,6 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the files mutated, relative to the repository root
+STATION, SIMULATION, PLANNER, MODEL, PROTOCOL, REPORTS = (
+    f"src/fleetcharge/{name}.py" for name in ("station", "simulation", "planner", "model", "protocol", "reports")
+)
+REFERENCE = "tests/reference_planner.py"
+
 AUDIT_TESTS = ["tests/test_audit_messages.py"]
 PLANNER_TESTS = ["tests/test_planner.py", "tests/test_planner_pruning.py"]
 PRUNING_TESTS = ["tests/test_planner_pruning.py"]
@@ -48,40 +57,40 @@ INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
 DECODER_TESTS = [["tests/test_protocol.py"], ["tests/test_codec.py"]]
 OVERFLOW_TESTS = [["tests/test_cli.py"], ["tests/test_simulation.py"]]
 
-# (file under src/fleetcharge, the call to neutralize, the text it is the
-# last such call before, the tests that must fail)
+# (file, the call to neutralize, the text it is the last such call before,
+# the tests that must fail)
 SILENCED = [
-    ("station.py", "out.append(", "nonpositive duration", AUDIT_TESTS),
-    ("station.py", "out.append(", "booked port {a.port}", AUDIT_TESTS),
-    ("station.py", "out.append(", "policy gives", AUDIT_TESTS),
-    ("station.py", "out.append(", "is not arrival + wait", AUDIT_TESTS),
-    ("station.py", "out.append(", "do not match replay", AUDIT_TESTS),
-    ("station.py", "out.append(", "does not match assignment count", AUDIT_TESTS),
-    ("simulation.py", "out.append(", 'f"ledger {station_id}: {msg}"', AUDIT_TESTS),
-    ("simulation.py", "out.append(", ': realized wait "', AUDIT_TESTS),
-    ("simulation.py", "out.append(", "below reserve-plus-detour bound", AUDIT_TESTS),
-    ("simulation.py", "out.append(", 'f"battery_before {visit', AUDIT_TESTS),
-    ("simulation.py", "out.append(", "recorded residual", AUDIT_TESTS),
-    ("simulation.py", "out.append(", "below reserve {p.e_safe}", AUDIT_TESTS),
-    ("simulation.py", "out.append(", "energy balance off", AUDIT_TESTS),
-    ("simulation.py", "out.append(", 'ramp arrivals"', AUDIT_TESTS),
-    ("simulation.py", "out.append(", "messages\")", AUDIT_TESTS),
-    ("planner.py", "out.append(", ": negative duration", PLANNER_TESTS),
-    ("planner.py", "out.append(", "skipped but duration", PLANNER_TESTS),
-    ("planner.py", "out.append(", "below reserve-plus-detour", PLANNER_TESTS),
-    ("planner.py", "out.append(", "kWh exceeds", PLANNER_TESTS),
-    ("planner.py", "out.append(", "destination: level", PLANNER_TESTS),
-    ("model.py", "raise ValueError(", "quoted_wait must be", INPUT_TESTS),
-    ("model.py", "raise ValueError(", "battery must be a finite", INPUT_TESTS),
-    ("model.py", "raise ValueError(", "battery {battery} exceeds battery capacity", INPUT_TESTS),
-    ("model.py", "raise ValueError(", "remaining_time must be", INPUT_TESTS),
-    ("planner.py", "raise ValueError(", '"; ".join(problems)', INPUT_TESTS),
-    ("planner.py", "raise ValueError(", "remaining stations exceeds", INPUT_TESTS),
-    *(("protocol.py", "raise MessageDecodeError(", "must be finite and nonnegative", t) for t in DECODER_TESTS),
-    *(("simulation.py", "raise RunOverflowError(", "at ramp {i + 1} is not", t) for t in OVERFLOW_TESTS),
-    ("simulation.py", "raise RunOverflowError(", "at its destination is not", OVERFLOW_TESTS[1]),
-    *(("simulation.py", "raise RunOverflowError(", "run's {name} is not", t) for t in OVERFLOW_TESTS),
-    ("reports.py", "raise ValueError(", "is not a finite percentage", OVERFLOW_TESTS[0]),
+    (STATION, "out.append(", "nonpositive duration", AUDIT_TESTS),
+    (STATION, "out.append(", "booked port {a.port}", AUDIT_TESTS),
+    (STATION, "out.append(", "policy gives", AUDIT_TESTS),
+    (STATION, "out.append(", "is not arrival + wait", AUDIT_TESTS),
+    (STATION, "out.append(", "do not match replay", AUDIT_TESTS),
+    (STATION, "out.append(", "does not match assignment count", AUDIT_TESTS),
+    (SIMULATION, "out.append(", 'f"ledger {station_id}: {msg}"', AUDIT_TESTS),
+    (SIMULATION, "out.append(", ': realized wait "', AUDIT_TESTS),
+    (SIMULATION, "out.append(", "below reserve-plus-detour bound", AUDIT_TESTS),
+    (SIMULATION, "out.append(", 'f"battery_before {visit', AUDIT_TESTS),
+    (SIMULATION, "out.append(", "recorded residual", AUDIT_TESTS),
+    (SIMULATION, "out.append(", "below reserve {p.e_safe}", AUDIT_TESTS),
+    (SIMULATION, "out.append(", "energy balance off", AUDIT_TESTS),
+    (SIMULATION, "out.append(", 'ramp arrivals"', AUDIT_TESTS),
+    (SIMULATION, "out.append(", "messages\")", AUDIT_TESTS),
+    (REFERENCE, "out.append(", ": negative duration", PLANNER_TESTS),
+    (REFERENCE, "out.append(", "skipped but duration", PLANNER_TESTS),
+    (REFERENCE, "out.append(", "below reserve-plus-detour", PLANNER_TESTS),
+    (REFERENCE, "out.append(", "kWh exceeds", PLANNER_TESTS),
+    (REFERENCE, "out.append(", "destination: level", PLANNER_TESTS),
+    (MODEL, "raise ValueError(", "quoted_wait must be", INPUT_TESTS),
+    (MODEL, "raise ValueError(", "battery must be a finite", INPUT_TESTS),
+    (MODEL, "raise ValueError(", "battery {battery} exceeds battery capacity", INPUT_TESTS),
+    (MODEL, "raise ValueError(", "remaining_time must be", INPUT_TESTS),
+    (PLANNER, "raise ValueError(", '"; ".join(problems)', INPUT_TESTS),
+    (PLANNER, "raise ValueError(", "remaining stations exceeds", INPUT_TESTS),
+    *((PROTOCOL, "raise MessageDecodeError(", "must be finite and nonnegative", t) for t in DECODER_TESTS),
+    *((SIMULATION, "raise RunOverflowError(", "at ramp {i + 1} is not", t) for t in OVERFLOW_TESTS),
+    (SIMULATION, "raise RunOverflowError(", "at its destination is not", OVERFLOW_TESTS[1]),
+    *((SIMULATION, "raise RunOverflowError(", "run's {name} is not", t) for t in OVERFLOW_TESTS),
+    (REPORTS, "raise ValueError(", "is not a finite percentage", OVERFLOW_TESTS[0]),
 ]
 
 # (file, text, replacement, tests): the walk's refusal of a stop pattern
@@ -89,27 +98,27 @@ SILENCED = [
 # destination; `solve_charging_problem` skips the patterns it refuses
 REFUSAL = "if residual > _FEASIBILITY_TOL:\n{0}return None\n"
 REPLACED = [
-    ("planner.py", REFUSAL.format(" " * 24), "pass\n", PLANNER_TESTS),
-    ("planner.py", REFUSAL.format(" " * 16), "pass\n", PLANNER_TESTS),
+    (PLANNER, REFUSAL.format(" " * 24), "pass\n", PLANNER_TESTS),
+    (PLANNER, REFUSAL.format(" " * 16), "pass\n", PLANNER_TESTS),
     # the walk's cost bound, overstated: the energy bought without the
     # 1e-7 margin, priced at the dearest stop, or bought at the slowest;
     # a bound above a pattern's cost can prune the pattern that wins
-    ("planner.py", "energy = last - _FEASIBILITY_TOL\n", "energy = last\n", PRUNING_TESTS),
+    (PLANNER, "energy = last - _FEASIBILITY_TOL\n", "energy = last\n", PRUNING_TESTS),
     (
-        "planner.py",
+        PLANNER,
         "if cost_per_kwh[l] < cheapest:\n",
         "if cost_per_kwh[l] > cheapest or cheapest == math.inf:\n",
         PRUNING_TESTS,
     ),
-    ("planner.py", "if rates[l] > fastest:\n", "if rates[l] < fastest or fastest == 0.0:\n", PRUNING_TESTS),
+    (PLANNER, "if rates[l] > fastest:\n", "if rates[l] < fastest or fastest == 0.0:\n", PRUNING_TESTS),
     # the fill, which buys past a stop's cap, never prices the overtime
     # of minutes past the slack, or breaks a key tie towards the earlier
     # of two equally fast stops; only the long-route golden reaches a
     # tie, so its test catches the last
-    ("planner.py", "target = min(target, caps[i])\n", "target = target\n", FILL_TESTS),
-    ("planner.py", "if rho > 0 and ordered_sum(t) > slack:\n", "if False:\n", FILL_TESTS),
+    (PLANNER, "target = min(target, caps[i])\n", "target = target\n", FILL_TESTS),
+    (PLANNER, "if rho > 0 and ordered_sum(t) > slack:\n", "if False:\n", FILL_TESTS),
     (
-        "planner.py",
+        PLANNER,
         "(tied and rates[j] >= rate)",
         "(tied and rates[j] > rate)",
         ["tests/test_goldens.py"],
@@ -117,11 +126,11 @@ REPLACED = [
     # the charge-to-full pass, which no longer refills at a stop; the
     # generator and the planner both run it
     *(
-        ("model.py", "high = max(high - drive, refilled)\n", "high = high - drive\n", [t])
+        (MODEL, "high = max(high - drive, refilled)\n", "high = high - drive\n", [t])
         for t in ("tests/test_generator.py", "tests/test_planner_pruning.py")
     ),
     # the decoder's time check, weakened to let a time down to -1 through
-    *(("protocol.py", "if is_time and doc[name] < 0:\n", "if is_time and doc[name] < -1:\n", t) for t in DECODER_TESTS),
+    *((PROTOCOL, "if is_time and doc[name] < 0:\n", "if is_time and doc[name] < -1:\n", t) for t in DECODER_TESTS),
 ]
 
 
@@ -161,7 +170,7 @@ def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess[str]:
 def main() -> int:
     mutants = list(_mutants())
     for _, name, edit, _ in mutants:  # every edit applies before any test runs
-        edit((ROOT / "src" / "fleetcharge" / name).read_text())
+        edit((ROOT / name).read_text())
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "pyproject.toml", "README.md"):
@@ -180,7 +189,7 @@ def main() -> int:
             return 1
         survivors = []
         for label, name, edit, tests in mutants:
-            path = copy / "src" / "fleetcharge" / name
+            path = copy / name
             original = path.read_text()
             path.write_text(edit(original))
             code = _pytest(copy, tests).returncode

@@ -1,34 +1,107 @@
-"""Reference planner: every stop pattern that can be feasible gets its LP.
+"""Reference planner: every stop pattern that can be feasible gets its LP;
+and the plan checkers.
 
-This is the enumerate-everything loop the package planner replaced with
-lower-bound pruning. It keeps only the charge-to-full feasibility test and
-the fixed-cost prune, so it solves many more duration LPs; tests require
-the package planner to return exactly the same plans. Each pattern is
-solved through the planner's own per-pattern entry point, so the two
-differ only in pruning; the direct solvers are checked against the simplex
-elsewhere. ``lp_solves`` counts `solve_lp` calls, as the planner does.
+The reference is the enumerate-everything loop the package planner
+replaced with lower-bound pruning. It keeps only the charge-to-full
+feasibility test and the fixed-cost prune, so it solves many more
+duration LPs; tests require the package planner to return exactly the
+same plans. Each pattern is solved through the planner's own per-pattern
+entry point, so the two differ only in pruning; the direct solvers are
+checked against the simplex elsewhere. ``lp_solves`` counts `solve_lp`
+calls, as the planner does.
 
 It visits every pattern in the bit-string order of `stop_patterns`, which
 the planner's lazy per-level order must reproduce, and records the best
 cost found before each level starts, from which the tests derive how many
 patterns the planner's level cutoff lets it visit.
+
+The plan checkers, `compute_energy_trajectory` and `check_feasibility`,
+state the model's battery dynamics and bounds for one plan directly, and
+share nothing with the planner's walk; tests and the grid oracle judge
+plans with them.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Sequence
 
-from fleetcharge.model import ChargeDecision, ChargingPlan
-from fleetcharge.planner import (
-    _COST_TIE_TOL,
-    PlannerInput,
-    PlannerSolution,
-    _tail_of,
-    evaluate_plan_cost,
-)
+from fleetcharge.model import ChargeDecision, ChargingPlan, charging_rate
+from fleetcharge.planner import _COST_TIE_TOL, PlannerInput, PlannerSolution, _tail_of
 
 from conftest import waits_of
+
+
+def compute_energy_trajectory(
+    inp: PlannerInput, decisions: Sequence[ChargeDecision]
+) -> tuple[float, ...]:
+    """Battery level at each remaining ramp and at the destination.
+
+    Entry ``l`` is the level reaching ramp ``l``; the final entry is the
+    level reaching the destination. Levels are the model's affine dynamics,
+    uncapped, so a plan that would overfill shows up as a level above
+    capacity rather than being silently clipped.
+    """
+    m = inp.station_count
+    if len(decisions) != m:
+        raise ValueError(f"expected {m} decisions, got {len(decisions)}")
+    p = inp.params
+    levels = [inp.battery]
+    e = inp.battery
+    for l in range(m):
+        dec = decisions[l]
+        charged = charging_rate(inp.stations[l], p) * dec.duration if dec.charge else 0.0
+        detour = 2.0 * inp.detour_times[l] if dec.charge else 0.0
+        e = e + charged - p.p_bar * (detour + inp.segment_times[l])
+        levels.append(e)
+    return tuple(levels)
+
+
+def check_feasibility(
+    inp: PlannerInput, decisions: Sequence[ChargeDecision], slack: float = 1e-6
+) -> list[str]:
+    """Check a plan's decisions against every battery and duration
+    constraint.
+
+    Returns one message per violation beyond ``slack``; empty means the plan
+    is feasible. Checked: nonnegative durations, zero duration on skipped
+    stations, the reserve-plus-detour bound at ramps (every ramp, or only
+    planned stops, per the input's flag), the reserve bound at the
+    destination, and the capacity bound on each planned charge.
+    """
+    m = inp.station_count
+    p = inp.params
+    out: list[str] = []
+    levels = compute_energy_trajectory(inp, decisions)
+    for l in range(m):
+        dec = decisions[l]
+        if dec.duration < -slack:
+            out.append(f"station {l}: negative duration {dec.duration}")
+        if not dec.charge and dec.duration != 0.0:
+            out.append(f"station {l}: skipped but duration {dec.duration} != 0")
+        bound_applies = inp.require_detour_margin_everywhere or dec.charge
+        if bound_applies:
+            need = p.e_safe + p.p_bar * inp.detour_times[l]
+            if levels[l] < need - slack:
+                out.append(
+                    f"station {l}: level {levels[l]:.6f} below reserve-plus-detour "
+                    f"bound {need:.6f}"
+                )
+        if dec.charge:
+            at_station = levels[l] - p.p_bar * inp.detour_times[l]
+            headroom = p.e_full - at_station
+            charged = charging_rate(inp.stations[l], p) * dec.duration
+            if charged > headroom + slack:
+                out.append(
+                    f"station {l}: charge {charged:.6f} kWh exceeds "
+                    f"headroom {headroom:.6f} kWh"
+                )
+    if levels[m] < p.e_safe - slack:
+        out.append(
+            f"destination: level {levels[m]:.6f} below reserve {p.e_safe:.6f}"
+        )
+    return out
 
 
 def stop_patterns(m: int) -> list[tuple[int, ...]]:
@@ -116,7 +189,7 @@ def reference_search(inp: PlannerInput) -> tuple[PlannerSolution, list[float]]:
         )
         for l in range(m)
     )
-    cost, overtime = evaluate_plan_cost(inp, decisions)
+    cost, overtime = tail.cost(decisions)
     plan = ChargingPlan(decisions=decisions, anticipated_cost=cost, anticipated_overtime=overtime)
     solution = PlannerSolution(
         status="optimal", plan=plan, patterns_considered=considered, lp_solves=lp_solves

@@ -11,18 +11,14 @@ import pytest
 
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import ChargeDecision, StationSpec
-from fleetcharge.planner import (
-    PlannerInput,
-    compute_energy_trajectory,
-    evaluate_plan_cost,
-    solve_charging_problem,
-)
+from fleetcharge.planner import PlannerInput, _tail_of, solve_charging_problem
 from fleetcharge.reports import write_run_outputs
 from fleetcharge.simulation import run_offline_baseline, run_proposed
 from fleetcharge.station import PortLedger
 
 from conftest import DEFAULTS, make_params
 from grid_oracle import brute_force_oracle
+from reference_planner import compute_energy_trajectory
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -454,7 +450,7 @@ def test_criterion_8_worked_examples():
         assumed_waits=(),
         remaining_time=60.0,
     )
-    overtime = evaluate_plan_cost(overtime_case, (ChargeDecision(True, 20.0),))[1]
+    overtime = _tail_of(overtime_case).cost((ChargeDecision(True, 20.0),))[1]
     if abs(overtime - 10.0) > 1e-9:
         problems.append(f"overtime gave {overtime!r}, expected 10.0")
 

@@ -12,8 +12,10 @@ from fleetcharge.model import (
     scenario_to_json,
     validate_scenario,
 )
-from fleetcharge.planner import PlannerInput, has_feasible_pattern
+from fleetcharge.planner import PlannerInput
 from fleetcharge.simulation import audit_run, run_offline_baseline, run_proposed
+
+from reference_planner import max_charge_feasible, stop_patterns
 
 
 def _on_tenth_grid(x: float) -> bool:
@@ -157,8 +159,10 @@ def test_labels_carry_through():
 
 
 def _planner_completable(params, stations, segs, detours, e_initial, remaining_time):
-    """The oracle of `generator._route_completable`: the planner's own test
-    of a planning problem at the first ramp, with every wait 0."""
+    """The oracle of `generator._route_completable`: whether charging to
+    full at some stop pattern completes the planning problem at the first
+    ramp, with every wait 0, by trying every pattern. Building the problem
+    refuses what the planner refuses."""
     inp = PlannerInput(
         params=params,
         stations=stations,
@@ -169,7 +173,7 @@ def _planner_completable(params, stations, segs, detours, e_initial, remaining_t
         assumed_waits=(0.0,) * (len(stations) - 1),
         remaining_time=remaining_time,
     )
-    return has_feasible_pattern(inp)
+    return any(max_charge_feasible(inp, frozenset(p)) for p in stop_patterns(len(stations)))
 
 
 def _outcome(test, *args):
@@ -208,8 +212,8 @@ def _templates(draw):
     )
 
 
-# every truck draw's test, over random templates, is the planner's: the same
-# answer, or the same refusal
+# every truck draw's test, over random templates, gives the answer of trying
+# every stop pattern, or the planner input's refusal
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(template=_templates(), seed=st.integers(0, 2**32 - 1))
 def test_route_completable_is_the_planners_test(template, seed):

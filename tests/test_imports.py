@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fleetcharge
-from fleetcharge import reports, simulation
+from fleetcharge import planner, reports, simulation
 
 GOLDENS = Path(__file__).parent / "goldens"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,3 +156,18 @@ def test_the_engine_re_exports_the_run_records():
 def test_an_unknown_attribute_is_an_error_that_names_it():
     with pytest.raises(AttributeError, match="'no_such_layer'"):
         fleetcharge.no_such_layer
+
+
+# the plan checkers that tests use live in tests/reference_planner.py
+CHECKERS = ("check_feasibility", "compute_energy_trajectory", "evaluate_plan_cost", "has_feasible_pattern")
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_the_package_ships_no_plan_checker(name):
+    with pytest.raises(AttributeError, match=f"'{name}'"):
+        getattr(fleetcharge, name)
+
+
+def test_the_planner_exports_no_plan_checker_and_a_tail_states_no_input():
+    assert set(CHECKERS) & set(planner.__all__) == set()
+    assert not hasattr(planner._RouteTail, "planner_input")

@@ -99,11 +99,13 @@ def test_validation_reports_every_truck_with_non_finite_fields():
             make_truck("t001", e_initial=float("nan")),
             make_truck("t002", depart_time=float("inf")),
             make_truck("t003", e_initial=700.0),
+            make_truck("t004", params=make_params(p_bar=float("nan"))),
         )
     )
     msgs = validate_scenario(sc)
     assert "truck t001: e_initial is not a finite number" in msgs
     assert "truck t002: depart_time is not a finite number" in msgs
+    assert "truck t004: p_bar is not a finite number" in msgs
     assert any("t003" in msg and "exceeds battery capacity" in msg for msg in msgs)
 
 

@@ -13,9 +13,6 @@ from fleetcharge.planner import (
     MAX_ENUMERATED_STATIONS,
     PlannerInput,
     _tail_of,
-    check_feasibility,
-    compute_energy_trajectory,
-    evaluate_plan_cost,
     minimal_rescue_charge,
     planner_input_from_dict,
     solution_to_dict,
@@ -32,6 +29,7 @@ from conftest import (
     rates_of,
 )
 from grid_oracle import brute_force_oracle
+from reference_planner import check_feasibility, compute_energy_trajectory
 
 
 def _skip(n):
@@ -56,7 +54,7 @@ def solve_fixed_assignment(
         ChargeDecision(charge=l in selected, duration=durations[l] if l in selected else 0.0)
         for l in range(inp.station_count)
     )
-    cost, _ = evaluate_plan_cost(inp, decisions)
+    cost, _ = _tail_of(inp).cost(decisions)
     return tuple(durations), cost
 
 
@@ -103,9 +101,9 @@ def test_overtime_worked_example():
         remaining_time=160.0,
     )
     plan = (ChargeDecision(True, 30.0),)
-    assert evaluate_plan_cost(inp, plan)[1] == pytest.approx(10.0, abs=1e-9)
+    assert _tail_of(inp).cost(plan)[1] == pytest.approx(10.0, abs=1e-9)
     # skipping the stop leaves only the driving time
-    assert evaluate_plan_cost(inp, _skip(1))[1] == pytest.approx(-60.0, abs=1e-9)
+    assert _tail_of(inp).cost(_skip(1))[1] == pytest.approx(-60.0, abs=1e-9)
 
 
 def test_cost_components_add_up():
@@ -116,12 +114,12 @@ def test_cost_components_add_up():
         quoted_wait=20.0,
         remaining_time=160.0,
     )
-    cost, overtime = evaluate_plan_cost(inp, (ChargeDecision(True, 30.0),))
+    cost, overtime = _tail_of(inp).cost((ChargeDecision(True, 30.0),))
     assert overtime == pytest.approx(10.0, abs=1e-9)
     expected = 0.4 * (2 * 10.0 + 30.0 + 20.0) + 1.8 * 30.0 + 10.0 * 10.0
     assert cost == pytest.approx(expected, abs=1e-9)
     # no hinge contribution when the plan fits the budget
-    cost2, overtime2 = evaluate_plan_cost(inp, _skip(1))
+    cost2, overtime2 = _tail_of(inp).cost(_skip(1))
     assert overtime2 < 0
     assert cost2 == 0.0
 
@@ -307,7 +305,7 @@ def test_fixed_assignment_matches_exact_evaluation():
             ChargeDecision(l in selected, durations[l] if l in selected else 0.0)
             for l in range(2)
         )
-        exact_cost, _ = evaluate_plan_cost(inp, decisions)
+        exact_cost, _ = _tail_of(inp).cost(decisions)
         assert cost == pytest.approx(exact_cost, abs=1e-9)
         assert check_feasibility(inp, decisions) == []
 
@@ -319,7 +317,7 @@ def test_reported_cost_is_exact_objective_of_reported_plan():
         sol = solve_charging_problem(inp)
         if sol.status != "optimal":
             continue
-        cost, overtime = evaluate_plan_cost(inp, sol.plan.decisions)
+        cost, overtime = _tail_of(inp).cost(sol.plan.decisions)
         assert sol.plan.anticipated_cost == cost
         assert sol.plan.anticipated_overtime == overtime
 
@@ -392,7 +390,7 @@ def test_candidate_plans_never_beat_the_solver():
                         decisions.append(ChargeDecision(False, 0.0))
                 if check_feasibility(inp, decisions, slack=0.0) != []:
                     continue
-                cost, _ = evaluate_plan_cost(inp, decisions)
+                cost, _ = _tail_of(inp).cost(decisions)
                 assert sol.plan.anticipated_cost <= cost + 1e-9
                 checked += 1
     assert checked >= 50
@@ -462,7 +460,7 @@ def _naive_grid_oracle(inp: PlannerInput, step: float):
                     decisions.append(ChargeDecision(False, 0.0))
             if check_feasibility(inp, decisions, slack=0.0) != []:
                 continue
-            cost, _ = evaluate_plan_cost(inp, decisions)
+            cost, _ = _tail_of(inp).cost(decisions)
             if best is None or cost < best - 1e-12:
                 best = cost
     return best

@@ -9,14 +9,11 @@ from hypothesis import given, settings
 
 from fleetcharge import protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import ordered_sum
+from fleetcharge.model import _feasible, ordered_sum
 from fleetcharge.planner import (
     _COST_TIE_TOL,
     _level_patterns,
     _tail_of,
-    check_feasibility,
-    evaluate_plan_cost,
-    has_feasible_pattern,
     solve_charging_problem,
 )
 from fleetcharge.reports import write_run_outputs
@@ -25,12 +22,14 @@ from conftest import (
     assignment_lp,
     make_params,
     make_planner_input,
+    planner_input_of,
     planner_inputs,
     prices_of,
     rates_of,
     waits_of,
 )
 from reference_planner import (
+    check_feasibility,
     max_charge_feasible,
     reference_search,
     reference_solve_charging_problem,
@@ -91,14 +90,21 @@ def test_planner_matches_the_uncut_reference_up_to_twelve_stations(inp):
     assert pruned.plan == reference.plan
 
 
+def _one_pass_feasible(inp):
+    """The planner's charge-to-full pass, `_feasible`, over the rows of the
+    input's tail."""
+    tail = _tail_of(inp)
+    return _feasible(tail.route.strict, tail.battery, tail.route.params.e_safe, tail.ramps)
+
+
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(planner_inputs(min_stations=13, max_stations=16))
 def test_long_tails_get_feasible_plans_at_their_own_cost(inp):
     solution = solve_charging_problem(inp)
-    assert solution.status == ("optimal" if has_feasible_pattern(inp) else "infeasible")
+    assert solution.status == ("optimal" if _one_pass_feasible(inp) else "infeasible")
     if solution.plan is not None:
-        assert check_feasibility(inp, solution.plan) == []
-        assert evaluate_plan_cost(inp, solution.plan)[0] == solution.plan.anticipated_cost
+        assert check_feasibility(inp, solution.plan.decisions) == []
+        assert _tail_of(inp).cost(solution.plan.decisions)[0] == solution.plan.anticipated_cost
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -106,7 +112,7 @@ def test_long_tails_get_feasible_plans_at_their_own_cost(inp):
 def test_one_pass_feasibility_matches_full_enumeration(inp):
     patterns = stop_patterns(inp.station_count)
     expected = any(max_charge_feasible(inp, frozenset(p)) for p in patterns)
-    assert has_feasible_pattern(inp) == expected
+    assert _one_pass_feasible(inp) == expected
 
 
 @pytest.mark.parametrize(
@@ -132,7 +138,7 @@ def test_one_pass_feasibility_on_routes_with_long_detours(
     )
     patterns = stop_patterns(inp.station_count)
     assert any(max_charge_feasible(inp, frozenset(p)) for p in patterns) is feasible
-    assert has_feasible_pattern(inp) is feasible
+    assert _one_pass_feasible(inp) is feasible
     assert solve_charging_problem(inp).status == ("optimal" if feasible else "infeasible")
 
 
@@ -212,7 +218,7 @@ def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
 
     pruned = run_all("pruned", solve_charging_problem)
     # the engine plans over route tails; the reference takes their inputs
-    reference = run_all("reference", lambda tail: reference_solve_charging_problem(tail.planner_input()))
+    reference = run_all("reference", lambda tail: reference_solve_charging_problem(planner_input_of(tail)))
     assert len(pruned) == 10
     assert pruned == reference
     assert lp_solves["pruned"] < lp_solves["reference"]

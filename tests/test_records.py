@@ -241,13 +241,14 @@ _PAST_THE_CAP = MAX_ENUMERATED_STATIONS + 1
         # the charging rate underflows to 0 kWh/min
         ({"params": make_params(p_max=5e-324)}, "station s01: a full charge does not take a finite time"),
         ({"params": make_params(p_bar=-1.0)}, "params: p_bar must be positive, got -1.0"),
+        ({"params": make_params(p_bar=math.nan)}, "params: p_bar is not a finite number"),
         (
             {"segment_times": (30.0,) * _PAST_THE_CAP, "detour_times": (5.0,) * _PAST_THE_CAP},
             f"{_PAST_THE_CAP} remaining stations exceeds the exact-enumeration cap "
             f"of {MAX_ENUMERATED_STATIONS}",
         ),
     ],
-    ids=["port_power-zero", "p_max-subnormal", "p_bar-negative", "past-the-cap"],
+    ids=["port_power-zero", "p_max-subnormal", "p_bar-negative", "p_bar-nan", "past-the-cap"],
 )
 def test_planner_input_refuses_its_params_stations_and_length(edit, message):
     with pytest.raises(ValueError) as info:

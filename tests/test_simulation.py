@@ -26,7 +26,7 @@ from fleetcharge.simulation import (
     run_proposed,
 )
 
-from conftest import make_params, make_scenario, make_station, make_truck
+from conftest import make_params, make_scenario, make_station, make_truck, planner_input_of
 
 GOLDEN_SCENARIO = Path(__file__).parent / "goldens" / "scenario.json"
 
@@ -344,7 +344,7 @@ def test_one_exchange_per_ramp_arrival(monkeypatch):
     solve = simulation.solve_charging_problem
 
     def counting_solve(tail):
-        plans.append(tail.planner_input())
+        plans.append(planner_input_of(tail))
         return solve(tail)
 
     monkeypatch.setattr(simulation, "solve_charging_problem", counting_solve)

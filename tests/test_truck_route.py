@@ -7,9 +7,9 @@ import pytest
 from fleetcharge import planner, protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import replace
-from fleetcharge.planner import PlannerInput, TruckRoute
+from fleetcharge.planner import PlannerInput, TruckRoute, _RouteTail, _tail_of
 
-from conftest import make_params, make_planner_input, make_truck
+from conftest import make_params, make_planner_input, make_truck, planner_input_of
 
 TEMPLATE = ScenarioTemplate(
     label="routes",
@@ -57,6 +57,17 @@ def _stated_input(spec, stations, i, battery, quoted_wait, assumed_wait, clock, 
     )
 
 
+def _assert_tail_of(tail, i, expected):
+    """``tail`` starts at ramp i, states ``expected``, and every slot the
+    planner reads is that slot of the planner input's own tail."""
+    assert tail.start == i
+    assert planner_input_of(tail) == expected
+    stated = _tail_of(expected)
+    for slot in _RouteTail.__slots__:
+        if slot not in ("route", "start"):
+            assert getattr(tail, slot) == getattr(stated, slot), slot
+
+
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "relaxed"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict):
@@ -70,7 +81,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
 
     def recording_solve(tail):
         solution = solve(tail)
-        assert solution == solve(tail.planner_input())
+        assert solution == solve(planner_input_of(tail))
         tails.append(tail)
         return solution
 
@@ -91,8 +102,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
         battery = spec.e_initial - spec.params.p_bar * tau0
         clock = spec.depart_time + tau0
         expected = _stated_input(spec, stations, 0, battery, 0.0, 0.0, clock, strict)
-        assert tail.start == 0
-        assert tail.planner_input() == expected
+        _assert_tail_of(tail, 0, expected)
 
     tails.clear()
     proposed = simulation.run_proposed(scenario, require_detour_margin_everywhere=strict)
@@ -100,8 +110,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
     for tail, (truck_id, clock, i, battery, quoted) in zip(tails, exchanges):
         spec = specs[truck_id]
         expected = _stated_input(spec, stations, i, battery, quoted, spec.w_hat_default, clock, strict)
-        assert tail.start == i
-        assert tail.planner_input() == expected
+        _assert_tail_of(tail, i, expected)
     # some trucks stop on the way and replan past their first ramp, and
     # the doomed truck strands in both runs
     assert any(i > 0 for _, _, i, _, _ in exchanges)
