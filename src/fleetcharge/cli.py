@@ -191,7 +191,7 @@ def _print_wait_reduction(report: ComparisonReport, path: Path) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .reports import compare, write_comparison_csv, write_run_outputs
-    from .simulation import RunOverflowError, _simulate, audit_run  # validated below, not per strategy
+    from .simulation import RunOverflowError, audit_run, run_offline_baseline, run_proposed
 
     try:
         overrides = _parse_run_overrides(args.set)
@@ -207,12 +207,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(EXIT_VALIDATION, "\n".join(f"scenario invalid: {p}" for p in problems))
 
     strict = not args.relax_detour_margin
+    runners = {"offline": run_offline_baseline, "proposed": run_proposed}
     strategies = ("offline", "proposed") if args.strategy == "both" else (args.strategy,)
     out = Path(args.out)
     results = {}
     for strategy in strategies:
         try:
-            result = _simulate(scenario, strategy, strict)
+            # the runners find the scenario validated above and do not check it again
+            result = runners[strategy](scenario, require_detour_margin_everywhere=strict)
         except RunOverflowError as exc:
             return _fail(EXIT_VALIDATION, f"scenario invalid: {exc}")
         violations = audit_run(scenario, result)

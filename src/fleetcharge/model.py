@@ -380,14 +380,34 @@ def _check_route(prefix: str, r: Route, station_ids: set[str], out: list[str]) -
             out.append(f"{prefix}: route references unknown station '{sid}' at ramp {i + 1}")
 
 
+# the last scenario `validate_scenario` stored and its problems, replaced
+# whole by every check
+_last_checked: tuple[Scenario | None, tuple[str, ...]] = (None, ())
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Check every structural invariant of a scenario.
 
     Returns one message per violation (empty list means the scenario is
     well formed). Violations are data, not exceptions: a scenario that
     fails validation is still a value that can be inspected and reported.
+
+    A scenario is checked once per object. Each check stores the scenario
+    and its problems when the scenario is deeply immutable: its stations,
+    its trucks and every route's segment times, detour times and station
+    ids are tuples. A later call on that same object returns a new list
+    of the stored problems without checking again. The match is by
+    identity, not equality: an equal scenario may hold ``True`` where this
+    one holds ``1``. Any other scenario is checked on every call and
+    clears the store. The store holds one scenario, which it keeps alive
+    until another one is validated.
     """
+    global _last_checked
+    last, problems = _last_checked
+    if scenario is last:
+        return list(problems)
     out: list[str] = []
+    frozen = type(scenario.stations) is type(scenario.trucks) is tuple
 
     seen_stations: set[str] = set()
     for s in scenario.stations:
@@ -404,12 +424,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     seen_trucks: set[str] = set()
     for t in scenario.trucks:
         prefix = f"truck {t.id}"
+        r = t.route
+        frozen = frozen and type(r.segment_times) is type(r.detour_times) is type(r.station_ids) is tuple
         before = len(out)
         if t.id in seen_trucks:
             out.append(f"{prefix}: duplicate truck id")
         seen_trucks.add(t.id)
         _check_params(prefix, t.params, out)
-        _check_route(prefix, t.route, station_ids, out)
+        _check_route(prefix, r, station_ids, out)
         non_finite = [
             name
             for name in ("e_initial", "depart_time", "extra_time_budget", "w_hat_default")
@@ -427,14 +449,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             out.append(f"{prefix}: w_hat_default must be nonnegative, got {t.w_hat_default}")
         if t.e_initial > t.params.e_full:
             out.append(f"{prefix}: e_initial {t.e_initial} exceeds battery capacity {t.params.e_full}")
-        first_detour = t.route.detour_times[0] if t.route.detour_times else 0.0
+        first_detour = r.detour_times[0] if r.detour_times else 0.0
         if t.e_initial < t.params.e_safe + t.params.p_bar * first_detour:
             out.append(f"{prefix}: initial battery insufficient for first detour")
         if len(out) > before:
             continue
         # totals over the route that overflow or underflow although every
         # input is finite; a full charge takes longest at the slowest station
-        p, r = t.params, t.route
+        p = t.params
         if not math.isfinite(t.deadline):
             out.append(f"{prefix}: deadline is not a finite number")
         if not math.isfinite(p.p_bar * (ordered_sum(r.segment_times) + 2.0 * ordered_sum(r.detour_times))):
@@ -445,6 +467,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if sid in powered and not _full_charge_is_finite(powered[sid], p):
                 out.append(f"{prefix}: a full charge at station {sid} does not take a finite time")
 
+    _last_checked = (scenario, tuple(out)) if frozen else (None, ())
     return out
 
 

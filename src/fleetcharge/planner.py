@@ -74,7 +74,7 @@ durations, so reported plans are unique and replayable.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Any, Iterable, Sequence
 
 from .model import (
@@ -112,6 +112,10 @@ __all__ = [
 ]
 
 _COST_TIE_TOL = 1e-9
+
+# records are immutable, so every skipped station of every plan shares one
+# decision
+_SKIP = ChargeDecision(False, 0.0)
 
 
 @record
@@ -239,10 +243,9 @@ class TruckRoute:
     a table of suffix sums would cost a one-off route O(m^2) additions.
 
     The rows are interleaved in one flat tuple, so that a field of every
-    station from ramp i on is one extended slice, `column`. A truck keeps
-    its route between exchanges, and each object the route holds is young
-    in the garbage collections that land in exchanges and adds to their
-    cost: a tuple per field and per ramp row made a route a dozen objects
+    station from ramp i on is one extended slice. A truck keeps its route
+    between exchanges, and each object the route holds is young in the
+    garbage collections that land in exchanges and adds to their cost: a tuple per field and per ramp row made a route a dozen objects
     and raised the exchange p99 on the benchmark's dense fleet by a fifth,
     where one flat tuple keeps it level.
     """
@@ -295,10 +298,6 @@ class TruckRoute:
             inp.require_detour_margin_everywhere,
         )
 
-    def column(self, field: int, i: int) -> tuple[Any, ...]:
-        """One field of every station from ramp i on."""
-        return self.columns[_FIELDS * i + field :: _FIELDS]
-
     def detour_time(self, i: int) -> float:
         """The one-way detour from ramp i to its station."""
         return self.columns[_FIELDS * i + _DETOUR]
@@ -333,6 +332,7 @@ class TruckRoute:
         else:
             tail.labor = ()
         tail.seg_total = ordered_sum(c[o + _SEGMENT :: n])
+        tail.level_table = None  # built by the first `level_bound`
         return tail
 
 
@@ -365,25 +365,25 @@ class _RouteTail:
         "labor",
         "detour_drain",
         "seg_total",
+        "level_table",
     )
 
     def cost(self, decisions: Sequence[ChargeDecision]) -> tuple[float, float]:
         """Exact objective value and overtime of a plan's decisions for this
         tail, as (cost, overtime), from the route's per-minute prices."""
-        route, i = self.route, self.start
-        prices = route.column(_PRICE, i)
-        detours = route.column(_DETOUR, i)
-        waits = route.column(_WAIT, i)
+        route = self.route
+        c = route.columns
         p = route.params
         labor_minutes = 0.0
         energy_cost = 0.0
         spent = self.seg_total
         for l, dec in enumerate(decisions):
             if dec.charge:
-                wait = self.quoted_wait if l == 0 else waits[l]
-                minutes = 2.0 * detours[l] + dec.duration + wait
+                row = _FIELDS * (self.start + l)
+                wait = self.quoted_wait if l == 0 else c[row + _WAIT]
+                minutes = 2.0 * c[row + _DETOUR] + dec.duration + wait
                 labor_minutes += minutes
-                energy_cost += prices[l] * dec.duration
+                energy_cost += c[row + _PRICE] * dec.duration
                 spent += minutes
         overtime = spent - self.remaining_time
         return p.kappa * labor_minutes + energy_cost + max(p.rho * overtime, 0.0), overtime
@@ -396,19 +396,29 @@ class _RouteTail:
         shortfall at the destination of the no-charge trajectory that takes
         the k shortest detours, and the whole tail's cheapest per-kWh cost
         and fastest rate. It never decreases with k.
+
+        The first call builds the tail's `level_table`: the running sums,
+        from the integer 0, of the sorted stop labors and of the sorted
+        detour drains, the drive past every ramp, the cheapest per-kWh cost
+        and the fastest rate. A running sum adds what `ordered_sum` of the
+        k smallest adds, in the same order, so the table changes no bit.
         """
+        table = self.level_table
+        if table is None:
+            table = self.level_table = (
+                tuple(accumulate(sorted(self.labor), initial=0)),
+                tuple(accumulate(sorted(self.detour_drain), initial=0)),
+                ordered_sum([drive for _, drive, _, _ in self.ramps]),
+                min(self.cost_per_kwh),
+                max(self.rates),
+            )
+        labors, drains, drive, cheapest, fastest = table
         p = self.route.params
-        fixed = ordered_sum(sorted(self.labor)[:k])
-        shortfall = (
-            p.e_safe
-            - self.battery
-            + ordered_sum([drive for _, drive, _, _ in self.ramps])
-            + 2.0 * ordered_sum(sorted(self.detour_drain)[:k])
-            - _FEASIBILITY_TOL
-        )
+        fixed = labors[k]
+        shortfall = p.e_safe - self.battery + drive + 2.0 * drains[k] - _FEASIBILITY_TOL
         need = max(shortfall, 0.0)
-        lower = p.kappa * fixed + min(self.cost_per_kwh) * need
-        overtime = self.seg_total - self.remaining_time + fixed + need / max(self.rates)
+        lower = p.kappa * fixed + cheapest * need
+        overtime = self.seg_total - self.remaining_time + fixed + need / fastest
         return lower + max(p.rho * overtime, 0.0)
 
     def walk(
@@ -509,13 +519,14 @@ class _RouteTail:
         walked = self.walk(selected)
         if walked is None:
             return _INFEASIBLE
-        return self.finish(selected, *walked[:3])
+        return LPResult("optimal", *self.finish(selected, *walked[:3]))
 
     def finish(
         self, selected: Sequence[int], need: list[float], caps: list[float], slack: float
-    ) -> LPResult:
+    ) -> tuple[tuple[float, ...], float]:
         """The optimal durations of a feasible stop pattern, from the
-        ``need``, ``caps`` and ``slack`` of its walk.
+        ``need``, ``caps`` and ``slack`` of its walk, as ``(x, objective)``
+        of an optimal `LPResult`.
 
         The only variable of the no-stop pattern is the overtime hinge. The
         objective is nondecreasing in a single stop's duration, so one stop
@@ -527,15 +538,16 @@ class _RouteTail:
         if not selected:
             b_overtime = rho * slack
             z = -1.0 * b_overtime if b_overtime < 0 else 0.0
-            return LPResult("optimal", (z,), z)
+            return (z,), z
         if len(selected) == 1:
             k = selected[0]
             t = min(need[0], caps[0]) / self.rates[k]
             z = max(rho * (t - slack), 0.0)
-            return LPResult("optimal", (t, z), self.minute_cost[k] * t + z)
+            return (t, z), self.minute_cost[k] * t + z
         rates = [self.rates[l] for l in selected]
         costs = [self.minute_cost[l] for l in selected]
-        return solve_lp(need, caps, rates, costs, rho, slack)
+        result = solve_lp(need, caps, rates, costs, rho, slack)
+        return result.x, result.objective
 
 
 _KEY_TOL = 1e-12
@@ -692,21 +704,20 @@ def solve_charging_problem(inp: PlannerInput | _RouteTail) -> PlannerSolution:
             need, caps, slack, lower, const = walked
             if lower > best_cost + _COST_TIE_TOL:
                 continue
-            result = tail.finish(selected, need, caps, slack)
+            x, objective = tail.finish(selected, need, caps, slack)
             if len(selected) > 1:
                 lp_solves += 1
-            cost = result.objective + const
+            cost = objective + const
             if best_selected is None or cost < best_cost - _COST_TIE_TOL:
                 # a NaN cost counts as inf
                 best_cost = cost if cost == cost else math.inf
                 best_selected = selected
-                best_x = result.x
+                best_x = x
 
     if best_selected is None:
         return PlannerSolution("infeasible", None, considered, lp_solves)
 
-    # records are immutable, so every skipped station shares one decision
-    plan_decisions = [ChargeDecision(False, 0.0)] * m
+    plan_decisions = [_SKIP] * m
     for l, duration in zip(best_selected, best_x):
         plan_decisions[l] = ChargeDecision(True, duration)
     decisions = tuple(plan_decisions)

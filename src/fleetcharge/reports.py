@@ -19,7 +19,7 @@ import functools
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .model import _record_fields, decode_record, ordered_sum, record, record_json
 from .station import PortLedger, _LedgerState
@@ -38,6 +38,7 @@ __all__ = [
     "ComparisonReport",
     "compare",
     "metrics_from_dict",
+    "run_totals",
     "write_run_outputs",
     "write_comparison_csv",
     "write_report_csvs",
@@ -148,11 +149,66 @@ class RunMetrics:
         return self.totals.stranded
 
 
+def run_totals(
+    trips: tuple[TripRecord, ...], stations: Iterable[str], rescue_charges: int
+) -> tuple[RunTotals, tuple[StationTotals, ...]]:
+    """The fleet totals and the per-station rows, in the order of
+    ``stations``, that a run's trips add up to, in one pass over them.
+
+    Each station's sums take its visits in trip order, then visit order,
+    from 0.0. Each fleet total adds every trip's own total, which adds
+    its visits left to right, both from the integer 0 as `ordered_sum`
+    does, so a total carries the bits of the `TripRecord` totals it sums.
+    A visit to a station not in ``stations`` raises ValueError naming it.
+    """
+    sums = {station: [0, 0.0, 0.0, 0.0] for station in stations}
+    stranded = late = 0
+    total_wait = total_charging = total_energy = 0
+    for i, trip in enumerate(trips):
+        wait = charging = energy = 0
+        for v in trip.visits:
+            try:
+                row = sums[v.station]
+            except KeyError:
+                raise ValueError(
+                    f"per_truck[{i}]: a visit to station {v.station!r}, which per_station does not list"
+                ) from None
+            kwh = v.energy
+            row[0] += 1
+            row[1] += v.realized_wait
+            row[2] += v.charge_time
+            row[3] += kwh
+            wait += v.realized_wait
+            charging += v.charge_time
+            energy += kwh
+        total_wait += wait
+        total_charging += charging
+        total_energy += energy
+        stranded += trip.stranded
+        late += trip.deadline_violation is not None and trip.deadline_violation > 0
+    totals = RunTotals(
+        len(trips),
+        stranded,
+        late,
+        rescue_charges,
+        total_wait,
+        total_wait / 60.0,
+        total_charging,
+        total_energy,
+    )
+    per_station = tuple(
+        StationTotals(station, count, waiting, charging, waiting / count if count else 0.0, kwh)
+        for station, (count, waiting, charging, kwh) in sums.items()
+    )
+    return totals, per_station
+
+
 def metrics_from_dict(doc: Any) -> RunMetrics:
     """Rebuild run metrics from their dictionary form (inverse of
     ``encode_record``). A malformed ``doc``, a trip whose arrival fields
-    disagree with its ``stranded`` flag, or a truck or station listed
-    twice raises ValueError naming the field."""
+    disagree with its ``stranded`` flag, a truck or station listed twice,
+    or a total or station row that is not what `run_totals` adds up from
+    the trips raises ValueError naming the field."""
     metrics = decode_record(RunMetrics, doc, "metrics")
     for i, trip in enumerate(metrics.per_truck):
         for name in ("arrival_time", "deadline_violation", "residual_battery"):
@@ -165,6 +221,17 @@ def metrics_from_dict(doc: Any) -> RunMetrics:
             if name in seen:
                 raise ValueError(f"{key}[{i}]: duplicate {field} {name!r}")
             seen.add(name)
+    # the rescue count and the station names are read, not derived
+    totals, per_station = run_totals(
+        metrics.per_truck, [s.station for s in metrics.per_station], metrics.totals.rescue_charges
+    )
+    rows = [("totals", metrics.totals, totals)]
+    rows += ((f"per_station[{i}]", *pair) for i, pair in enumerate(zip(metrics.per_station, per_station)))
+    for where, read, folded in rows:
+        for name, tp, _, _ in _record_fields(type(read)):
+            if getattr(read, name) != getattr(folded, name):
+                what = "count" if tp is int else "sum"
+                raise ValueError(f"{where}: {name} is not the {what} of per_truck")
     return metrics
 
 

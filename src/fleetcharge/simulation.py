@@ -24,8 +24,10 @@ pending event, so a scenario replays byte-identically. A trip that ends
 stores its own record. All clocks are continuous minutes; no rounding
 happens inside the engine.
 
-The public runners raise ValueError on an invalid scenario; the event
-loop trusts its input, so ``run``, which validates once, drives it directly.
+The public runners raise ValueError on an invalid scenario, and the event
+loop trusts its input. `validate_scenario` checks a scenario object once,
+so ``run``, which validates first to print every problem, then reaches the
+loop through the runners without a second check.
 A valid scenario can still make a run's times overflow: a scenario fixes
 neither how long its trucks charge nor how long they queue. The loop raises
 RunOverflowError before a time that is not a finite number reaches a ledger
@@ -63,6 +65,7 @@ from .reports import (
     VisitRecord,
     compare,
     metrics_from_dict,
+    run_totals,
 )
 from .station import PortLedger
 
@@ -132,58 +135,12 @@ def _trip(
 def _build_metrics(
     scenario: Scenario, strategy: str, trips: tuple[TripRecord, ...], rescue_count: int
 ) -> RunMetrics:
-    # one pass: each station's sums take its visits in trip order, then
-    # visit order, so every float is added in the same order as a
-    # per-station filter over the trips would add it
-    sums = {s.id: [0, 0.0, 0.0, 0.0] for s in scenario.stations}
-    for trip in trips:
-        for v in trip.visits:
-            row = sums[v.station]
-            row[0] += 1
-            row[1] += v.realized_wait
-            row[2] += v.charge_time
-            row[3] += v.energy
-    station_rows = tuple(
-        StationTotals(
-            station=station,
-            visits=count,
-            waiting_minutes=waiting,
-            charging_minutes=charging,
-            mean_wait=waiting / count if count else 0.0,
-            energy_delivered_kwh=energy,
-        )
-        for station, (count, waiting, charging, energy) in sums.items()
-    )
-
-    total_wait = ordered_sum(t.total_wait for t in trips)
-    total_charging = ordered_sum(t.total_charge_time for t in trips)
-    total_energy = ordered_sum(t.total_energy for t in trips)
+    totals, per_station = run_totals(trips, [s.id for s in scenario.stations], rescue_count)
     # a run's clocks are finite, but a sum over its trucks can still overflow
-    for name, value in (
-        ("total_waiting_minutes", total_wait),
-        ("total_charging_minutes", total_charging),
-        ("total_energy_delivered_kwh", total_energy),
-    ):
-        if not math.isfinite(value):
+    for name in ("total_waiting_minutes", "total_charging_minutes", "total_energy_delivered_kwh"):
+        if not math.isfinite(getattr(totals, name)):
             raise RunOverflowError(f"the {strategy} run's {name} is not a finite number")
-    return RunMetrics(
-        label=scenario.label,
-        strategy=strategy,
-        totals=RunTotals(
-            trucks=len(trips),
-            stranded=sum(1 for t in trips if t.stranded),
-            deadline_violations=sum(
-                1 for t in trips if t.deadline_violation is not None and t.deadline_violation > 0
-            ),
-            rescue_charges=rescue_count,
-            total_waiting_minutes=total_wait,
-            total_waiting_hours=total_wait / 60.0,
-            total_charging_minutes=total_charging,
-            total_energy_delivered_kwh=total_energy,
-        ),
-        per_truck=trips,
-        per_station=station_rows,
-    )
+    return RunMetrics(scenario.label, strategy, totals, trips, per_station)
 
 
 def _require_valid(scenario: Scenario) -> None:

@@ -21,6 +21,7 @@ from fleetcharge.model import (
 )
 from fleetcharge.planner import (
     _DETOUR,
+    _FIELDS,
     _SEGMENT,
     _STATION,
     _WAIT,
@@ -129,14 +130,19 @@ def planner_input_of(tail: _RouteTail) -> PlannerInput:
     state it: the remaining stations, segments and detours, the live
     quote, and the assumed waits of the stations after it."""
     r, i = tail.route, tail.start
+
+    def column(field: int, start: int) -> tuple:
+        """One field of every station from ramp ``start`` on."""
+        return r.columns[_FIELDS * start + field :: _FIELDS]
+
     return PlannerInput(
         params=r.params,
-        stations=r.column(_STATION, i),
-        segment_times=r.column(_SEGMENT, i),
-        detour_times=r.column(_DETOUR, i),
+        stations=column(_STATION, i),
+        segment_times=column(_SEGMENT, i),
+        detour_times=column(_DETOUR, i),
         battery=tail.battery,
         quoted_wait=tail.quoted_wait,
-        assumed_waits=r.column(_WAIT, i + 1),
+        assumed_waits=column(_WAIT, i + 1),
         remaining_time=tail.remaining_time,
         require_detour_margin_everywhere=r.strict,
     )

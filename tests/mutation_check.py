@@ -11,15 +11,18 @@ the walk's refusal of infeasible stop patterns, which
 pattern, to the multi-stop fill `solve_lp` (its caps,
 its step past the slack and its key tie rule), to `decode_message`'s
 refusal of a negative message time (the only check of a message time),
-to the event loop's refusal of a run whose times or totals overflow, or
+to the event loop's refusal of a run whose times or totals overflow,
 to `compare`'s refusal of a wait reduction that is not a finite
-percentage: a violation message is no longer appended, an error is no
-longer raised, a refusal is dropped or weakened, the bound is
-overstated, or the fill buys other durations. A mutant names the file
-it edits by its path from the repository root, under `src/` or, for the
-plan checker, which only tests use, under `tests/`. The edit is applied
-to a temporary copy of `src/` and `tests/`, and the mutant's tests run
-there with pytest. A mutant is caught when they fail. A check guarded by
+percentage, to `metrics_from_dict`'s refusal of totals that its trips
+contradict, or to the store of `validate_scenario`, which must hold only
+a deeply immutable scenario and answer only for that same object: a
+violation message is no longer appended, an error is no longer raised,
+a refusal is dropped or weakened, the bound is overstated, the fill buys
+other durations, or the store answers for a scenario it should check. A
+mutant names the file it edits by its path from the repository root,
+under `src/` or, for the plan checker, which only tests use, under
+`tests/`. The edit is applied to a temporary copy of `src/` and
+`tests/`, and the mutant's tests run there with pytest. A mutant is caught when they fail. A check guarded by
 several test files has one mutant per file, so each file must catch it.
 The tests first run once on the unchanged copy, where they must pass.
 
@@ -56,6 +59,8 @@ FILL_TESTS = ["tests/test_lp.py"]
 INPUT_TESTS = ["tests/test_cli.py", "tests/test_records.py"]
 DECODER_TESTS = [["tests/test_protocol.py"], ["tests/test_codec.py"]]
 OVERFLOW_TESTS = [["tests/test_cli.py"], ["tests/test_simulation.py"]]
+READER_TESTS = [["tests/test_cli.py"], ["tests/test_simulation.py"]]
+MEMO_TESTS = ["tests/test_model.py"]
 
 # (file, the call to neutralize, the text it is the last such call before,
 # the tests that must fail)
@@ -91,6 +96,7 @@ SILENCED = [
     (SIMULATION, "raise RunOverflowError(", "at its destination is not", OVERFLOW_TESTS[1]),
     *((SIMULATION, "raise RunOverflowError(", "run's {name} is not", t) for t in OVERFLOW_TESTS),
     (REPORTS, "raise ValueError(", "is not a finite percentage", OVERFLOW_TESTS[0]),
+    *((REPORTS, "raise ValueError(", "} of per_truck", t) for t in READER_TESTS),
 ]
 
 # (file, text, replacement, tests): the walk's refusal of a stop pattern
@@ -131,6 +137,10 @@ REPLACED = [
     ),
     # the decoder's time check, weakened to let a time down to -1 through
     *((PROTOCOL, "if is_time and doc[name] < 0:\n", "if is_time and doc[name] < -1:\n", t) for t in DECODER_TESTS),
+    # the validation store, which keeps a scenario that holds a list, or
+    # answers for an equal scenario that is another object
+    (MODEL, "if frozen else (None, ())", "if True else (None, ())", MEMO_TESTS),
+    (MODEL, "if scenario is last:", "if scenario == last:", MEMO_TESTS),
 ]
 
 

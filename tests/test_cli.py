@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcharge import cli, model, simulation
+from fleetcharge import cli, model
 from fleetcharge.cli import main
 from fleetcharge.generator import ScenarioTemplate
 from fleetcharge.model import (
@@ -22,6 +22,7 @@ from fleetcharge.model import (
     replace,
     scenario_to_json,
 )
+from fleetcharge.reports import metrics_from_dict, run_totals
 
 from conftest import make_params, make_scenario, make_station, make_truck
 
@@ -108,18 +109,20 @@ def test_both_matches_separate_single_strategy_runs(tmp_path, scenario_file):
 
 
 def test_run_both_validates_the_scenario_once(tmp_path, scenario_file, monkeypatch):
-    calls = []
+    checked = []
+    check_params = model._check_params
 
-    def counted(scenario):
-        calls.append(scenario)
-        return model.validate_scenario(scenario)
+    def counted(prefix, params, out):
+        checked.append(prefix)
+        return check_params(prefix, params, out)
 
-    # the CLI's own check and the one the public runners make
-    monkeypatch.setattr(cli, "validate_scenario", counted)
-    monkeypatch.setattr(simulation, "validate_scenario", counted)
+    # a check pass tests each truck's parameters once: the CLI's own check
+    # makes one, and both public runners find the scenario already checked
+    monkeypatch.setattr(model, "_check_params", counted)
     argv = ["run", "--scenario", str(scenario_file), "--strategy", "both", "--out", str(tmp_path / "r")]
     assert main(argv) == 0
-    assert len(calls) == 1
+    trucks = model.load_scenario(str(scenario_file)).trucks
+    assert checked == [f"truck {t.id}" for t in trucks]
 
 
 def test_single_strategy_run_writes_no_comparison(tmp_path, scenario_file):
@@ -450,9 +453,18 @@ def test_compare_of_extreme_total_waits(tmp_path, capsys, total, code, printed):
     run = tmp_path / "run"
     shutil.copytree(GOLDEN_RUN, run)
     metrics = run / "offline" / "metrics.json"
-    doc = json.loads(metrics.read_text())
-    doc["totals"]["total_waiting_minutes"] = total
-    metrics.write_text(json.dumps(doc))
+    m = metrics_from_dict(json.loads(metrics.read_text()))
+    # the first visit waits the whole total and every other one none, and
+    # the totals and station rows add the trips up again
+    waits = iter([total])
+    trips = tuple(
+        replace(t, visits=tuple(replace(v, realized_wait=next(waits, 0.0)) for v in t.visits))
+        for t in m.per_truck
+    )
+    totals, per_station = run_totals(trips, [s.station for s in m.per_station], m.totals.rescue_charges)
+    assert totals.total_waiting_minutes == total
+    m = replace(m, totals=totals, per_truck=trips, per_station=per_station)
+    metrics.write_text(json.dumps(encode_record(m)))
     out = tmp_path / "c.csv"
     assert main(["compare", str(run / "offline"), str(run / "proposed"), "--out", str(out)]) == code
     assert printed in "".join(capsys.readouterr())
@@ -535,6 +547,32 @@ def test_report_and_compare_refuse_a_metrics_file_that_repeats_a_row(
     err = capsys.readouterr().err
     assert err.startswith(f"{path} is not a metrics file: {key}[{index}]: duplicate "), err
     assert not (tmp_path / "c.csv").exists()
+
+
+# totals and a station row that the metrics file's own trips contradict:
+# compare would print a reduction its per-truck rows deny, and report
+# would write a station total no visit adds up to
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_report_and_compare_refuse_totals_that_the_trips_contradict(tmp_path, capsys, command):
+    run = tmp_path / "run"
+    shutil.copytree(GOLDEN_RUN, run)
+    path = run / "proposed" / "metrics.json"
+    doc = json.loads(path.read_text())
+    doc["totals"]["total_waiting_minutes"] = 0
+    doc["totals"]["deadline_violations"] = 7
+    doc["per_station"][0]["waiting_minutes"] = 999
+    path.write_text(json.dumps(doc))
+    station_totals = (run / "proposed" / "station_totals.csv").read_bytes()
+    if command == "report":
+        argv = ["report", str(run / "proposed")]
+    else:
+        argv = ["compare", str(run / "offline"), str(run / "proposed"), "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path} is not a metrics file: totals: deadline_violations is not the count of per_truck\n"
+    assert not (tmp_path / "c.csv").exists()
+    assert (run / "proposed" / "station_totals.csv").read_bytes() == station_totals
 
 
 def _leaves(doc, path=()):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fleetcharge import model
 from fleetcharge.model import (
     Route,
     Scenario,
@@ -129,6 +130,64 @@ def test_validation_flags_route_totals_that_are_not_finite():
 def test_validation_is_pure():
     sc = make_scenario(trucks=(make_truck(e_initial=156.0),))
     assert validate_scenario(sc) == validate_scenario(sc)
+
+
+def _counting_truck_checks(monkeypatch) -> list[str]:
+    """The prefixes of the per-truck checks validation makes from now on."""
+    checked: list[str] = []
+    check_params = model._check_params
+
+    def counted(prefix, params, out):
+        checked.append(prefix)
+        return check_params(prefix, params, out)
+
+    monkeypatch.setattr(model, "_check_params", counted)
+    return checked
+
+
+def test_a_scenario_object_is_checked_once(monkeypatch):
+    sc = make_scenario(trucks=(make_truck("t001"), make_truck("t002", e_initial=700.0)))
+    checked = _counting_truck_checks(monkeypatch)
+    first = validate_scenario(sc)
+    assert checked == ["truck t001", "truck t002"]
+    second = validate_scenario(sc)
+    assert second == first == ["truck t002: e_initial 700.0 exceeds battery capacity 624.0"]
+    assert second is not first
+    assert checked == ["truck t001", "truck t002"]
+    # the caller owns the list it is given
+    second.clear()
+    assert validate_scenario(sc) == first
+    assert checked == ["truck t001", "truck t002"]
+
+
+def test_an_equal_scenario_object_is_checked_again(monkeypatch):
+    sc = make_scenario(stations=(make_station(port_count=1),))
+    assert validate_scenario(sc) == []
+    checked = _counting_truck_checks(monkeypatch)
+    assert validate_scenario(make_scenario(stations=(make_station(port_count=1),))) == []
+    assert checked == ["truck t001"]
+    # True == 1, so the two scenarios are equal, but a bool is no port count
+    odd = make_scenario(stations=(make_station(port_count=True),))
+    assert odd == sc
+    assert validate_scenario(odd) == ["station s01: port_count must be an integer >= 1, got True"]
+
+
+def test_a_scenario_holding_a_list_is_checked_on_every_call(monkeypatch):
+    trucks = [make_truck("t001")]
+    sc = make_scenario(trucks=trucks)
+    assert validate_scenario(sc) == []
+    trucks.append(make_truck("t001"))
+    assert validate_scenario(sc) == ["truck t001: duplicate truck id"]
+
+    segments = [30.0, 60.0]
+    sc = make_scenario(trucks=(make_truck("t001"), make_truck("t002", segment_times=segments)))
+    checked = _counting_truck_checks(monkeypatch)
+    assert validate_scenario(sc) == []
+    segments[1] = -1.0
+    assert validate_scenario(sc) == [
+        "truck t002: segment_times[1] must be a nonnegative number, got -1.0"
+    ]
+    assert checked == ["truck t001", "truck t002"] * 2
 
 
 def test_scenario_round_trips_byte_exactly():

@@ -282,9 +282,9 @@ def _simplex_finish(self, selected, need, caps, slack):
     """Every pattern with stops that the walk accepts through the simplex,
     as the planner solved them before its closed forms: the search LP's
     objective with the canonical LP's durations, the least total time
-    within 1e-9 of the optimum. The simplex must find each such pattern
-    feasible too. The no-stop closed form already returns the simplex's
-    floats."""
+    within 1e-9 of the optimum, as ``(x, objective)``. The simplex must
+    find each such pattern feasible too. The no-stop closed form already
+    returns the simplex's floats."""
     if not selected:
         return _closed_form_finish(self, selected, need, caps, slack)
     search = reference_lp.duration_lp(self, selected)
@@ -292,10 +292,8 @@ def _simplex_finish(self, selected, need, caps, slack):
     cap = search.objective + _COST_TIE_TOL
     canonical = reference_lp.duration_lp(self, selected, cost_cap=cap, minimize_total_time=True)
     if canonical.status != "optimal":
-        return search
-    return LPResult(
-        status="optimal", x=tuple(float(v) for v in canonical.x), objective=search.objective
-    )
+        return search.x, search.objective
+    return tuple(float(v) for v in canonical.x), search.objective
 
 
 GATE_TEMPLATES = {

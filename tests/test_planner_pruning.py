@@ -180,9 +180,9 @@ def test_pattern_bound_never_exceeds_a_fill_that_stops_within_the_tolerance():
     tail = _tail_of(inp)
     need, caps, slack, lower, const = tail.walk((0,))
     assert caps[0] < need[0] < caps[0] + 1e-7
-    result = tail.finish((0,), need, caps, slack)
-    assert result.x[0] == caps[0] / tail.rates[0]
-    assert lower <= result.objective + const + 1e-9
+    x, objective = tail.finish((0,), need, caps, slack)
+    assert x[0] == caps[0] / tail.rates[0]
+    assert lower <= objective + const + 1e-9
 
 
 def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):

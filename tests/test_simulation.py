@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetcharge import simulation
+from fleetcharge import model, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
 from fleetcharge.model import (
     Scenario,
@@ -14,6 +14,7 @@ from fleetcharge.model import (
     load_scenario,
     ordered_sum,
     replace,
+    validate_scenario,
 )
 from fleetcharge.reports import StationTotals
 from fleetcharge.simulation import (
@@ -72,13 +73,34 @@ def test_second_truck_waits_exactly_the_overlap():
     )
 
 
-# the public runners check the scenario themselves; `run` checks it once
-# and drives the event loop directly
+# the public runners check the scenario themselves, once per scenario object
 @pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
 def test_runners_refuse_an_invalid_scenario(runner):
     sc = make_scenario(trucks=(make_truck(params=make_params(e_safe=0.0)),))
     with pytest.raises(ValueError, match=r"^invalid scenario: .*requires 0 < e_safe < e_full"):
         runner(sc)
+
+
+@pytest.mark.parametrize("runner", [run_proposed, run_offline_baseline])
+def test_runners_do_not_check_a_validated_scenario_again(monkeypatch, runner):
+    sc = _contention_scenario()
+    assert validate_scenario(sc) == []
+    checked = []
+    check_params = model._check_params
+
+    def counted(prefix, params, out):
+        checked.append(prefix)
+        return check_params(prefix, params, out)
+
+    monkeypatch.setattr(model, "_check_params", counted)
+    assert audit_run(sc, runner(sc)) == []
+    assert checked == []
+    # an invalid scenario is refused by every call, its check made once
+    bad = make_scenario(trucks=(make_truck(e_initial=700.0),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^invalid scenario: truck t001: e_initial 700.0 exceeds"):
+            runner(bad)
+    assert checked == ["truck t001"]
 
 
 def _late_departure() -> Scenario:
@@ -461,6 +483,52 @@ def test_metrics_reader_rejects_a_truck_or_station_listed_twice(key, field):
     rows.append(rows[0])
     i, name = len(rows) - 1, rows[0][field]
     with pytest.raises(ValueError, match=rf"^{key}\[{i}\]: duplicate {field} '{name}'$"):
+        metrics_from_dict(doc)
+
+
+# every total and station field that the trips add up to; the rescue count
+# and the station names are not derived from the trips
+_FOLDED = [
+    *(("totals", name, "count") for name in ("trucks", "stranded", "deadline_violations")),
+    *(
+        ("totals", name, "sum")
+        for name in (
+            "total_waiting_minutes",
+            "total_waiting_hours",
+            "total_charging_minutes",
+            "total_energy_delivered_kwh",
+        )
+    ),
+    ("per_station", "visits", "count"),
+    *(
+        ("per_station", name, "sum")
+        for name in ("waiting_minutes", "charging_minutes", "mean_wait", "energy_delivered_kwh")
+    ),
+]
+
+
+@pytest.mark.parametrize("key, name, what", _FOLDED, ids=[f"{k}.{n}" for k, n, _ in _FOLDED])
+def test_metrics_reader_rejects_a_total_that_its_trips_contradict(key, name, what):
+    doc = encode_record(run_proposed(_congested_scenario()).metrics)
+    row = doc["totals"] if key == "totals" else doc["per_station"][0]
+    row[name] += 1
+    where = "totals" if key == "totals" else r"per_station\[0\]"
+    with pytest.raises(ValueError, match=rf"^{where}: {name} is not the {what} of per_truck$"):
+        metrics_from_dict(doc)
+
+
+def test_metrics_reader_reads_the_rescue_count_and_station_names():
+    m = run_proposed(_congested_scenario()).metrics
+    doc = encode_record(m)
+    doc["totals"]["rescue_charges"] += 5
+    assert metrics_from_dict(doc).totals.rescue_charges == m.totals.rescue_charges + 5
+    # a station renamed leaves its visits under a name per_station lacks
+    station = doc["per_station"][0]["station"]
+    doc["per_station"][0]["station"] = "elsewhere"
+    i = next(i for i, t in enumerate(m.per_truck) if any(v.station == station for v in t.visits))
+    with pytest.raises(
+        ValueError, match=rf"^per_truck\[{i}\]: a visit to station '{station}', which per_station does not list$"
+    ):
         metrics_from_dict(doc)
 
 

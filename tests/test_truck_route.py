@@ -59,10 +59,14 @@ def _stated_input(spec, stations, i, battery, quoted_wait, assumed_wait, clock, 
 
 def _assert_tail_of(tail, i, expected):
     """``tail`` starts at ramp i, states ``expected``, and every slot the
-    planner reads is that slot of the planner input's own tail."""
+    planner reads is that slot of the planner input's own tail. A level
+    table is built by the first level bound, so when the engine's tail
+    has one the stated tail builds its own."""
     assert tail.start == i
     assert planner_input_of(tail) == expected
     stated = _tail_of(expected)
+    if tail.level_table is not None:
+        stated.level_bound(0)
     for slot in _RouteTail.__slots__:
         if slot not in ("route", "start"):
             assert getattr(tail, slot) == getattr(stated, slot), slot
