@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Sequence
 from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from fleetcharge import planner
+from fleetcharge import planner, simulation
 from fleetcharge.generator import ScenarioTemplate, _truck_params
 from fleetcharge.model import (
     Route,
@@ -23,9 +24,9 @@ from fleetcharge.planner import (
     _DETOUR,
     _FIELDS,
     _SEGMENT,
-    _STATION,
     _WAIT,
     PlannerInput,
+    TruckRoute,
     _RouteTail,
     _tail_of,
     solve_lp,
@@ -125,10 +126,12 @@ def make_planner_input(
     )
 
 
-def planner_input_of(tail: _RouteTail) -> PlannerInput:
+def planner_input_of(tail: _RouteTail, stations: Sequence[StationSpec]) -> PlannerInput:
     """The planner input of a route tail, as a truck at its ramp would
     state it: the remaining stations, segments and detours, the live
-    quote, and the assumed waits of the stations after it."""
+    quote, and the assumed waits of the stations after it. A route keeps
+    only its stations' constants, so ``stations`` are the specs of the
+    tail's whole route, from its first ramp."""
     r, i = tail.route, tail.start
 
     def column(field: int, start: int) -> tuple:
@@ -137,7 +140,7 @@ def planner_input_of(tail: _RouteTail) -> PlannerInput:
 
     return PlannerInput(
         params=r.params,
-        stations=column(_STATION, i),
+        stations=tuple(stations[i:]),
         segment_times=column(_SEGMENT, i),
         detour_times=column(_DETOUR, i),
         battery=tail.battery,
@@ -146,6 +149,21 @@ def planner_input_of(tail: _RouteTail) -> PlannerInput:
         remaining_time=tail.remaining_time,
         require_detour_margin_everywhere=r.strict,
     )
+
+
+@pytest.fixture
+def route_stations(monkeypatch) -> dict[TruckRoute, tuple[StationSpec, ...]]:
+    """The stations of every route the engine builds during the test, by
+    route, for `planner_input_of`."""
+    stations = {}
+
+    def recording(params, specs, *rest):
+        route = TruckRoute(params, specs, *rest)
+        stations[route] = tuple(specs)
+        return route
+
+    monkeypatch.setattr(simulation, "TruckRoute", recording)
+    return stations
 
 
 def rates_of(inp: PlannerInput) -> tuple[float, ...]:

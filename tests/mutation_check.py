@@ -7,9 +7,11 @@ Each mutant below is one source edit to a check of `audit_run`,
 parameters and stations (one joined message) and of a route tail past
 the exact-enumeration cap, to the charge-to-full pass `_feasible`, to
 the walk's refusal of infeasible stop patterns, which
-`solve_charging_problem` skips, to the cost bound the walk gives a
-pattern, to the multi-stop fill `solve_lp` (its caps,
-its step past the slack and its key tie rule), to `decode_message`'s
+`solve_charging_problem` skips, to its no-stop exit, which must find the
+no-stop pattern feasible, to the battery rows `TruckRoute.at` slices for
+a tail, to the cost bound the walk gives a pattern, to the multi-stop
+fill `solve_lp` (its caps, its step past the slack and its key tie
+rule), to `decode_message`'s
 refusal of a negative message time (the only check of a message time),
 to the event loop's refusal of a run whose times or totals overflow,
 to `compare`'s refusal of a wait reduction that is not a finite
@@ -17,8 +19,9 @@ percentage, to `metrics_from_dict`'s refusal of totals that its trips
 contradict, or to the store of `validate_scenario`, which must hold only
 a deeply immutable scenario and answer only for that same object: a
 violation message is no longer appended, an error is no longer raised,
-a refusal is dropped or weakened, the bound is overstated, the fill buys
-other durations, or the store answers for a scenario it should check. A
+a refusal is dropped or weakened, the exit is taken unchecked, a tail
+reads another ramp's rows, the bound is overstated, the fill buys other
+durations, or the store answers for a scenario it should check. A
 mutant names the file it edits by its path from the repository root,
 under `src/` or, for the plan checker, which only tests use, under
 `tests/`. The edit is applied to a temporary copy of `src/` and
@@ -129,6 +132,10 @@ REPLACED = [
         "(tied and rates[j] > rate)",
         ["tests/test_goldens.py"],
     ),
+    # the no-stop exit, taken without walking the no-stop pattern, and a
+    # route tail whose battery rows start one ramp late
+    (PLANNER, "if tail.walk(()) is not None:\n", "if True:\n", PLANNER_TESTS),
+    (PLANNER, "tail.ramps = self.rows[i:]\n", "tail.ramps = self.rows[i + 1 :]\n", ["tests/test_truck_route.py"]),
     # the charge-to-full pass, which no longer refills at a stop; the
     # generator and the planner both run it
     *(

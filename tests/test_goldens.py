@@ -1,4 +1,5 @@
-"""Byte-stability of every committed output file for one seeded run."""
+"""Byte-stability of every committed output file for one seeded run, and
+the planner's work on each golden scenario."""
 
 import json
 import shutil
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from fleetcharge import protocol, simulation
 from fleetcharge.cli import main
+from fleetcharge.model import load_scenario
 from fleetcharge.protocol import decode_message, encode_message
 
 from conftest import counting_solve_lp
@@ -162,3 +165,40 @@ def test_golden_run_shows_the_headline_effect():
     assert b > 300.0
     assert p < 0.5 * b
     assert prop["totals"]["stranded"] == 0 and base["totals"]["stranded"] == 0
+
+
+# (plans, patterns visited, solve_lp calls) per golden and strategy. A
+# feasible no-stop pattern ends the search, so the 10 proposed exchanges
+# of the golden run that walked a level-1 pattern before keeping the
+# no-stop plan visit one pattern, not two
+@pytest.mark.parametrize(
+    "golden, strict, offline, proposed",
+    [
+        ("scenario.json", True, (10, 37, 0), (27, 69, 0)),
+        ("relaxed/scenario.json", False, (10, 37, 0), (27, 70, 0)),
+        ("long/scenario.json", True, (6, 1960, 18), (70, 4001, 36)),
+    ],
+)
+def test_planner_counters_on_the_goldens(monkeypatch, golden, strict, offline, proposed):
+    scenario = load_scenario(GOLDENS / golden)
+    solve = simulation.solve_charging_problem
+    solutions = []
+
+    def recording(tail):
+        solutions.append(solve(tail))
+        return solutions[-1]
+
+    monkeypatch.setattr(simulation, "solve_charging_problem", recording)
+    monkeypatch.setattr(protocol, "solve_charging_problem", recording)
+    counts = []
+    for runner in (simulation.run_offline_baseline, simulation.run_proposed):
+        solutions.clear()
+        runner(scenario, require_detour_margin_everywhere=strict)
+        counts.append(
+            (
+                len(solutions),
+                sum(s.patterns_considered for s in solutions),
+                sum(s.lp_solves for s in solutions),
+            )
+        )
+    assert counts == [offline, proposed]

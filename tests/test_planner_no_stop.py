@@ -1,11 +1,14 @@
 """The no-stop pattern is solved without the simplex: its closed form
 returns exactly what the simplex returns on that pattern's LP, and
-`lp_solves` still counts every `solve_lp` call the planner makes."""
+`lp_solves` still counts every `solve_lp` call the planner makes. When
+it is feasible no pattern costs less, in floats too, so its plan ends the
+search."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fleetcharge.model import charging_rate
+from fleetcharge.model import charging_rate, replace
 from fleetcharge.planner import _tail_of, solve_charging_problem
 
 from conftest import (
@@ -15,6 +18,7 @@ from conftest import (
     make_planner_input,
     planner_inputs,
 )
+from reference_planner import reference_solve_charging_problem, stop_patterns
 
 
 def _assert_same_result(inp):
@@ -115,3 +119,61 @@ def test_a_winning_no_stop_plan_solves_no_lp():
     assert not any(d.charge for d in sol.plan.decisions)
     assert sol.lp_solves == 0
     assert calls == []
+
+
+# penalty prices from none to the float maximum, where costs overflow
+_PRICES = st.sampled_from([0.0, 0.4, 1.0, 100.0, 1e10, 1e100, 1e300, 1e308]) | st.floats(0.0, 1e308)
+
+
+@st.composite
+def _priced_inputs(draw):
+    """Planner inputs whose kappa and rho reach 1e308."""
+    inp = draw(planner_inputs())
+    params = replace(inp.params, kappa=draw(_PRICES), rho=draw(_PRICES))
+    return replace(inp, params=params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_priced_inputs())
+def test_no_feasible_pattern_costs_less_than_a_feasible_no_stop_pattern(inp):
+    tail = _tail_of(inp)
+    walked = tail.walk(())
+    assume(walked is not None)
+    need, caps, slack, _, const = walked
+    no_stop = tail.finish((), need, caps, slack)[1] + const
+    for selected in stop_patterns(inp.station_count):
+        walked = tail.walk(selected)
+        if walked is not None:
+            need, caps, slack, _, const = walked
+            cost = tail.finish(selected, need, caps, slack)[1] + const
+            # the planner counts a NaN cost as inf
+            assert cost != cost or cost >= no_stop, selected
+
+
+def test_a_zero_length_stop_that_ties_the_no_stop_plan_loses():
+    # no detour, no quote and no charge needed: stopping at station 0 adds
+    # nothing, and the overtime hinge is the same 10 * 20 for both plans
+    inp = make_planner_input(
+        segment_times=(60.0,),
+        detour_times=(0.0,),
+        battery=500.0,
+        quoted_wait=0.0,
+        remaining_time=40.0,
+        params=make_params(rho=10.0),
+    )
+    tail = _tail_of(inp)
+
+    def solved(selected):
+        need, caps, slack, _, const = tail.walk(selected)
+        x, objective = tail.finish(selected, need, caps, slack)
+        return x, objective + const
+
+    (_, no_stop), (x, stop) = solved(()), solved((0,))
+    assert x[0] == 0.0
+    assert stop == no_stop == 200.0
+    solution = solve_charging_problem(inp)
+    assert solution.patterns_considered == 1
+    assert solution.lp_solves == 0
+    assert solution.plan.decisions[0].charge is False
+    assert solution.plan.anticipated_cost == 200.0
+    assert solution.plan == reference_solve_charging_problem(inp).plan

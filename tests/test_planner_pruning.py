@@ -57,13 +57,17 @@ def level_bound(inp, k):
 
 def expected_patterns_considered(inp, level_best):
     """Patterns the planner visits: none when no pattern passes the
-    charge-to-full test, else every level before the first level k < m
-    whose bound exceeds the reference's best cost over the lower levels."""
+    charge-to-full test, one when the no-stop pattern is feasible, which
+    no pattern beats, else the no-stop pattern and every level from one
+    stop on before the first level k < m whose bound exceeds the
+    reference's best cost over the lower levels."""
     m = inp.station_count
     if not any(max_charge_feasible(inp, frozenset(p)) for p in stop_patterns(m)):
         return 0
-    count = 0
-    for k in range(m + 1):
+    if _tail_of(inp).walk(()) is not None:
+        return 1
+    count = 1
+    for k in range(1, m + 1):
         if k < m and level_bound(inp, k) > level_best[k] + _COST_TIE_TOL:
             break
         count += comb(m, k)
@@ -185,7 +189,7 @@ def test_pattern_bound_never_exceeds_a_fill_that_stops_within_the_tolerance():
     assert lower <= objective + const + 1e-9
 
 
-def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
+def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch, route_stations):
     template = ScenarioTemplate(
         label="pruning",
         truck_count=8,
@@ -218,7 +222,10 @@ def test_whole_run_outputs_match_the_reference_planner(tmp_path, monkeypatch):
 
     pruned = run_all("pruned", solve_charging_problem)
     # the engine plans over route tails; the reference takes their inputs
-    reference = run_all("reference", lambda tail: reference_solve_charging_problem(planner_input_of(tail)))
+    reference = run_all(
+        "reference",
+        lambda tail: reference_solve_charging_problem(planner_input_of(tail, route_stations[tail.route])),
+    )
     assert len(pruned) == 10
     assert pruned == reference
     assert lp_solves["pruned"] < lp_solves["reference"]

@@ -348,7 +348,7 @@ def test_station_totals_are_per_station_filters_of_the_trips(runner):
     assert m.per_station == tuple(expected)
 
 
-def test_one_exchange_per_ramp_arrival(monkeypatch):
+def test_one_exchange_per_ramp_arrival(monkeypatch, route_stations):
     sc = _congested_scenario()
     result = run_proposed(sc)
     total_ramps = sum(t.route.ramp_count for t in sc.trucks)
@@ -366,7 +366,7 @@ def test_one_exchange_per_ramp_arrival(monkeypatch):
     solve = simulation.solve_charging_problem
 
     def counting_solve(tail):
-        plans.append(planner_input_of(tail))
+        plans.append(planner_input_of(tail, route_stations[tail.route]))
         return solve(tail)
 
     monkeypatch.setattr(simulation, "solve_charging_problem", counting_solve)

@@ -6,7 +6,7 @@ import pytest
 
 from fleetcharge import planner, protocol, simulation
 from fleetcharge.generator import ScenarioTemplate, generate_scenario
-from fleetcharge.model import replace
+from fleetcharge.model import _ramp_row, replace
 from fleetcharge.planner import PlannerInput, TruckRoute, _RouteTail, _tail_of
 
 from conftest import make_params, make_planner_input, make_truck, planner_input_of
@@ -57,13 +57,14 @@ def _stated_input(spec, stations, i, battery, quoted_wait, assumed_wait, clock, 
     )
 
 
-def _assert_tail_of(tail, i, expected):
-    """``tail`` starts at ramp i, states ``expected``, and every slot the
-    planner reads is that slot of the planner input's own tail. A level
-    table is built by the first level bound, so when the engine's tail
-    has one the stated tail builds its own."""
+def _assert_tail_of(tail, stations, i, expected):
+    """``tail``, on a route of ``stations``, starts at ramp i, states
+    ``expected``, and every slot the planner reads is that slot of the
+    planner input's own tail. A level table is built by the first level
+    bound, so when the engine's tail has one the stated tail builds its
+    own."""
     assert tail.start == i
-    assert planner_input_of(tail) == expected
+    assert planner_input_of(tail, stations) == expected
     stated = _tail_of(expected)
     if tail.level_table is not None:
         stated.level_bound(0)
@@ -74,7 +75,7 @@ def _assert_tail_of(tail, i, expected):
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "relaxed"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict):
+def test_every_planning_point_equals_its_planner_input(monkeypatch, route_stations, seed, strict):
     scenario = _scenario(seed)
     specs = {t.id: t for t in scenario.trucks}
     stations = scenario.station_by_id()
@@ -85,7 +86,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
 
     def recording_solve(tail):
         solution = solve(tail)
-        assert solution == solve(planner_input_of(tail))
+        assert solution == solve(planner_input_of(tail, route_stations[tail.route]))
         tails.append(tail)
         return solution
 
@@ -106,7 +107,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
         battery = spec.e_initial - spec.params.p_bar * tau0
         clock = spec.depart_time + tau0
         expected = _stated_input(spec, stations, 0, battery, 0.0, 0.0, clock, strict)
-        _assert_tail_of(tail, 0, expected)
+        _assert_tail_of(tail, route_stations[tail.route], 0, expected)
 
     tails.clear()
     proposed = simulation.run_proposed(scenario, require_detour_margin_everywhere=strict)
@@ -114,7 +115,7 @@ def test_every_planning_point_equals_its_planner_input(monkeypatch, seed, strict
     for tail, (truck_id, clock, i, battery, quoted) in zip(tails, exchanges):
         spec = specs[truck_id]
         expected = _stated_input(spec, stations, i, battery, quoted, spec.w_hat_default, clock, strict)
-        _assert_tail_of(tail, i, expected)
+        _assert_tail_of(tail, route_stations[tail.route], i, expected)
     # some trucks stop on the way and replan past their first ramp, and
     # the doomed truck strands in both runs
     assert any(i > 0 for _, _, i, _, _ in exchanges)
@@ -137,3 +138,16 @@ def test_route_checks_the_per_ramp_values_as_the_planner_input_does():
         with pytest.raises(ValueError) as sliced:
             route.at(1, values["battery"], values["quoted_wait"], values["remaining_time"])
         assert str(sliced.value) == str(stated.value)
+
+
+def test_a_tail_reads_the_battery_rows_of_its_own_ramps():
+    inp = make_planner_input(
+        segment_times=(30.0, 60.0, 45.0), detour_times=(3.0, 5.0, 8.0), battery=500.0
+    )
+    route = TruckRoute.of_input(inp)
+    p = inp.params
+    for i in range(4):
+        tail = route.at(i, 500.0, 0.0, 240.0)
+        assert tail.ramps == tuple(
+            _ramp_row(p, d, s) for d, s in zip(inp.detour_times[i:], inp.segment_times[i:])
+        )
